@@ -60,7 +60,6 @@ from .synthesis import (
     mfgn_cross_covariance,
     synthesize_mfbm,
     synthesize_mfgn,
-    synthesize_mfgn_batch,
 )
 from .wavelet import (
     WaveletFilter,

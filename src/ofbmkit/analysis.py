@@ -385,6 +385,11 @@ def pyramid_counts(n: int, filter_length: int, j_max: int) -> tuple:
     return tuple(counts)
 
 
+def _defined(stat: np.ndarray):
+    """The statistic as a list, or None (JSON null) where undefined (all NaN)."""
+    return None if np.isnan(stat).all() else stat.tolist()
+
+
 def report_to_dict(rep: McReport) -> dict:
     return {
         "n": rep.config_n,
@@ -403,8 +408,8 @@ def report_to_dict(rep: McReport) -> dict:
                 "cov": rep.cov[code].tolist(),
                 "mse": rep.mse[code].tolist(),
                 "spectral_norms": rep.spectral_norms[code],
-                "corr": rep.corr[code].tolist(),
-                "mahalanobis": rep.mahalanobis[code].tolist(),
+                "corr": _defined(rep.corr[code]),
+                "mahalanobis": _defined(rep.mahalanobis[code]),
                 "rel_var_diff": rep.rel_var_diff[code].tolist(),
             }
             for code in ESTIMATORS
@@ -413,7 +418,7 @@ def report_to_dict(rep: McReport) -> dict:
 
 
 def report_to_json(rep: McReport) -> str:
-    return json.dumps(report_to_dict(rep), indent=2)
+    return json.dumps(report_to_dict(rep), indent=2, allow_nan=False)
 
 
 def qq_pairs(samples: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from .analysis import (
     McConfig,
     bh_reject,
     qq_pairs,
-    report_to_dict,
+    report_to_json,
     run_mc,
     sliding_window_estimates,
     wilcoxon_ranksum,
@@ -171,7 +171,8 @@ def cmd_mc(args) -> int:
     rep = run_mc(cfg, threads=args.threads)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "mc_report.json"), report_to_dict(rep))
+    with _atomic_open(os.path.join(out, "mc_report.json")) as fh:
+        fh.write(report_to_json(rep) + "\n")
 
     with _atomic_open(os.path.join(out, "estimates.csv")) as fh:
         writer = csv.writer(fh)

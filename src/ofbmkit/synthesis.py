@@ -2,16 +2,18 @@
 
 The increment process of a mixture of correlated fractional Brownian motions
 is stationary with a closed-form matrix covariance sequence.  Sample paths are
-drawn by block-circulant embedding: the covariance sequence is periodized,
-diagonalized frequency-by-frequency with small Hermitian eigendecompositions,
-and driven by complex Gaussian noise.  The resulting paths carry the target
-covariance exactly whenever the embedding is positive semidefinite; negative
-spectral mass is clipped and reported.
+drawn by block-circulant embedding (Wood & Chan 1994; Helgason, Pipiras & Abry
+2011): the covariance sequence is periodized over ``size`` lags and each
+spectral matrix factored as B(f)^2, with the mixing W folded into the factor
+sqrt(size) W B(f).  A draw is a Hermitian half-spectrum made from M * size
+normals, mapped by that factor and one inverse real FFT.  Paths carry the
+covariance W Gamma(k) W^T exactly whenever the embedding is positive
+semidefinite; negative spectral mass is clipped and reported.
 
 Reproducibility: all randomness flows through a counter-based Philox generator
 keyed by a 64-bit seed, and normal variates are produced by inverse-CDF from
 fixed-point uniforms, so identical (params, n, seed) inputs give bit-identical
-paths on any platform.
+paths on any platform.  The map from normals to paths is named by ``RNG_ID``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from scipy.special import ndtri
 from .errors import DimensionMismatch, EmbeddingFailed, IndexOutOfRange
 from .model import ModelParams, params_to_dict
 
-# Identifier of the noise pipeline, stored in output metadata.
-RNG_ID = "philox4x64-10/u53/invnorm"
+# Identifier of the seed -> path map, stored in output metadata.
+RNG_ID = "philox4x64-10/u53/invnorm/hermitian-half"
 
 # Above this relative clipped spectral mass the embedding is considered broken.
 CLIP_TOL = 1e-6
@@ -69,19 +71,6 @@ def mfgn_covariance_matrices(p: ModelParams, lags) -> np.ndarray:
     ak = np.abs(lags)[:, None, None].astype(float)
     h = hsum[None, :, :]
     return 0.5 * sig[None, :, :] * (np.abs(ak - 1) ** h - 2.0 * ak**h + (ak + 1) ** h)
-
-
-@dataclass(frozen=True)
-class MfgnCovarianceSequence:
-    """Covariance matrices Gamma(0..K) of the pre-mixing increment process."""
-
-    lags: np.ndarray
-    gamma: np.ndarray  # (K+1, M, M)
-
-
-def mfgn_covariance_sequence(p: ModelParams, max_lag: int) -> MfgnCovarianceSequence:
-    lags = np.arange(max_lag + 1)
-    return MfgnCovarianceSequence(lags=lags, gamma=mfgn_covariance_matrices(p, lags))
 
 
 @dataclass(frozen=True)
@@ -138,7 +127,6 @@ class CirculantEmbedding:
             raise DimensionMismatch(f"need at least 2 samples, got {n}")
         self.params = params
         self.n = int(n)
-        m = params.m
 
         size = 1
         while size < 2 * (self.n - 1):
@@ -167,9 +155,10 @@ class CirculantEmbedding:
 
         clipped_evals = np.maximum(evals, 0.0)
         # B(f) = U sqrt(L) U^T, real symmetric PSD, one matrix per frequency
-        self._b_half = np.einsum(
-            "fij,fj,fkj->fik", evecs, np.sqrt(clipped_evals), evecs
-        )
+        b = (evecs * np.sqrt(clipped_evals)[:, None, :]) @ np.swapaxes(evecs, 1, 2)
+        # sqrt(size) W B(f) as (M, M, size/2 + 1), frequency last
+        mixed = np.moveaxis(params.mixing.entries @ b, 0, -1) * np.sqrt(size)
+        self._factor = np.ascontiguousarray(mixed)
         self._evals = clipped_evals
         self._evecs = evecs
         self.size = size
@@ -196,28 +185,35 @@ class CirculantEmbedding:
         return evals, evecs, float(evals.min())
 
     def sample(self, seed: int, kind: str = "mfGn") -> SamplePath:
-        """Draw one mixed M x n realization for the given seed."""
-        m = self.params.m
-        size = self.size
-        half = size // 2
-        z = gaussian_variates(seed, (2, m, size))
-        eps = z[0] + 1j * z[1]
-        v = np.empty((m, size), dtype=complex)
-        v[:, : half + 1] = np.einsum("fij,jf->if", self._b_half, eps[:, : half + 1])
-        if half > 1:
-            v[:, half + 1 :] = np.einsum(
-                "fij,jf->if", self._b_half[1:half][::-1], eps[:, half + 1 :]
-            )
-        y = np.fft.ifft(v, axis=1)[:, : self.n]
-        x = np.sqrt(size) * y.real
-        data = self.params.mixing.entries @ x
+        """Draw one mixed M x n realization for the given seed.
+
+        The seed gives M * size normals, mapped by :meth:`_paths` through a
+        Hermitian half-spectrum; ``kind="mfBm"`` returns their cumulative sum.
+        """
+        z = gaussian_variates(seed, (self.params.m, self.size))
+        data = self._paths(z)
         if kind == "mfBm":
             data = np.cumsum(data, axis=1)
         return SamplePath(data=data, params=self.params, seed=int(seed), kind=kind)
 
-    def sample_batch(self, seeds, kind: str = "mfGn") -> list[SamplePath]:
-        """Independent realizations, one per seed; order never affects content."""
-        return [self.sample(int(s), kind=kind) for s in seeds]
+    def _paths(self, z: np.ndarray) -> np.ndarray:
+        """Linear map from (M, size) standard normals to M x n mixed increments.
+
+        Column f of ``z`` is the noise at frequency f of the full spectrum;
+        its Hermitian part is drawn: real z[0] and z[size/2], and
+        (z[f] + z[size - f]) / 2 + i (z[f] - z[size - f]) / 2 in between.
+        """
+        m, half = self.params.m, self.size // 2
+        mirror = z[:, :half:-1]  # frequencies size - f for f = 1..size/2 - 1
+        re = z[:, : half + 1].copy()
+        re[:, 1:half] = 0.5 * (z[:, 1:half] + mirror)
+        im = 0.5 * (z[:, 1:half] - mirror)
+        spec = np.empty((m, half + 1, 2))  # real and imaginary parts
+        np.einsum("ijf,jf->if", self._factor, re, out=spec[..., 0])
+        np.einsum("ijf,jf->if", self._factor[:, :, 1:half], im, out=spec[:, 1:half, 1])
+        spec[:, [0, half], 1] = 0.0
+        x = np.fft.irfft(spec.view(complex)[..., 0], n=self.size, axis=1)
+        return x[:, : self.n]
 
     def realized_covariance(self, max_lag: int) -> np.ndarray:
         """Exact mixed covariance of the sampling map, lags 0..max_lag.
@@ -235,12 +231,6 @@ def synthesize_mfgn(p: ModelParams, n: int, seed: int):
     """One exact-covariance mfGn realization -> (SamplePath, EmbeddingReport)."""
     emb = CirculantEmbedding(p, n)
     return emb.sample(seed, kind="mfGn"), emb.report
-
-
-def synthesize_mfgn_batch(p: ModelParams, n: int, seeds):
-    """Batch variant sharing one embedding; accepts an explicit seed sequence."""
-    emb = CirculantEmbedding(p, n)
-    return emb.sample_batch(seeds, kind="mfGn"), emb.report
 
 
 def synthesize_mfbm(p: ModelParams, n: int, seed: int) -> SamplePath:

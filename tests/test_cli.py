@@ -32,6 +32,13 @@ def infeasible_file(tmp_path):
     return str(path)
 
 
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _synth(params_file, tmp_path, name="x.csv", extra=()):
     out = tmp_path / name
     rc = main(
@@ -134,13 +141,29 @@ def test_mc_report_contents(params_file, tmp_path):
          "--j1", "3", "--j2", "6", "--out-dir", str(out_dir)]
     )
     assert rc == 0
-    rep = json.loads((out_dir / "mc_report.json").read_text())
+    rep = _strict_json((out_dir / "mc_report.json").read_text())
     assert set(rep["estimators"]) == {"U", "M", "BC"}
     for code in ("U", "M", "BC"):
         mse = np.asarray(rep["estimators"][code]["mse"])
         b2 = np.asarray(rep["estimators"][code]["bias2"])
         cov = np.asarray(rep["estimators"][code]["cov"])
         np.testing.assert_allclose(mse, b2 + cov, atol=1e-10)
+
+
+def test_mc_readme_smoke_command_writes_strict_json(params_file, tmp_path):
+    # the README smoke benchmark: corr (n_mc < 3) and mahalanobis (n_mc <= M)
+    # are undefined and written as null, never as NaN
+    out_dir = tmp_path / "smoke"
+    rc = main(
+        ["mc", "--params", params_file, "--n", "8192", "--n-mc", "2", "--seed", "1",
+         "--out-dir", str(out_dir)]
+    )
+    assert rc == 0
+    rep = _strict_json((out_dir / "mc_report.json").read_text())
+    for code in ("U", "M", "BC"):
+        assert rep["estimators"][code]["corr"] is None
+        assert rep["estimators"][code]["mahalanobis"] is None
+        assert np.isfinite(rep["estimators"][code]["estimates"]).all()
 
 
 def test_sliding_row_count_and_labels(tmp_path):

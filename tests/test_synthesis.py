@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
+from ofbmkit import synthesis
 from ofbmkit.errors import IndexOutOfRange
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import (
@@ -11,7 +13,6 @@ from ofbmkit.synthesis import (
     CirculantEmbedding,
     gaussian_variates,
     mfgn_covariance_matrices,
-    mfgn_covariance_sequence,
     mfgn_cross_covariance,
     path_from_binary,
     path_from_csv,
@@ -20,7 +21,6 @@ from ofbmkit.synthesis import (
     path_to_csv,
     synthesize_mfbm,
     synthesize_mfgn,
-    synthesize_mfgn_batch,
 )
 
 BIV = make_params(
@@ -69,8 +69,7 @@ def test_covariance_matrices_match_scalar_entries():
                 assert gam[i, a, b] == pytest.approx(
                     mfgn_cross_covariance(BIV, a, b, k), abs=1e-15
                 )
-    seq = mfgn_covariance_sequence(BIV, 5)
-    assert seq.gamma.shape == (6, 2, 2)
+    assert mfgn_covariance_matrices(BIV, np.arange(6)).shape == (6, 2, 2)
 
 
 def test_gaussian_variates_deterministic_and_standard():
@@ -80,6 +79,91 @@ def test_gaussian_variates_deterministic_and_standard():
     big = gaussian_variates(43, 200_000)
     assert abs(big.mean()) < 0.01
     assert abs(big.std() - 1.0) < 0.01
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "seed, shape, digest",
+    [
+        (0, (8,), "b4ac37a2126c93cd905ef95699dac62c4720a4863651866571a39f80ac44cb25"),
+        (42, (3, 100), "38e410f564b1d5f76c431870759a84da6fc52382d341332a858941678ee7e40f"),
+        (2**64 - 1, (2, 4, 16),
+         "fa7ead805bd72e238d0774e3a8a069d3df271bcc4608449ce06c177666e9b4b3"),
+    ],
+    ids=["seed0", "seed42", "seed_max"],
+)
+def test_gaussian_variates_golden_digests(seed, shape, digest):
+    # the normal stream itself: unchanged by any change to the sampling map
+    assert _sha256(gaussian_variates(seed, shape)) == digest
+
+
+QUAD = make_params(
+    [0.6] * 4,
+    np.ones(4),
+    0.7 ** np.abs(np.arange(4)[:, None] - np.arange(4)[None, :]),
+    [[1.0, 0.5, -0.3, 0.2], [-0.4, 1.1, 0.3, -0.2], [0.2, -0.3, 0.9, 0.4],
+     [0.1, 0.2, -0.5, 1.2]],
+)
+SAMPLE_GOLDENS = {
+    "m1": (make_params([0.5], [1.0]), 64, 3, "mfGn",
+           "c51fef8d2795824893bc094cbcc18b9802893aeea8bef58333fbb97d62a2a56f"),
+    "m2": (BIV, 100, 7, "mfBm",
+           "40f5118dfed657c7fecbc67c292442cbe3e669f1b20006d18660696e6ae31f04"),
+    "m4": (QUAD, 256, 11, "mfGn",
+           "6a3c6dd319428b2d50f3935f171aa09ebd8a66dc9881a9384ed7cb867b9cd96f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_GOLDENS))
+def test_sample_golden_digests(case):
+    # pins the seed -> path map named by RNG_ID; a change here needs a new RNG_ID
+    params, n, seed, kind, digest = SAMPLE_GOLDENS[case]
+    path = CirculantEmbedding(params, n).sample(seed, kind=kind)
+    assert RNG_ID == "philox4x64-10/u53/invnorm/hermitian-half"
+    assert _sha256(path.data) == digest
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        (BIV, 24),
+        (make_params([0.3, 0.5, 0.9], [1.0, 2.0, 0.5]), 21),
+        (QUAD, 20),
+        (make_params([0.7], [1.0]), 7),
+    ],
+    ids=["m2-n24", "m3-n21", "m4-n20", "m1-n7"],
+)
+def test_sampling_map_exact_covariance(params, n):
+    # by linearity, A A^T is the covariance of the paths when A is the
+    # sampling map applied to unit vectors: it must equal W Gamma(k) W^T
+    emb = CirculantEmbedding(params, n)
+    assert emb.report.clipped_mass == 0.0
+    m, size = params.m, emb.size
+    units = np.eye(m * size).reshape(m * size, m, size)
+    a = np.stack([emb._paths(e).ravel() for e in units], axis=1)  # (m*n, m*size)
+    realized = (a @ a.T).reshape(m, n, m, n)
+    w = params.mixing.entries
+    gam = np.einsum("ij,fjk,lk->fil", w, mfgn_covariance_matrices(params, np.arange(n)), w)
+    lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    target = gam[lag].transpose(2, 0, 3, 1)  # [a, t, b, s]
+    assert np.abs(realized - target).max() < 1e-12
+
+
+def test_sample_draws_one_normal_per_embedding_slot(monkeypatch):
+    shapes = []
+    real = synthesis.gaussian_variates
+
+    def spy(seed, shape):
+        shapes.append(shape)
+        return real(seed, shape)
+
+    monkeypatch.setattr(synthesis, "gaussian_variates", spy)
+    emb = CirculantEmbedding(BIV, 100)
+    emb.sample(1)
+    assert shapes == [(2, emb.size)]
 
 
 def test_synthesis_deterministic():
@@ -194,11 +278,12 @@ def test_mfbm_dyadic_selfsimilarity():
 
 
 def test_batch_api_matches_single_calls():
-    paths, rep = synthesize_mfgn_batch(BIV, 64, [5, 9, 2])
-    for path in paths:
-        single, _ = synthesize_mfgn(BIV, 64, path.seed)
-        np.testing.assert_array_equal(path.data, single.data)
-    assert rep.clipped_mass == 0.0
+    # one shared embedding gives the same paths as a fresh embedding per seed
+    emb = CirculantEmbedding(BIV, 64)
+    for seed in (5, 9, 2):
+        single, rep = synthesize_mfgn(BIV, 64, seed)
+        np.testing.assert_array_equal(emb.sample(seed).data, single.data)
+    assert emb.report.clipped_mass == 0.0 and rep.clipped_mass == 0.0
 
 
 def test_csv_round_trip():
