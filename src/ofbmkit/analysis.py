@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammainc, gammaln, ndtr, ndtri
-from scipy.stats import rankdata
 
 from .errors import (
     BadProbability,
@@ -40,11 +40,13 @@ from .estimation import (
     RegressionWeights,
     ScalingRangeConfig,
     analyze,
+    estimate_windows,
+    regression_weights,
     scaling_range,
 )
 from .model import ModelParams
 from .synthesis import CirculantEmbedding
-from .wavelet import WaveletFilter, dwt, filter_bank
+from .wavelet import WaveletFilter, check_finite, dwt, filter_bank, pyramid_counts
 
 ESTIMATORS = ("U", "M", "BC")
 MATRICES = ("bias2", "cov", "mse")
@@ -215,6 +217,17 @@ def chi2_quantiles(dof: int, probs) -> np.ndarray:
     return out
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``a``, ties sharing the mean of the ranks they span."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # start of each tie group
+    ends = np.r_[first[1:], a.size]
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat(0.5 * (first + ends + 1), ends - first)
+    return ranks
+
+
 def wilcoxon_ranksum(x, y) -> float:
     """Two-sided rank-sum p-value.
 
@@ -228,7 +241,7 @@ def wilcoxon_ranksum(x, y) -> float:
         raise EmptySample("both samples must be nonempty")
     n1, n2 = x.size, y.size
     n = n1 + n2
-    ranks = rankdata(np.concatenate([x, y]))
+    ranks = _midranks(np.concatenate([x, y]))
     w_obs = ranks[:n1].sum()
     mu = n1 * (n + 1) / 2.0
 
@@ -375,16 +388,6 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
     )
 
 
-def pyramid_counts(n: int, filter_length: int, j_max: int) -> tuple:
-    """Coefficient counts n_1..n_j_max via n_j = floor((n_{j-1} - L + 1) / 2)."""
-    counts = []
-    cur = n
-    for _ in range(j_max):
-        cur = (cur - filter_length + 1) // 2
-        counts.append(cur)
-    return tuple(counts)
-
-
 def _defined(stat: np.ndarray):
     """The statistic as a list, or None (JSON null) where undefined (all NaN)."""
     return None if np.isnan(stat).all() else stat.tolist()
@@ -446,7 +449,12 @@ def sliding_window_estimates(
 ) -> list[EstimateRecord]:
     """Per-window estimates over a long series; timestamps are window starts.
 
-    Returns an empty list when the series is shorter than one window.
+    Windows whose starts agree mod 2^j2 share one wavelet pyramid: at every
+    octave j <= j2 their coefficients are slices of it.  They are estimated
+    in blocks, sized from M, the window and the octave range, so working
+    memory does not grow with the number of windows.  Every record equals
+    :func:`analyze` on its window bit for bit.  Returns an empty list when
+    the series is shorter than one window.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -456,16 +464,56 @@ def sliding_window_estimates(
     if f is None:
         f = filter_bank()
     m, n = x.shape
-    probe = dwt(np.zeros((1, window)), None, f)
-    if probe.j_max < j2 or probe.counts[j2 - 1] < m:
+    counts = pyramid_counts(window, f.length, j2)
+    if len(counts) < j2 or counts[-1] < m:
         raise WindowTooSmall(
             f"window of {window} samples cannot support octave {j2} with M = {m}"
         )
-    out = []
-    start = 0
-    while start + window <= n:
-        out.append(
-            analyze(x[:, start : start + window], j1, j2, f=f, balance=balance, t_start=start)
-        )
-        start += hop
+    check_finite(x)
+    octave_counts = [counts[j - 1] for j in range(j1, j2 + 1)]
+    w = regression_weights(j1, j2, balance=balance, counts=octave_counts)
+    starts = range(0, n - window + 1, hop)
+    # windows i and i + phases are the nearest pair whose starts agree mod 2^j2
+    phases = 2**j2 // math.gcd(hop, 2**j2)
+    per_block = _block_windows(m, window, j1, j2)
+    out = [None] * len(starts)
+    for first in range(min(phases, len(starts))):
+        same_phase = range(first, len(starts), phases)
+        for b in range(0, len(same_phase), per_block):
+            idx = same_phase[b : b + per_block]
+            block = [starts[i] for i in idx]
+            details = _window_details(x, block, window, j1, j2, f)
+            for i, rec in zip(idx, estimate_windows(details, w, block)):
+                out[i] = rec
     return out
+
+
+# float64 values a block of windows may hold in coefficient copies and spectra
+_BLOCK_VALUES = 2**21
+
+
+def _block_windows(m: int, window: int, j1: int, j2: int) -> int:
+    """Windows per block: about _BLOCK_VALUES values of samples and spectra."""
+    matrices = (j2 - j1 + 1) + 2 ** (j2 - j1 + 1) - 1  # full-sample + windowed
+    return max(1, _BLOCK_VALUES // (m * window + matrices * m * m))
+
+
+def _window_details(x, starts, window: int, j1: int, j2: int, f) -> list:
+    """(T, M, n_j) detail stacks, j = j1..j2, of windows whose starts agree mod 2^j2.
+
+    Windows at most a window length apart are slices of one pyramid of the
+    span they cover; windows further apart are transformed side by side as
+    rows, so the gaps between them are not transformed.
+    """
+    t, m = len(starts), x.shape[0]
+    spacing = starts[1] - starts[0] if t > 1 else window
+    if spacing > window:
+        pyr = dwt(np.concatenate([x[:, s : s + window] for s in starts]), j2, f)
+        return [pyr.details(j).reshape(t, m, -1) for j in range(j1, j2 + 1)]
+    pyr = dwt(x[:, starts[0] : starts[-1] + window], j2, f)
+    counts = pyramid_counts(window, f.length, j2)
+    return [
+        sliding_window_view(pyr.details(j), counts[j - 1], axis=1)[:, :: spacing >> j][:, :t]
+        .swapaxes(0, 1)
+        for j in range(j1, j2 + 1)
+    ]

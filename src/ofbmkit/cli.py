@@ -1,8 +1,9 @@
 """Command-line front end: synth, estimate, mc, sliding.
 
 Every command is deterministic given its full flag set; outputs are written
-atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems,
-3 model validation, 4 data/estimation, 5 internal.
+atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems
+(including a malformed series CSV), 3 model validation, 4 data/estimation
+(including NaN or infinite samples), 5 internal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from .analysis import (
     sliding_window_estimates,
     wilcoxon_ranksum,
 )
-from .errors import DataError, ModelValidationError, OfbmkitError, WindowTooSmall
+from .errors import (
+    DataError,
+    MalformedInput,
+    ModelValidationError,
+    OfbmkitError,
+    WindowTooSmall,
+)
 from .estimation import ScalingRangeConfig, record_to_dict, scaling_range
 from .model import load_params
 from .synthesis import (
@@ -78,7 +85,7 @@ def _atomic_open(path, mode="w"):
 
 def _write_json(path, payload: dict) -> None:
     with _atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -99,9 +106,9 @@ def _weights_mode(args) -> str:
     return args.weights.replace("-", "_")
 
 
-def _read_series(path) -> np.ndarray:
+def _read_series(path, label_column: str | None = None):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return path_from_csv(fh)
+        return path_from_csv(fh, label_column)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +235,10 @@ def _window_labels(labels: np.ndarray, window: int, hop: int):
 
 
 def cmd_sliding(args) -> int:
-    with open(args.input, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    cols = {name.strip().lower(): i for i, name in enumerate(header)}
-    label_idx = cols.get(args.label_column.lower()) if args.label_column else None
-    skip = {i for i in (cols.get("t"), label_idx) if i is not None}
-    data_idx = [i for i in range(len(header)) if i not in skip]
-    x = np.asarray([[float(row[i]) for i in data_idx] for row in rows]).T
-    labels = np.asarray([row[label_idx] for row in rows]) if label_idx is not None else None
+    if args.label_column:
+        x, labels = _read_series(args.input, args.label_column)
+    else:
+        x, labels = _read_series(args.input), None
 
     if args.hop > args.window:
         raise WindowTooSmall(f"hop {args.hop} exceeds window {args.window}")
@@ -386,6 +387,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MalformedInput as exc:
+        print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModelValidationError as exc:
         print(f"model validation error: {type(exc).__name__}: {exc}", file=sys.stderr)

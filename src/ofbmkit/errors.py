@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Model-parameter problems derive from :class:`ModelValidationError`; everything
-raised while crunching data derives from :class:`DataError`.  The CLI maps the
-two branches to distinct exit codes.
+raised while crunching data derives from :class:`DataError`; an input file that
+cannot be parsed raises :class:`MalformedInput`.  The CLI maps the three
+branches to distinct exit codes.
 """
 
 
@@ -47,8 +48,16 @@ class CorrelationInfeasible(ModelValidationError):
         )
 
 
+class MalformedInput(OfbmkitError):
+    """An input file is empty, ragged or holds a non-numeric sample."""
+
+
 class DataError(OfbmkitError):
     """A computation on concrete data failed."""
+
+
+class NonFiniteData(DataError):
+    pass
 
 
 class IndexOutOfRange(DataError):

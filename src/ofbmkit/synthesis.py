@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DimensionMismatch, EmbeddingFailed, IndexOutOfRange
+from .errors import DimensionMismatch, EmbeddingFailed, IndexOutOfRange, MalformedInput
 from .model import ModelParams, params_to_dict
 
 # Identifier of the seed -> path map, stored in output metadata.
@@ -254,15 +254,39 @@ def path_to_csv(path: SamplePath, fh) -> None:
         writer.writerow([t] + [repr(float(v)) for v in path.data[:, t]])
 
 
-def path_from_csv(fh) -> np.ndarray:
-    """Read an M x N array back from the CSV layout written by path_to_csv."""
+def path_from_csv(fh, label_column: str | None = None):
+    """Read an M x N array back from the CSV layout written by path_to_csv.
+
+    A first column named ``t`` is dropped.  With ``label_column``, that column
+    is split off as well and ``(array, labels)`` is returned.  An empty file,
+    a ragged row, a non-numeric sample or a missing label column raises
+    MalformedInput.
+    """
     reader = csv.reader(fh)
-    header = next(reader)
-    drop = 1 if header and header[0].strip().lower() == "t" else 0
-    rows = [[float(v) for v in row[drop:]] for row in reader if row]
-    if not rows:
-        raise DimensionMismatch("empty series file")
-    return np.asarray(rows, dtype=float).T
+    header = next(reader, None)
+    if not header:
+        raise MalformedInput("empty series file")
+    names = [name.strip().lower() for name in header]
+    skip = {0} if names[0] == "t" else set()
+    if label_column is not None:
+        if label_column.lower() not in names:
+            raise MalformedInput(f"no column named {label_column!r} in {header}")
+        label = names.index(label_column.lower())
+        skip.add(label)
+    cols = [i for i in range(len(header)) if i not in skip]
+    rows = [row for row in reader if row]
+    if not rows or not cols:
+        raise MalformedInput("series file holds no samples")
+    for k, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise MalformedInput(f"data row {k} has {len(row)} fields, the header {len(header)}")
+    try:
+        data = np.asarray([[float(row[i]) for i in cols] for row in rows]).T
+    except ValueError as exc:
+        raise MalformedInput(f"non-numeric sample: {exc}") from exc
+    if label_column is None:
+        return data
+    return data, np.asarray([row[label] for row in rows])
 
 
 def path_sidecar(path: SamplePath) -> dict:

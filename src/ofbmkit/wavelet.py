@@ -26,6 +26,7 @@ from .errors import (
     BadFilter,
     DimensionMismatch,
     InsufficientCoefficients,
+    NonFiniteData,
     ScaleUnavailable,
     SeriesTooShort,
     WindowTooSmall,
@@ -166,8 +167,19 @@ class WaveletSpectrumSet:
         return self.spectra[self.scales.index(j)]
 
 
-def _count_after(n: int, length: int) -> int:
-    return (n - length + 1) // 2
+def pyramid_counts(n: int, length: int, j_max: int | None = None) -> tuple:
+    """Coefficient counts n_1, n_2, ... of an n-sample series for a filter of
+    ``length`` taps, via n_j = floor((n_{j-1} - L + 1) / 2).
+
+    Stops after octave ``j_max``, or earlier at the last octave with at least
+    one coefficient.
+    """
+    counts = []
+    n = (n - length + 1) // 2
+    while n >= 1 and (j_max is None or len(counts) < j_max):
+        counts.append(n)
+        n = (n - length + 1) // 2
+    return tuple(counts)
 
 
 def dwt(x: np.ndarray, j_max: int | None = None, f: WaveletFilter | None = None) -> WaveletPyramid:
@@ -175,7 +187,7 @@ def dwt(x: np.ndarray, j_max: int | None = None, f: WaveletFilter | None = None)
 
     Stops at octave ``j_max`` when given, otherwise at the deepest octave with
     at least one coefficient.  Raises SeriesTooShort when ``j_max`` cannot be
-    reached.
+    reached and NonFiniteData when a sample is NaN or infinite.
     """
     if f is None:
         f = filter_bank(DEFAULT_FILTER)
@@ -184,38 +196,34 @@ def dwt(x: np.ndarray, j_max: int | None = None, f: WaveletFilter | None = None)
         x = x[None, :]
     if x.ndim != 2:
         raise DimensionMismatch("input must be 1-d or 2-d (components x time)")
+    check_finite(x)
     n = x.shape[1]
-    length = f.length
-    if _count_after(n, length) < 1:
-        raise SeriesTooShort(f"series of length {n} supports no octave with filter length {length}")
+    counts = pyramid_counts(n, f.length, j_max)
+    if not counts:
+        raise SeriesTooShort(f"series of length {n} supports no octave with filter length {f.length}")
+    if j_max is not None and len(counts) < j_max:
+        raise SeriesTooShort(
+            f"series of length {n} reaches only octave {len(counts)}, requested {j_max}"
+        )
 
     coeffs = []
-    counts = []
     approx = x
-    j = 0
-    while True:
-        j += 1
-        nj = _count_after(approx.shape[1], length)
-        if nj < 1:
-            break
+    for nj in counts:
         det = np.empty((x.shape[0], nj))
         app = np.empty((x.shape[0], nj))
         for row in range(x.shape[0]):
-            det[row] = np.convolve(approx[row], f.highpass, mode="valid")[1::2][:nj]
-            app[row] = np.convolve(approx[row], f.lowpass, mode="valid")[1::2][:nj]
+            det[row] = np.convolve(approx[row], f.highpass, mode="valid")[1::2]
+            app[row] = np.convolve(approx[row], f.lowpass, mode="valid")[1::2]
         coeffs.append(det)
-        counts.append(nj)
         approx = app
-        if j_max is not None and j >= j_max:
-            break
+    return WaveletPyramid(coeffs=tuple(coeffs), counts=counts, filter=f, source_len=n)
 
-    if j_max is not None and len(coeffs) < j_max:
-        raise SeriesTooShort(
-            f"series of length {n} reaches only octave {len(coeffs)}, requested {j_max}"
-        )
-    return WaveletPyramid(
-        coeffs=tuple(coeffs), counts=tuple(counts), filter=f, source_len=n
-    )
+
+def check_finite(x: np.ndarray) -> None:
+    """Raise NonFiniteData naming the first NaN or infinite sample of an M x N array."""
+    if not np.isfinite(x).all():
+        m, t = np.argwhere(~np.isfinite(x))[0]
+        raise NonFiniteData(f"component {m + 1} has a non-finite sample {x[m, t]} at t = {t}")
 
 
 def wavelet_spectrum(p: WaveletPyramid, j: int) -> np.ndarray:

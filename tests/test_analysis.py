@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import ofbmkit.analysis as analysis
 from ofbmkit.analysis import (
     McConfig,
     bh_reject,
@@ -9,7 +14,6 @@ from ofbmkit.analysis import (
     estimate_correlation,
     mahalanobis_samples,
     performance_matrices,
-    pyramid_counts,
     qq_correlation,
     run_mc,
     sliding_window_estimates,
@@ -21,15 +25,17 @@ from ofbmkit.errors import (
     BadProbability,
     DimensionMismatch,
     EmptySample,
+    NonFiniteData,
     NotSymmetric,
     SampleTooSmall,
     SingularCovariance,
     WindowTooSmall,
     ZeroVariance,
 )
-from ofbmkit.estimation import ScalingRangeConfig, regression_weights
+from ofbmkit.estimation import ScalingRangeConfig, analyze, regression_weights
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
+from ofbmkit.wavelet import dwt, filter_bank, pyramid_counts
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +229,19 @@ def test_wilcoxon_null_pvalues_roughly_uniform():
     assert d < 0.06
 
 
+def test_wilcoxon_midranks_match_scipy_rankdata(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = [
+        (rng.integers(0, 3, size=n1).astype(float), rng.integers(0, 4, size=n2).astype(float))
+        for n1, n2 in ((3, 5), (8, 8), (6, 9), (20, 30), (50, 41))
+    ]
+    cases.append(([1.0, 2.0, 2.0, 3.0] * 4, [1.0, 2.0, 2.0, 3.0] * 4))
+    cases.append(([0.0] * 12, [0.0] * 9 + [1.0]))
+    got = [wilcoxon_ranksum(x, y) for x, y in cases]
+    monkeypatch.setattr(analysis, "_midranks", stats.rankdata)
+    assert got == [wilcoxon_ranksum(x, y) for x, y in cases]
+
+
 def test_wilcoxon_empty_rejected():
     with pytest.raises(EmptySample):
         wilcoxon_ranksum([], [1.0])
@@ -336,10 +355,12 @@ def test_run_mc_attaches_realization_index():
 
 
 def test_pyramid_counts_match_dwt():
-    from ofbmkit.wavelet import dwt
-
     pyr = dwt(np.zeros((1, 5000)) + np.random.default_rng(1).normal(size=5000), 6)
     assert pyramid_counts(5000, 4, 6) == pyr.counts[:6]
+    deepest = dwt(np.random.default_rng(1).normal(size=(1, 5000)), None)
+    assert pyramid_counts(5000, 4) == deepest.counts
+    assert pyramid_counts(5000, 4, 99) == deepest.counts  # stops at the last octave
+    assert pyramid_counts(4, 4) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +402,65 @@ def test_sliding_window_stationary_fluctuation():
     # per-window scatter is on the V_N scale (within 3 sd bands for most)
     inside = np.abs(vals - full) < 3.0 * np.sqrt(vn) * 1.5
     assert inside.mean() > 0.85
+
+
+SLIDING_FIELDS = ("t_start", "h_u", "h_m", "h_m_bc", "log_eig", "log_eig_bc", "diag_logs")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 4),
+    filter_name=st.sampled_from(["haar", "db2", "db4"]),
+    balance=st.sampled_from(["by_count", "uniform"]),
+    octaves=st.sampled_from([(1, 3), (1, 4), (2, 5)]),
+    window=st.integers(600, 900),
+    n_windows=st.integers(1, 40),
+    per_block=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sliding_records_equal_analyze_on_each_window(
+    m, filter_name, balance, octaves, window, n_windows, per_block, seed, data
+):
+    j1, j2 = octaves
+    # any hop, or a multiple of 2^j2, where all windows share one pyramid
+    hop = data.draw(
+        st.integers(1, window) | st.integers(1, window >> j2).map(lambda k: k << j2), label="hop"
+    )
+    f = filter_bank(filter_name)
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.normal(size=(m, m)) @ rng.normal(size=(m, window + (n_windows - 1) * hop)), axis=1)
+    with mock.patch.object(analysis, "_block_windows", lambda *args: per_block):
+        recs = sliding_window_estimates(x, window, hop, j1, j2, f=f, balance=balance)
+    assert [r.t_start for r in recs] == [k * hop for k in range(n_windows)]
+    for rec in recs:
+        ref = analyze(x[:, rec.t_start : rec.t_start + window], j1, j2, f=f, balance=balance,
+                      t_start=rec.t_start)
+        for name in SLIDING_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+
+def test_sliding_long_series_runs_in_bounded_blocks(monkeypatch):
+    window, hop, n = 4096, 64, 2**18
+    x = np.random.default_rng(15).normal(size=(2, n)).cumsum(axis=1)
+    core = analysis.estimate_windows
+    blocks = []
+
+    def spy(details, w, t_starts):
+        assert {d.shape[0] for d in details} == {len(t_starts)}
+        blocks.append(len(t_starts))
+        return core(details, w, t_starts)
+
+    monkeypatch.setattr(analysis, "estimate_windows", spy)
+    recs = sliding_window_estimates(x, window, hop, 1, 4)
+    n_windows = (n - window) // hop + 1
+    assert [r.t_start for r in recs] == list(range(0, n - window + 1, hop))
+    assert sum(blocks) == n_windows
+    assert max(blocks) <= analysis._block_windows(2, window, 1, 4) < n_windows
+
+
+def test_sliding_rejects_non_finite_series():
+    x = np.random.default_rng(16).normal(size=(2, 3000)).cumsum(axis=1)
+    x[1, 2500] = np.nan
+    with pytest.raises(NonFiniteData, match="component 2"):
+        sliding_window_estimates(x, window=514, hop=100, j1=1, j2=4)

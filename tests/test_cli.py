@@ -1,5 +1,9 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -211,3 +215,126 @@ def test_version_embeds_identifiers(capsys):
     assert "taps sha256" in out
     assert RNG_ID in out
     assert "taps sha256" in version_string() and RNG_ID in version_string()
+
+
+def _write_series(path, rows, header=("t", "c1", "c2")):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+def _walk_rows(n, label=False):
+    x = np.random.default_rng(5).normal(size=(2, n)).cumsum(axis=1)
+    return [
+        [t, repr(float(x[0, t])), repr(float(x[1, t]))] + (["a" if t < n // 2 else "b"] if label else [])
+        for t in range(n)
+    ]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_estimate_non_finite_sample_exit_4(tmp_path, capsys, bad):
+    rows = _walk_rows(3000)
+    rows[1234][2] = bad
+    out_dir = tmp_path / "est"
+    rc = main(["estimate", _write_series(tmp_path / "x.csv", rows), "--out-dir", str(out_dir),
+               "--j1", "1", "--j2", "4"])
+    assert rc == 4
+    assert "NonFiniteData" in capsys.readouterr().err
+    assert not (out_dir / "estimate.json").exists()
+
+
+def test_sliding_non_finite_sample_exit_4(tmp_path, capsys):
+    rows = _walk_rows(3000, label=True)
+    rows[2999][1] = "nan"
+    out_dir = tmp_path / "sl"
+    rc = main(["sliding", _write_series(tmp_path / "x.csv", rows, ("t", "c1", "c2", "label")),
+               "--window", "520", "--hop", "260", "--j1", "1", "--j2", "4",
+               "--label-column", "label", "--out-dir", str(out_dir)])
+    assert rc == 4
+    assert "NonFiniteData" in capsys.readouterr().err
+    assert not (out_dir / "windows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "sliding"])
+def test_ragged_row_exit_2(tmp_path, capsys, command):
+    rows = _walk_rows(3000)
+    rows[10] = rows[10][:2]
+    path = _write_series(tmp_path / "x.csv", rows)
+    extra = ["--window", "520", "--hop", "260"] if command == "sliding" else []
+    rc = main([command, path, "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "o")] + extra)
+    assert rc == 2
+    assert "data row 11 has 2 fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "sliding"])
+@pytest.mark.parametrize("content", ["", "t,c1,c2\n", "t,c1\n0,1.5\n1,x\n"])
+def test_empty_or_non_numeric_series_exit_2(tmp_path, capsys, command, content):
+    path = tmp_path / "x.csv"
+    path.write_text(content)
+    extra = ["--window", "520", "--hop", "260"] if command == "sliding" else []
+    rc = main([command, str(path), "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "o")] + extra)
+    assert rc == 2
+    assert "malformed input" in capsys.readouterr().err
+
+
+def test_sliding_missing_label_column_exit_2(tmp_path):
+    path = _write_series(tmp_path / "x.csv", _walk_rows(3000))
+    rc = main(["sliding", path, "--window", "520", "--hop", "260", "--j1", "1", "--j2", "4",
+               "--label-column", "label", "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ofbmkit.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# sha256 of CLI outputs for fixed inputs, captured before sliding windows were
+# batched; the series is `synth --n 4096 --seed 7` of the params_file model.
+GOLDEN = {
+    "x.csv": "05f87416102ea3e6f253bc92c186ad2121cab78be712c127f52d46eb542396e8",
+    "estimate.json": "bea02365ec696a027c836460d118a9a44df6617d74565a661a6a544b50b52133",
+    "logeig.csv": "86507bab15f0c5b2d408bb692d225b6182e22d4f4a0145f7c8dde614af613534",
+    "spectra.csv": "dffe6ddbacc3bd1483b967e73efcdac471668978f0280fef2b546e8e020473cf",
+    "windows.csv": "57c7c7c2ce0b54119f6e6b9860fb76c5237677b4b6a2914d82ae56a71926d4df",
+    "pvalues.csv": "b128b85b7ed986e24c4e3c811e98a11bf0227e1f5d1296f7d35f39f940cdfddb",
+    "groups.json": "5f41cbe7217a0c3bcf730f1f22fddd6b75a66353e9b3bf53081b372262052219",
+    "windows_haar.csv": "6a091b955f24b45ee4c0cc33351e7084b7ff0fad8ce4c0cea3bef52b9b8f1566",
+    "mc_report.json": "4359aaa86566e070e31491e3debf547dfbc88e52e5acbadc5fb128f75fb94c85",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_outputs_match_golden_digests(params_file, tmp_path):
+    series = _synth(params_file, tmp_path, extra=["--n", "4096"])
+    rows = list(csv.reader(open(series, newline="")))
+    labelled = _write_series(
+        tmp_path / "xl.csv",
+        [r + ["a" if k < 2048 else "b"] for k, r in enumerate(rows[1:])],
+        rows[0] + ["label"],
+    )
+    assert main(["estimate", str(series), "--out-dir", str(tmp_path / "e"), "--j1", "2", "--j2", "6"]) == 0
+    assert main(["sliding", labelled, "--window", "1030", "--hop", "77", "--j1", "1", "--j2", "4",
+                 "--label-column", "label", "--out-dir", str(tmp_path / "s")]) == 0
+    assert main(["sliding", labelled, "--window", "600", "--hop", "600", "--j1", "2", "--j2", "5",
+                 "--filter", "haar", "--label-column", "label", "--out-dir", str(tmp_path / "h")]) == 0
+    assert main(["mc", "--params", params_file, "--n", "2048", "--n-mc", "4", "--seed", "1",
+                 "--j1", "2", "--j2", "6", "--out-dir", str(tmp_path / "mc")]) == 0
+    got = {
+        "x.csv": _sha256(series),
+        **{name: _sha256(tmp_path / "e" / name) for name in ("estimate.json", "logeig.csv", "spectra.csv")},
+        **{name: _sha256(tmp_path / "s" / name) for name in ("windows.csv", "pvalues.csv", "groups.json")},
+        "windows_haar.csv": _sha256(tmp_path / "h" / "windows.csv"),
+        "mc_report.json": _sha256(tmp_path / "mc" / "mc_report.json"),
+    }
+    assert got == GOLDEN

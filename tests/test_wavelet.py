@@ -6,6 +6,7 @@ import pytest
 from ofbmkit.errors import (
     BadFilter,
     InsufficientCoefficients,
+    NonFiniteData,
     ScaleUnavailable,
     SeriesTooShort,
     WindowTooSmall,
@@ -71,6 +72,14 @@ def test_series_too_short():
         dwt(np.zeros((1, 4)), 1)  # needs n_1 >= 1 -> N >= 5 for L=4
     with pytest.raises(SeriesTooShort):
         dwt(np.zeros((1, 64)), 8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_rejected(bad):
+    x = np.random.default_rng(1).normal(size=(3, 500))
+    x[2, 321] = bad
+    with pytest.raises(NonFiniteData, match="component 3 .* t = 321"):
+        dwt(x, 3)
 
 
 def test_constant_series_zero_details():
