@@ -46,7 +46,7 @@ from .estimation import (
 )
 from .model import ModelParams
 from .synthesis import CirculantEmbedding
-from .wavelet import WaveletFilter, check_finite, dwt, filter_bank, pyramid_counts
+from .wavelet import WaveletFilter, WaveletPyramid, check_finite, dwt, filter_bank, pyramid_counts
 
 ESTIMATORS = ("U", "M", "BC")
 MATRICES = ("bias2", "cov", "mse")
@@ -452,9 +452,9 @@ def sliding_window_estimates(
     Windows whose starts agree mod 2^j2 share one wavelet pyramid: at every
     octave j <= j2 their coefficients are slices of it.  They are estimated
     in blocks, sized from M, the window and the octave range, so working
-    memory does not grow with the number of windows.  Every record equals
-    :func:`analyze` on its window bit for bit.  Returns an empty list when
-    the series is shorter than one window.
+    memory grows neither with the number of windows nor with the hop.  Every
+    record equals :func:`analyze` on its window bit for bit.  Returns an
+    empty list when the series is shorter than one window.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -482,13 +482,13 @@ def sliding_window_estimates(
         for b in range(0, len(same_phase), per_block):
             idx = same_phase[b : b + per_block]
             block = [starts[i] for i in idx]
-            details = _window_details(x, block, window, j1, j2, f)
-            for i, rec in zip(idx, estimate_windows(details, w, block)):
+            pyr = _window_pyramid(x, block, window, hop * phases, j2, f, counts)
+            for i, rec in zip(idx, estimate_windows(pyr, w, block)):
                 out[i] = rec
     return out
 
 
-# float64 values a block of windows may hold in coefficient copies and spectra
+# float64 values a block of windows may hold in samples and spectra
 _BLOCK_VALUES = 2**21
 
 
@@ -498,22 +498,27 @@ def _block_windows(m: int, window: int, j1: int, j2: int) -> int:
     return max(1, _BLOCK_VALUES // (m * window + matrices * m * m))
 
 
-def _window_details(x, starts, window: int, j1: int, j2: int, f) -> list:
-    """(T, M, n_j) detail stacks, j = j1..j2, of windows whose starts agree mod 2^j2.
+def _window_pyramid(x, starts, window: int, spacing: int, j2: int, f, counts) -> WaveletPyramid:
+    """(T, M, n_j) stacks of windows whose starts lie ``spacing`` apart, a multiple of 2^j2.
 
-    Windows at most a window length apart are slices of one pyramid of the
-    span they cover; windows further apart are transformed side by side as
-    rows, so the gaps between them are not transformed.
+    The windows' samples are laid end to end ``step`` apart, where step is
+    the spacing capped at the window length rounded up to a multiple of
+    2^j2: overlapping windows share their samples, and the gap between
+    distant ones is cut out.  One dwt of that span holds window i's octave-j
+    coefficients at offset i * step >> j, from the same dot products as a
+    dwt of the window alone.  The span has at most T window lengths, rounded
+    up, of samples.
     """
-    t, m = len(starts), x.shape[0]
-    spacing = starts[1] - starts[0] if t > 1 else window
-    if spacing > window:
-        pyr = dwt(np.concatenate([x[:, s : s + window] for s in starts]), j2, f)
-        return [pyr.details(j).reshape(t, m, -1) for j in range(j1, j2 + 1)]
-    pyr = dwt(x[:, starts[0] : starts[-1] + window], j2, f)
-    counts = pyramid_counts(window, f.length, j2)
-    return [
-        sliding_window_view(pyr.details(j), counts[j - 1], axis=1)[:, :: spacing >> j][:, :t]
+    step = min(spacing, -(-window >> j2) << j2)
+    span = np.concatenate(
+        [x[:, s : s + step] for s in starts[:-1]] + [x[:, starts[-1] : starts[-1] + window]],
+        axis=1,
+    )
+    pyr = dwt(span, j2, f)
+    t = len(starts)
+    coeffs = tuple(
+        sliding_window_view(pyr.details(j), counts[j - 1], axis=1)[:, :: step >> j][:, :t]
         .swapaxes(0, 1)
-        for j in range(j1, j2 + 1)
-    ]
+        for j in range(1, j2 + 1)
+    )
+    return WaveletPyramid(coeffs=coeffs, counts=counts, filter=f, source_len=window)

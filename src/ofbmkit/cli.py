@@ -42,9 +42,9 @@ from .model import load_params
 from .synthesis import (
     RNG_ID,
     CirculantEmbedding,
-    path_from_csv,
     path_sidecar,
     path_to_csv,
+    series_from_csv,
 )
 from .wavelet import filter_bank
 
@@ -108,7 +108,7 @@ def _weights_mode(args) -> str:
 
 def _read_series(path, label_column: str | None = None):
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return path_from_csv(fh, label_column)
+        return series_from_csv(fh, label_column)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def cmd_estimate(args) -> int:
     from .estimation import analyze
     from .wavelet import dwt, spectra_to_csv, spectrum_set
 
-    x = _read_series(args.input)
+    x, _ = _read_series(args.input)
     j1, j2 = _resolve_range(args, x.shape[1])
     f = filter_bank(args.filter)
     pyr = dwt(x, j2, f)
@@ -235,10 +235,7 @@ def _window_labels(labels: np.ndarray, window: int, hop: int):
 
 
 def cmd_sliding(args) -> int:
-    if args.label_column:
-        x, labels = _read_series(args.input, args.label_column)
-    else:
-        x, labels = _read_series(args.input), None
+    x, labels = _read_series(args.input, args.label_column)
 
     if args.hop > args.window:
         raise WindowTooSmall(f"hop {args.hop} exceeds window {args.window}")

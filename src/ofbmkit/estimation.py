@@ -25,19 +25,18 @@ import numpy as np
 from .errors import (
     DegenerateRange,
     DimensionMismatch,
-    InsufficientCoefficients,
     NonPositiveDiagonal,
     NonPositiveEigenvalue,
     NotSymmetric,
     RankDeficient,
     SampleTooSmall,
     ScaleUnavailable,
-    WindowTooSmall,
 )
 from .wavelet import (
     WaveletPyramid,
     WaveletSpectrumSet,
     dwt,
+    spectrum_set,
     windowed_spectra,
 )
 
@@ -145,14 +144,15 @@ def scaling_range(n: int, cfg: ScalingRangeConfig) -> tuple[int, int]:
 
 
 def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a symmetric matrix."""
+    """Ascending real eigenvalues of a symmetric matrix, or of each in a (..., M, M) stack."""
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {s.shape}")
-    scale = np.abs(s).max()
-    if scale > 0 and np.abs(s - s.T).max() > 1e-8 * scale:
+    st = s.swapaxes(-1, -2)
+    scale = np.abs(s).max(axis=(-2, -1))
+    if (np.abs(s - st).max(axis=(-2, -1)) > 1e-8 * scale).any():
         raise NotSymmetric("matrix is asymmetric beyond tolerance")
-    return np.linalg.eigvalsh(0.5 * (s + s.T))
+    return np.linalg.eigvalsh(0.5 * (s + st))
 
 
 def _check_range(spectra: WaveletSpectrumSet, w: RegressionWeights):
@@ -192,14 +192,16 @@ def estimate_multivariate(spectra: WaveletSpectrumSet, w: RegressionWeights) -> 
 
 
 def averaged_log_eigenvalues(windows: np.ndarray) -> np.ndarray:
-    """Mean over windows of sorted log2 eigenvalues; windows is (T, M, M)."""
+    """Mean over windows of sorted log2 eigenvalues; windows is (..., T, M, M)."""
     lam = np.linalg.eigvalsh(windows)
     if np.any(lam <= 0.0):
         raise NonPositiveEigenvalue(
             "a windowed spectrum has a non-positive eigenvalue; "
             "increase the window size n_j2 relative to M"
         )
-    return np.log2(lam).mean(axis=0)
+    # C order, so that the mean adds the windows in the same order whatever
+    # the layout of a stack of windows
+    return np.log2(lam, order="C").mean(axis=-2)
 
 
 def estimate_multivariate_bc(
@@ -242,82 +244,56 @@ def analyze(
         raise ScaleUnavailable(f"pyramid reaches octave {pyr.j_max}, need {j2}")
     counts = [pyr.counts[j - 1] for j in range(j1, j2 + 1)]
     w = regression_weights(j1, j2, balance=balance, counts=counts)
-    details = [pyr.details(j)[None] for j in range(j1, j2 + 1)]
-    return estimate_windows(details, w, [t_start])[0]
+    return EstimateRecord(**_estimates(pyr, w), j1=j1, j2=j2, weights=w, t_start=t_start)
 
 
-def estimate_windows(details, w: RegressionWeights, t_starts) -> list[EstimateRecord]:
+def estimate_windows(pyr: WaveletPyramid, w: RegressionWeights, t_starts) -> list[EstimateRecord]:
     """All three estimates for each of T windows in one batched pass.
 
-    ``details[i]`` is the (T, M, n_j) stack of the windows' detail
-    coefficients at octave j = w.j1 + i (views are fine).  Every window gets
-    the same numbers, bit for bit, as a pass over that window alone: the
-    spectra are per-window BLAS products and the eigenvalues one LAPACK call
-    per matrix, stacked.
+    ``pyr`` holds the windows' coefficients as (T, M, n_j) stacks (views are
+    fine).  Every window gets the same numbers, bit for bit, as
+    :func:`analyze` on that window alone: each spectrum is its own BLAS
+    product and each eigendecomposition its own LAPACK call.
     """
-    t, m, nw = details[-1].shape
-    if nw < m:
-        raise WindowTooSmall(
-            f"window size n_j2 = {nw} is below the dimension M = {m}; "
-            "spectra would be rank-deficient"
-        )
-    full, windowed = [], []
-    for j, d in zip(range(w.j1, w.j2 + 1), details):
-        s = d @ np.swapaxes(d, 1, 2) / d.shape[2]
-        full.append(0.5 * (s + np.swapaxes(s, 1, 2)))
-        n_windows = 2 ** (w.j2 - j)
-        if d.shape[2] < n_windows * nw:
-            raise InsufficientCoefficients(
-                f"octave {j} has {d.shape[2]} coefficients, need {n_windows * nw}"
-            )
-        blocks = d[..., : n_windows * nw].reshape(t, m, n_windows, nw)
-        s = np.einsum("tmbk,tnbk->tbmn", blocks, blocks) / nw
-        windowed.append(0.5 * (s + np.swapaxes(s, 2, 3)))
-    full = np.stack(full, axis=1)  # (T, octaves, M, M)
-    n_oct = full.shape[1]
-
-    diags = np.diagonal(full, axis1=2, axis2=3).copy()
-    if np.any(diags <= 0.0):
-        raise NonPositiveDiagonal("spectrum diagonal entries must be positive")
-    log_diag = np.log2(diags)
-
-    mats = np.concatenate([full, *windowed], axis=1)
-    scale = np.abs(mats).max(axis=(2, 3))
-    if np.any(np.abs(mats - np.swapaxes(mats, 2, 3)).max(axis=(2, 3)) > 1e-8 * scale):
-        raise NotSymmetric("a spectrum is asymmetric beyond tolerance")
-    lam = np.linalg.eigvalsh(mats)  # (T, octaves + windows, M), ascending
-    if np.any(lam[:, :n_oct] <= 0.0):
-        raise NonPositiveEigenvalue("a full-sample spectrum has a non-positive eigenvalue")
-    if np.any(lam[:, n_oct:] <= 0.0):
-        raise NonPositiveEigenvalue(
-            "a windowed spectrum has a non-positive eigenvalue; "
-            "increase the window size n_j2 relative to M"
-        )
-    logs = np.log2(lam)
-    log_eig = logs[:, :n_oct]
-    edges = np.cumsum([n_oct] + [s.shape[1] for s in windowed])
-    log_eig_bc = np.stack(
-        [logs[:, a:b].mean(axis=1) for a, b in zip(edges[:-1], edges[1:])], axis=1
-    )
-
-    h_u = 0.5 * (w.w @ log_diag - 1.0)
-    h_m = 0.5 * (w.w @ log_eig - 1.0)
-    h_m_bc = 0.5 * (w.w @ log_eig_bc - 1.0)
+    fields = _estimates(pyr, w)
     return [
         EstimateRecord(
-            h_u=h_u[i],
-            h_m=h_m[i],
-            h_m_bc=h_m_bc[i],
+            **{name: v[i] for name, v in fields.items()},
             j1=w.j1,
             j2=w.j2,
             weights=w,
-            log_eig=log_eig[i],
-            log_eig_bc=log_eig_bc[i],
-            diag_logs=log_diag[i],
             t_start=t_start,
         )
         for i, t_start in enumerate(t_starts)
     ]
+
+
+def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> dict:
+    """Estimates and log tables of a pyramid, keeping its leading window axes."""
+    octaves = range(w.j1, w.j2 + 1)
+    spectra = spectrum_set(pyr, w.j1, w.j2)  # (octaves, ..., M, M)
+
+    diags = np.stack([spectra.at(j).diagonal(axis1=-2, axis2=-1) for j in octaves], axis=-2)
+    if (diags <= 0.0).any():
+        raise NonPositiveDiagonal("spectrum diagonal entries must be positive")
+    log_diag = np.log2(diags)
+
+    lam = np.stack([sorted_eigenvalues(spectra.at(j)) for j in octaves], axis=-2)
+    if (lam <= 0.0).any():
+        raise NonPositiveEigenvalue("a full-sample spectrum has a non-positive eigenvalue")
+    log_eig = np.log2(lam)
+
+    log_eig_bc = np.stack(
+        [averaged_log_eigenvalues(windowed_spectra(pyr, j, w.j2)) for j in octaves], axis=-2
+    )
+    return {
+        "h_u": 0.5 * (w.w @ log_diag - 1.0),
+        "h_m": 0.5 * (w.w @ log_eig - 1.0),
+        "h_m_bc": 0.5 * (w.w @ log_eig_bc - 1.0),
+        "log_eig": log_eig,
+        "log_eig_bc": log_eig_bc,
+        "diag_logs": log_diag,
+    }
 
 
 def record_to_dict(r: EstimateRecord) -> dict:

@@ -254,20 +254,26 @@ def path_to_csv(path: SamplePath, fh) -> None:
         writer.writerow([t] + [repr(float(v)) for v in path.data[:, t]])
 
 
-def path_from_csv(fh, label_column: str | None = None):
-    """Read an M x N array back from the CSV layout written by path_to_csv.
+def path_from_csv(fh) -> np.ndarray:
+    """Read an M x N array back from the CSV layout written by path_to_csv."""
+    return series_from_csv(fh)[0]
 
-    A first column named ``t`` is dropped.  With ``label_column``, that column
-    is split off as well and ``(array, labels)`` is returned.  An empty file,
-    a ragged row, a non-numeric sample or a missing label column raises
-    MalformedInput.
+
+def series_from_csv(fh, label_column: str | None = None):
+    """(M x N samples, labels or None) from a series CSV with a header row.
+
+    Columns named ``t`` are dropped wherever they stand; with
+    ``label_column``, that column is split off as the labels.  An empty
+    file, a ragged row, a non-numeric sample or a missing label column
+    raises MalformedInput.
     """
     reader = csv.reader(fh)
     header = next(reader, None)
     if not header:
         raise MalformedInput("empty series file")
     names = [name.strip().lower() for name in header]
-    skip = {0} if names[0] == "t" else set()
+    skip = {i for i, name in enumerate(names) if name == "t"}
+    label = None
     if label_column is not None:
         if label_column.lower() not in names:
             raise MalformedInput(f"no column named {label_column!r} in {header}")
@@ -284,9 +290,8 @@ def path_from_csv(fh, label_column: str | None = None):
         data = np.asarray([[float(row[i]) for i in cols] for row in rows]).T
     except ValueError as exc:
         raise MalformedInput(f"non-numeric sample: {exc}") from exc
-    if label_column is None:
-        return data
-    return data, np.asarray([row[label] for row in rows])
+    labels = None if label is None else np.asarray([row[label] for row in rows])
+    return data, labels
 
 
 def path_sidecar(path: SamplePath) -> dict:

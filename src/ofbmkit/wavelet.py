@@ -128,7 +128,11 @@ def filter_bank(name: str = DEFAULT_FILTER) -> WaveletFilter:
 
 @dataclass(frozen=True)
 class WaveletPyramid:
-    """Detail coefficients per octave: coeffs[j-1] is an M x n_j array."""
+    """Detail coefficients per octave: coeffs[j-1] is an M x n_j array.
+
+    A stack of equally long windows is a pyramid whose arrays carry leading
+    window axes, (..., M, n_j); the spectrum functions below keep those axes.
+    """
 
     coeffs: tuple
     counts: tuple
@@ -137,7 +141,7 @@ class WaveletPyramid:
 
     @property
     def m(self) -> int:
-        return self.coeffs[0].shape[0]
+        return self.coeffs[0].shape[-2]
 
     @property
     def j_max(self) -> int:
@@ -154,12 +158,12 @@ class WaveletSpectrumSet:
     """Per-octave M x M spectra with the coefficient counts that produced them."""
 
     scales: tuple
-    spectra: np.ndarray  # (n_scales, M, M)
+    spectra: np.ndarray  # (n_scales, ..., M, M)
     counts: tuple
 
     @property
     def m(self) -> int:
-        return self.spectra.shape[1]
+        return self.spectra.shape[-1]
 
     def at(self, j: int) -> np.ndarray:
         if j not in self.scales:
@@ -227,10 +231,10 @@ def check_finite(x: np.ndarray) -> None:
 
 
 def wavelet_spectrum(p: WaveletPyramid, j: int) -> np.ndarray:
-    """Average of coefficient outer products at octave j (symmetric M x M)."""
+    """Average of coefficient outer products at octave j (symmetric (..., M, M))."""
     d = p.details(j)
-    s = d @ d.T / d.shape[1]
-    return 0.5 * (s + s.T)
+    s = d @ d.swapaxes(-1, -2) / d.shape[-1]
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def spectrum_set(p: WaveletPyramid, j1: int = 1, j2: int | None = None) -> WaveletSpectrumSet:
@@ -247,7 +251,8 @@ def windowed_spectra(p: WaveletPyramid, j: int, j2: int) -> np.ndarray:
     """Spectra over 2^(j2-j) disjoint windows of n_j2 coefficients at octave j.
 
     Window tau covers coefficient indices (tau-1)*n_j2 .. tau*n_j2 - 1;
-    trailing coefficients beyond the last full window are discarded.
+    trailing coefficients beyond the last full window are discarded.  Returns
+    (..., 2^(j2-j), M, M).
     """
     if not (1 <= j <= j2 <= p.j_max):
         raise ScaleUnavailable(f"need 1 <= j <= j2 <= {p.j_max}, got ({j}, {j2})")
@@ -260,13 +265,13 @@ def windowed_spectra(p: WaveletPyramid, j: int, j2: int) -> np.ndarray:
         )
     n_windows = 2 ** (j2 - j)
     d = p.details(j)
-    if d.shape[1] < n_windows * nw:
+    if d.shape[-1] < n_windows * nw:
         raise InsufficientCoefficients(
-            f"octave {j} has {d.shape[1]} coefficients, need {n_windows * nw}"
+            f"octave {j} has {d.shape[-1]} coefficients, need {n_windows * nw}"
         )
-    blocks = d[:, : n_windows * nw].reshape(m, n_windows, nw)
-    s = np.einsum("mtk,ntk->tmn", blocks, blocks) / nw
-    return 0.5 * (s + np.swapaxes(s, 1, 2))
+    blocks = d[..., : n_windows * nw].reshape(*d.shape[:-1], n_windows, nw)
+    s = np.einsum("...mbk,...nbk->...bmn", blocks, blocks) / nw
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 def spectra_to_csv(s: WaveletSpectrumSet, fh) -> None:

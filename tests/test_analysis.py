@@ -446,10 +446,10 @@ def test_sliding_long_series_runs_in_bounded_blocks(monkeypatch):
     core = analysis.estimate_windows
     blocks = []
 
-    def spy(details, w, t_starts):
-        assert {d.shape[0] for d in details} == {len(t_starts)}
+    def spy(pyr, w, t_starts):
+        assert {c.shape[0] for c in pyr.coeffs} == {len(t_starts)}
         blocks.append(len(t_starts))
-        return core(details, w, t_starts)
+        return core(pyr, w, t_starts)
 
     monkeypatch.setattr(analysis, "estimate_windows", spy)
     recs = sliding_window_estimates(x, window, hop, 1, 4)
@@ -464,3 +464,26 @@ def test_sliding_rejects_non_finite_series():
     x[1, 2500] = np.nan
     with pytest.raises(NonFiniteData, match="component 2"):
         sliding_window_estimates(x, window=514, hop=100, j1=1, j2=4)
+
+
+def test_sliding_distant_windows_skip_the_gaps(monkeypatch):
+    # odd hop: windows sharing a pyramid lie 2^j2 hops apart, far beyond a window
+    window, hop, j2 = 1030, 1029, 4
+    x = np.random.default_rng(16).normal(size=(2, window + 60 * hop)).cumsum(axis=1)
+    transform = analysis.dwt
+    spans = []
+
+    def spy(y, j_max, f):
+        spans.append(y.shape[1])
+        return transform(y, j_max, f)
+
+    monkeypatch.setattr(analysis, "dwt", spy)
+    with mock.patch.object(analysis, "_block_windows", lambda *args: 3):
+        recs = sliding_window_estimates(x, window, hop, 1, j2)
+    # 61 windows in 16 phases: 13 phases of 4 windows (two blocks), 3 of 3
+    assert len(recs) == 61 and len(spans) == 13 * 2 + 3
+    # three windows laid end to end, each padded to a multiple of 2^j2
+    assert max(spans) == 2 * 1040 + window
+    ref = analyze(x[:, recs[-1].t_start :][:, :window], 1, j2, t_start=recs[-1].t_start)
+    assert np.array_equal(recs[-1].h_m_bc, ref.h_m_bc)
+

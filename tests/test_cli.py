@@ -286,6 +286,21 @@ def test_sliding_missing_label_column_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("header", [("label", "t", "c1", "c2"), ("c1", "c2", "t", "label")])
+def test_sliding_drops_t_column_anywhere(tmp_path, header):
+    rows = _walk_rows(3000, label=True)
+    ref = _write_series(tmp_path / "ref.csv", rows, ("t", "c1", "c2", "label"))
+    order = [("t", "c1", "c2", "label").index(name) for name in header]
+    moved = _write_series(tmp_path / "moved.csv", [[row[i] for i in order] for row in rows], header)
+    for path, out in ((ref, "r"), (moved, "m")):
+        assert main(["sliding", path, "--window", "520", "--hop", "260", "--j1", "1", "--j2", "4",
+                     "--label-column", "label", "--out-dir", str(tmp_path / out)]) == 0
+    for name in ("windows.csv", "pvalues.csv", "groups.json"):
+        assert (tmp_path / "m" / name).read_bytes() == (tmp_path / "r" / name).read_bytes()
+    with open(tmp_path / "m" / "windows.csv", newline="") as fh:
+        assert {row[2] for row in list(csv.reader(fh))[1:]} == {"1", "2"}
+
+
 def test_cli_import_does_not_load_scipy_stats():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -18,6 +18,7 @@ from ofbmkit.estimation import (
     estimate_univariate,
     regression_weights,
     scaling_range,
+    averaged_log_eigenvalues,
     sorted_eigenvalues,
     varpi,
 )
@@ -158,6 +159,27 @@ def test_sorted_eigenvalues_trace_identity():
 def test_sorted_eigenvalues_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         sorted_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # in a stack, each matrix is held to its own scale
+    stack = np.stack([1e6 * np.eye(2), np.array([[1.0, 1e-3], [0.0, 1.0]])])
+    with pytest.raises(NotSymmetric):
+        sorted_eigenvalues(stack)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_eigen_functions_on_stacks_equal_per_matrix(m):
+    a = np.random.default_rng(22).normal(size=(5, 16, m, 9))
+    s = a @ np.swapaxes(a, -1, -2)
+    lam = sorted_eigenvalues(s)
+    assert lam.shape == (5, 16, m)
+    for t in range(5):
+        for b in range(16):
+            assert np.array_equal(lam[t, b], sorted_eigenvalues(s[t, b]))
+    # a stack laid out window-major, as a batched einsum returns it
+    swapped = np.ascontiguousarray(np.swapaxes(s, 0, 1)).swapaxes(0, 1)
+    avg = averaged_log_eigenvalues(swapped)
+    assert avg.shape == (5, m)
+    for t in range(5):
+        assert np.array_equal(avg[t], averaged_log_eigenvalues(s[t]))
 
 
 # ---------------------------------------------------------------------------

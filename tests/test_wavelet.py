@@ -14,6 +14,7 @@ from ofbmkit.errors import (
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
 from ofbmkit.wavelet import (
+    WaveletPyramid,
     dwt,
     filter_bank,
     spectra_to_csv,
@@ -237,3 +238,23 @@ def test_spectra_csv_layout():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "j,m,mp,s,n_j"
     assert len(lines) == 1 + 3 * 4
+
+
+def test_spectra_of_a_window_stack_equal_per_window():
+    f = filter_bank("db2")
+    pyrs = [dwt(x, 4, f) for x in np.random.default_rng(23).normal(size=(3, 2, 700))]
+    stack = WaveletPyramid(
+        coeffs=tuple(np.stack(c) for c in zip(*(p.coeffs for p in pyrs))),
+        counts=pyrs[0].counts,
+        filter=f,
+        source_len=700,
+    )
+    assert stack.m == 2
+    ss = spectrum_set(stack, 1, 4)
+    assert ss.spectra.shape == (4, 3, 2, 2) and ss.m == 2
+    for t, p in enumerate(pyrs):
+        assert np.array_equal(ss.spectra[:, t], spectrum_set(p, 1, 4).spectra)
+        for j in range(1, 5):
+            assert np.array_equal(wavelet_spectrum(stack, j)[t], wavelet_spectrum(p, j))
+            assert np.array_equal(windowed_spectra(stack, j, 4)[t], windowed_spectra(p, j, 4))
+
