@@ -22,7 +22,6 @@ from itertools import combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammainc, gammaln, ndtr, ndtri
 
 from .errors import (
     BadProbability,
@@ -45,7 +44,7 @@ from .estimation import (
     scaling_range,
 )
 from .model import ModelParams
-from .synthesis import CirculantEmbedding
+from .synthesis import CirculantEmbedding, _check_seeds
 from .wavelet import WaveletFilter, WaveletPyramid, check_finite, dwt, filter_bank, pyramid_counts
 
 ESTIMATORS = ("U", "M", "BC")
@@ -74,6 +73,7 @@ class McConfig:
     def __post_init__(self):
         if self.n_mc < 2:
             raise SampleTooSmall(f"need at least 2 realizations, got {self.n_mc}")
+        _check_seeds(self.seed0, self.n_mc)  # realization r uses seed0 + r
         if (self.j1 is None) != (self.j2 is None):
             raise DimensionMismatch("override j1 and j2 together or not at all")
         self.octave_range()  # fails early when n cannot support the range
@@ -165,15 +165,15 @@ def mahalanobis_samples(est: np.ndarray) -> np.ndarray:
     return np.einsum("rm,mr->r", centered, sol)
 
 
-def chi2_cdf(dof: int, x) -> np.ndarray:
-    return gammainc(dof / 2.0, np.asarray(x, dtype=float) / 2.0)
-
-
 def chi2_quantiles(dof: int, probs) -> np.ndarray:
     """Inverse chi-square CDF by safeguarded Newton on the incomplete gamma.
 
     Absolute tolerance 1e-10 on the quantile.
     """
+    # scipy.special is imported where it is called, so that the commands
+    # that never call it start without loading it
+    from scipy.special import gammainc, gammaln, ndtri
+
     if dof < 1:
         raise BadProbability(f"degrees of freedom must be >= 1, got {dof}")
     probs = np.atleast_1d(np.asarray(probs, dtype=float))
@@ -254,6 +254,8 @@ def wilcoxon_ranksum(x, y) -> float:
             if abs(ranks[list(idx)].sum() - mu) >= dev - 1e-9:
                 hits += 1
         return hits / total
+
+    from scipy.special import ndtr
 
     _, tie_counts = np.unique(ranks, return_counts=True)
     tie_term = ((tie_counts**3 - tie_counts).sum()) / ((n) * (n - 1.0))

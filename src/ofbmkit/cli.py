@@ -2,8 +2,9 @@
 
 Every command is deterministic given its full flag set; outputs are written
 atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems
-(including a malformed series CSV), 3 model validation, 4 data/estimation
-(including NaN or infinite samples), 5 internal.
+(including a malformed series CSV and a seed outside 0..2^64 - 1), 3 model
+validation, 4 data/estimation (including NaN or infinite samples and a
+``sliding`` series shorter than one window), 5 internal.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .errors import (
     MalformedInput,
     ModelValidationError,
     OfbmkitError,
+    SeedOutOfRange,
+    SeriesTooShort,
     WindowTooSmall,
 )
 from .estimation import ScalingRangeConfig, record_to_dict, scaling_range
@@ -42,7 +45,7 @@ from .model import load_params
 from .synthesis import (
     RNG_ID,
     CirculantEmbedding,
-    path_sidecar,
+    path_to_binary,
     path_to_csv,
     series_from_csv,
 )
@@ -125,9 +128,8 @@ def cmd_synth(args) -> int:
         with _atomic_open(out) as fh:
             path_to_csv(path, fh)
     else:
-        with _atomic_open(out, "wb") as fh:
-            fh.write(np.ascontiguousarray(path.data, dtype="<f8").tobytes())
-        _write_json(out + ".json", path_sidecar(path))
+        with _atomic_open(out, "wb") as data_fh, _atomic_open(out + ".json") as sidecar_fh:
+            path_to_binary(path, data_fh, sidecar_fh)
     _write_json(out + ".embedding.json", emb.report.to_dict())
     return EXIT_OK
 
@@ -239,6 +241,10 @@ def cmd_sliding(args) -> int:
 
     if args.hop > args.window:
         raise WindowTooSmall(f"hop {args.hop} exceeds window {args.window}")
+    if x.shape[1] < args.window:
+        raise SeriesTooShort(
+            f"series of {x.shape[1]} samples is shorter than one window of {args.window}"
+        )
     records = sliding_window_estimates(
         x,
         args.window,
@@ -387,6 +393,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MalformedInput as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SeedOutOfRange as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModelValidationError as exc:
         print(f"model validation error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 Model-parameter problems derive from :class:`ModelValidationError`; everything
 raised while crunching data derives from :class:`DataError`; an input file that
-cannot be parsed raises :class:`MalformedInput`.  The CLI maps the three
-branches to distinct exit codes.
+cannot be parsed raises :class:`MalformedInput`, and a seed outside the 64-bit
+range raises :class:`SeedOutOfRange`.  The CLI maps the branches to distinct
+exit codes.
 """
 
 
@@ -126,3 +127,7 @@ class EmptySample(DataError):
 
 class ZeroVariance(DataError):
     pass
+
+
+class SeedOutOfRange(OfbmkitError):
+    """A seed lies outside the unsigned 64-bit range 0 .. 2**64 - 1."""

@@ -18,14 +18,20 @@ paths on any platform.  The map from normals to paths is named by ``RNG_ID``.
 
 from __future__ import annotations
 
-import csv
+import io
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .errors import DimensionMismatch, EmbeddingFailed, IndexOutOfRange, MalformedInput
+from .errors import (
+    DimensionMismatch,
+    EmbeddingFailed,
+    IndexOutOfRange,
+    MalformedInput,
+    SeedOutOfRange,
+)
 from .model import ModelParams, params_to_dict
 
 # Identifier of the seed -> path map, stored in output metadata.
@@ -38,6 +44,15 @@ CLIP_TOL = 1e-6
 PSD_DUST_RTOL = 1e-12
 # Hard cap on embedding growth: sizes beyond 2^16 * n are not attempted.
 MAX_SIZE_FACTOR = 2**16
+# Seeds are Philox keys: unsigned 64-bit integers.
+SEED_MAX = 2**64 - 1
+
+
+def _check_seeds(first: int, count: int = 1) -> None:
+    """Raise SeedOutOfRange unless the seeds first .. first + count - 1 are keys."""
+    if not 0 <= first <= first + count - 1 <= SEED_MAX:
+        seeds = f"seed {first}" if count == 1 else f"seeds {first}..{first + count - 1}"
+        raise SeedOutOfRange(f"{seeds} outside the valid range 0..{SEED_MAX} (2^64 - 1)")
 
 
 def gaussian_variates(seed: int, shape) -> np.ndarray:
@@ -45,8 +60,11 @@ def gaussian_variates(seed: int, shape) -> np.ndarray:
 
     Philox raw 64-bit words are mapped to uniforms (k + 1/2) * 2^-53 and pushed
     through the inverse normal CDF; the layout of ``shape`` is part of the
-    stream contract.
+    stream contract.  A seed outside 0 .. 2^64 - 1 raises SeedOutOfRange.
     """
+    from scipy.special import ndtri  # imported here: estimate and sliding never load scipy
+
+    _check_seeds(seed)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     raw = gen.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
@@ -248,15 +266,28 @@ def synthesize_mfbm(p: ModelParams, n: int, seed: int) -> SamplePath:
 # ---------------------------------------------------------------------------
 
 def path_to_csv(path: SamplePath, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["t"] + [f"c{i + 1}" for i in range(path.m)])
-    for t in range(path.n):
-        writer.writerow([t] + [repr(float(v)) for v in path.data[:, t]])
+    """Write the ``t,c1..cM`` layout: shortest float reprs, CRLF line ends."""
+    header = ",".join(["t"] + [f"c{i + 1}" for i in range(path.m)])
+    columns = [map(str, range(path.n))] + [map(repr, c) for c in path.data.tolist()]
+    fh.write("\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n")
 
 
 def path_from_csv(fh) -> np.ndarray:
     """Read an M x N array back from the CSV layout written by path_to_csv."""
     return series_from_csv(fh)[0]
+
+
+# A field that opens with a quote runs to the next lone quote and may hold
+# commas and line ends ("" inside it stands for one quote); anywhere else a
+# quote is an ordinary character.  These are the rules of the csv module's
+# default dialect, which np.loadtxt(quotechar='"') follows as well.
+_QUOTED = r'"(?<![^,\n]")[^"]*(?:""[^"]*)*"?'
+_QUOTED_FIELD = re.compile(_QUOTED)
+_RECORD = re.compile(rf'(?:[^"\n]+|{_QUOTED}|")*')
+
+
+def _load(lines, **kwargs) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', **kwargs)
 
 
 def series_from_csv(fh, label_column: str | None = None):
@@ -265,12 +296,16 @@ def series_from_csv(fh, label_column: str | None = None):
     Columns named ``t`` are dropped wherever they stand; with
     ``label_column``, that column is split off as the labels.  An empty
     file, a ragged row, a non-numeric sample or a missing label column
-    raises MalformedInput.
+    raises MalformedInput.  Lines end in LF, CRLF or CR (read as LF inside a
+    quoted field too) and fields follow the csv module's quoting.  Samples
+    are parsed by np.loadtxt, which gives the same doubles as float() but
+    accepts only ASCII numerals without underscores.
     """
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if not header:
+    text = fh.read().replace("\r\n", "\n").replace("\r", "\n")
+    first = _RECORD.match(text).group()
+    if not first:
         raise MalformedInput("empty series file")
+    header = _load([first], dtype=object, ndmin=1).tolist()
     names = [name.strip().lower() for name in header]
     skip = {i for i, name in enumerate(names) if name == "t"}
     label = None
@@ -280,18 +315,23 @@ def series_from_csv(fh, label_column: str | None = None):
         label = names.index(label_column.lower())
         skip.add(label)
     cols = [i for i in range(len(header)) if i not in skip]
-    rows = [row for row in reader if row]
-    if not rows or not cols:
+    body = text[len(first) :]
+    # with each quoted field cut to "", the records are the non-blank lines
+    lines = _QUOTED_FIELD.sub('""', body).split("\n")
+    fields = np.array([line.count(",") + 1 for line in lines if line])
+    if not fields.size or not cols:
         raise MalformedInput("series file holds no samples")
-    for k, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise MalformedInput(f"data row {k} has {len(row)} fields, the header {len(header)}")
+    ragged = np.flatnonzero(fields != len(header))
+    if ragged.size:
+        k = ragged[0]
+        raise MalformedInput(f"data row {k + 1} has {fields[k]} fields, the header {len(header)}")
     try:
-        data = np.asarray([[float(row[i]) for i in cols] for row in rows]).T
+        data = _load(io.StringIO(body), usecols=cols, ndmin=2).T
     except ValueError as exc:
         raise MalformedInput(f"non-numeric sample: {exc}") from exc
-    labels = None if label is None else np.asarray([row[label] for row in rows])
-    return data, labels
+    if label is None:
+        return data, None
+    return data, _load(io.StringIO(body), usecols=[label], dtype=object, ndmin=1).astype(str)
 
 
 def path_sidecar(path: SamplePath) -> dict:
@@ -309,7 +349,7 @@ def path_to_binary(path: SamplePath, data_file, sidecar_file) -> None:
     """Raw little-endian float64, component-contiguous, plus a JSON sidecar."""
     arr = np.ascontiguousarray(path.data, dtype="<f8")
     data_file.write(arr.tobytes())
-    sidecar_file.write(json.dumps(path_sidecar(path), indent=2))
+    sidecar_file.write(json.dumps(path_sidecar(path), indent=2, allow_nan=False))
     sidecar_file.write("\n")
 
 

@@ -28,6 +28,7 @@ from ofbmkit.errors import (
     NonFiniteData,
     NotSymmetric,
     SampleTooSmall,
+    SeedOutOfRange,
     SingularCovariance,
     WindowTooSmall,
     ZeroVariance,
@@ -344,6 +345,13 @@ def test_run_mc_deterministic_across_threads():
 def test_run_mc_rejects_tiny():
     with pytest.raises(SampleTooSmall):
         McConfig(params=SMALL_P, n=2**12, n_mc=1, seed0=0, j1=3, j2=6)
+
+
+def test_mc_config_checks_every_seed_it_will_use():
+    McConfig(params=SMALL_P, n=2**12, n_mc=4, seed0=2**64 - 4, j1=3, j2=6)
+    for seed0 in (-1, 2**64 - 3):
+        with pytest.raises(SeedOutOfRange):
+            McConfig(params=SMALL_P, n=2**12, n_mc=4, seed0=seed0, j1=3, j2=6)
 
 
 def test_run_mc_attaches_realization_index():

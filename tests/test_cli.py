@@ -301,14 +301,57 @@ def test_sliding_drops_t_column_anywhere(tmp_path, header):
         assert {row[2] for row in list(csv.reader(fh))[1:]} == {"1", "2"}
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def test_cli_import_does_not_load_scipy_stats(tmp_path):
+    # nor scipy at all: only mc, synth and a labelled sliding run call scipy.special
+    series = _write_series(tmp_path / "x.csv", _walk_rows(3000))
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, ofbmkit.cli; print('scipy.stats' in sys.modules)"
+    code = "\n".join(
+        [
+            "import sys, ofbmkit.cli",
+            "def loaded():",
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "assert not loaded(), loaded()",
+            f"assert ofbmkit.cli.main(['estimate', {series!r}, '--out-dir', {str(tmp_path / 'e')!r},"
+            " '--j1', '1', '--j2', '4']) == 0",
+            f"assert ofbmkit.cli.main(['sliding', {series!r}, '--out-dir', {str(tmp_path / 's')!r},"
+            " '--window', '520', '--hop', '260', '--j1', '1', '--j2', '4']) == 0",
+            "print(loaded())",
+        ]
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "e" / "estimate.json").exists() and (tmp_path / "s" / "windows.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_synth_seed_outside_64_bits_exit_2(params_file, tmp_path, capsys, seed):
+    out = tmp_path / "x.csv"
+    rc = main(["synth", "--params", params_file, "--n", "600", "--seed", str(seed), "--out", str(out)])
+    assert rc == 2
+    assert "outside the valid range 0..18446744073709551615" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mc_last_seed_outside_64_bits_exit_2(params_file, tmp_path, capsys):
+    # realizations use seed0 .. seed0 + n_mc - 1; the last one overflows here
+    rc = main(["mc", "--params", params_file, "--n", "2048", "--n-mc", "4", "--seed", str(2**64 - 3),
+               "--j1", "2", "--j2", "6", "--out-dir", str(tmp_path / "mc")])
+    assert rc == 2
+    assert f"seeds {2**64 - 3}..{2**64} outside the valid range" in capsys.readouterr().err
+    assert not (tmp_path / "mc").exists()
+
+
+def test_sliding_series_shorter_than_window_exit_4(tmp_path, capsys):
+    path = _write_series(tmp_path / "x.csv", _walk_rows(500))
+    out_dir = tmp_path / "sl"
+    rc = main(["sliding", path, "--window", "600", "--hop", "300", "--j1", "1", "--j2", "4",
+               "--out-dir", str(out_dir)])
+    assert rc == 4
+    assert "series of 500 samples is shorter than one window of 600" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # sha256 of CLI outputs for fixed inputs, captured before sliding windows were
@@ -353,3 +396,22 @@ def test_outputs_match_golden_digests(params_file, tmp_path):
         "mc_report.json": _sha256(tmp_path / "mc" / "mc_report.json"),
     }
     assert got == GOLDEN
+
+
+# sha256 of `synth --format bin` outputs (n 600, seed 7), captured while the
+# command still wrote the raw bytes and the sidecar itself
+BINARY_GOLDEN = {
+    "mfbm": ("4eaaa30645cfa5103ebd2550dd35ccddf2889777d6e571205dfb474a8f625e8c",
+             "7fe017d97e38817cdc6355cc011877bd7516135d5594e1d991e580e08dcdca8e"),
+    "mfgn": ("f061fe4103ab05d7a3e1569eca592ef3d18370245c8668a0a7f5b043ae85ce18",
+             "2a9c035a94388e98582d60190f4c5f11756e1c1c61cf2c76861bee6cd0756783"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BINARY_GOLDEN))
+def test_synth_binary_matches_golden_digests(params_file, tmp_path, kind):
+    out = _synth(params_file, tmp_path, "x.bin", extra=["--format", "bin", "--kind", kind])
+    assert (_sha256(out), _sha256(tmp_path / "x.bin.json")) == BINARY_GOLDEN[kind]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "params.json", "x.bin", "x.bin.embedding.json", "x.bin.json"
+    ]

@@ -1,16 +1,20 @@
+import csv
 import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofbmkit import synthesis
-from ofbmkit.errors import IndexOutOfRange
+from ofbmkit.errors import IndexOutOfRange, MalformedInput, SeedOutOfRange
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import (
     RNG_ID,
     CirculantEmbedding,
+    SamplePath,
     gaussian_variates,
     mfgn_covariance_matrices,
     mfgn_cross_covariance,
@@ -19,6 +23,7 @@ from ofbmkit.synthesis import (
     path_sidecar,
     path_to_binary,
     path_to_csv,
+    series_from_csv,
     synthesize_mfbm,
     synthesize_mfgn,
 )
@@ -70,6 +75,17 @@ def test_covariance_matrices_match_scalar_entries():
                     mfgn_cross_covariance(BIV, a, b, k), abs=1e-15
                 )
     assert mfgn_covariance_matrices(BIV, np.arange(6)).shape == (6, 2, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_gaussian_variates_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(SeedOutOfRange, match="0..18446744073709551615"):
+        gaussian_variates(seed, (2, 3))
+
+
+def test_gaussian_variates_accepts_both_ends_of_the_seed_range():
+    for seed in (0, 2**64 - 1):
+        assert np.isfinite(gaussian_variates(seed, (2, 3))).all()
 
 
 def test_gaussian_variates_deterministic_and_standard():
@@ -293,6 +309,134 @@ def test_csv_round_trip():
     buf.seek(0)
     back = path_from_csv(buf)
     np.testing.assert_array_equal(back, path.data)
+
+
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, np.nan, np.inf,
+                  -np.inf, 0.1, 1.0 / 3.0, 2.0**53 + 2.0, 1e-7, 123456789.0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_path_to_csv_bytes_equal_csv_writer_form(m):
+    # the layout once written cell by cell through csv.writer: t,c1..cM, CRLF
+    rng = np.random.default_rng(m)
+    data = rng.normal(size=(m, 40)) * 10.0 ** rng.integers(-300, 300, size=(m, 40))
+    data.flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    path = SamplePath(data=data, params=BIV, seed=0, kind="mfGn")
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["t"] + [f"c{i + 1}" for i in range(path.m)])
+    for t in range(path.n):
+        writer.writerow([t] + [repr(float(v)) for v in path.data[:, t]])
+    out = io.StringIO(newline="")
+    path_to_csv(path, out)
+    assert out.getvalue() == ref.getvalue()
+    out.seek(0)
+    assert path_from_csv(out).tobytes() == path.data.tobytes()
+
+
+def _reference_series(text, label_column=None):
+    """The csv-module reader the vectorised one replaced; None where it rejects."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if not header:
+        return None
+    names = [name.strip().lower() for name in header]
+    skip = {i for i, name in enumerate(names) if name == "t"}
+    label = None
+    if label_column is not None:
+        if label_column.lower() not in names:
+            return None
+        label = names.index(label_column.lower())
+        skip.add(label)
+    cols = [i for i in range(len(header)) if i not in skip]
+    rows = [row for row in reader if row]
+    if not rows or not cols or any(len(row) != len(header) for row in rows):
+        return None
+    try:
+        data = np.asarray([[float(row[i]) for i in cols] for row in rows]).T
+    except ValueError:
+        return None
+    return data, None if label is None else np.asarray([row[label] for row in rows])
+
+
+NUMERALS = ["-0.0", "5e-324", "1e308", "nan", "inf", "-inf", "NaN", "+Infinity", " 1.5 ", ".5",
+            "5.", "1E-3", "-12"]
+NOT_NUMERALS = ["x", "", "1.5.2", "--1", "0x10", "1,5", "nan(1)", "1 2"]
+LABELS = ["a", "b", "x,y", 'say "hi"', " a", "", "p\nq", "a\n\nb"]
+
+
+def _csv_field(text, quote):
+    if quote or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def series_files(draw):
+    """CSV text in the shapes series files take, with optional faults."""
+    m = draw(st.integers(1, 3))
+    names = [f"c{i + 1}" for i in range(m)]
+    t_at = draw(st.none() | st.integers(0, m))
+    if t_at is not None:
+        names.insert(t_at, draw(st.sampled_from(["t", " T"])))
+    label_at = draw(st.none() | st.integers(0, len(names)))
+    if label_at is not None:
+        names.insert(label_at, "label")
+    value = st.sampled_from(NUMERALS) | st.floats().map(repr)
+    rows = []
+    for k in range(draw(st.integers(0, 6))):
+        row = []
+        for name in names:
+            if name == "label":
+                cell = draw(st.sampled_from(LABELS))
+            else:
+                cell = str(k) if name.strip().lower() == "t" else draw(value)
+            row.append(_csv_field(cell, draw(st.booleans())))
+        rows.append(row)
+    fault = draw(st.sampled_from([None, "drop", "extra", "text", "pad_quote"]))
+    if rows and fault:
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, len(row) - 1))
+        if fault == "drop":
+            del row[i]
+        elif fault == "extra":
+            row.insert(i, "1.0")
+        elif fault == "text":
+            row[i] = _csv_field(draw(st.sampled_from(NOT_NUMERALS)), draw(st.booleans()))
+        else:
+            row[i] = " " + _csv_field(row[i], True)
+    header = ",".join(_csv_field(name, draw(st.booleans())) for name in names)
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text, "label" if label_at is not None else None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=series_files())
+def test_series_from_csv_matches_csv_module_reader(case):
+    text, label_column = case
+    ref = _reference_series(text, label_column)
+    if ref is None:
+        with pytest.raises(MalformedInput):
+            series_from_csv(io.StringIO(text, newline=""), label_column)
+        return
+    data, labels = series_from_csv(io.StringIO(text, newline=""), label_column)
+    assert data.shape == ref[0].shape
+    assert np.ascontiguousarray(data).tobytes() == np.ascontiguousarray(ref[0]).tobytes()
+    if label_column is None:
+        assert labels is None
+    else:
+        assert labels.dtype == ref[1].dtype and labels.tolist() == ref[1].tolist()
+
+
+@pytest.mark.parametrize("content", ["t,c1\n0,1_0\n", "t,c1\n0,\u0661\n"])
+def test_series_from_csv_takes_ascii_numerals_only(content):
+    # float() reads these two; np.loadtxt, and so the series reader, does not
+    with pytest.raises(MalformedInput, match="non-numeric sample"):
+        series_from_csv(io.StringIO(content))
 
 
 def test_binary_round_trip_and_sidecar():
