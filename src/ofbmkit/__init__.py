@@ -1,9 +1,9 @@
 """Multivariate selfsimilar process synthesis and Hurst-vector estimation.
 
-Build a model with :func:`make_params`, draw paths with
-:func:`synthesize_mfbm` (or a reusable :class:`CirculantEmbedding`), and
-estimate the exponent vector with :func:`analyze` or benchmark estimators
-with :func:`run_mc`.
+Build a model with :func:`make_params`, draw paths with a
+:class:`CirculantEmbedding` (reusable across seeds), and estimate the
+exponent vector with :func:`analyze` or benchmark estimators with
+:func:`run_mc`.
 """
 
 __version__ = "0.1.0"
@@ -30,9 +30,7 @@ from .estimation import (
     RegressionWeights,
     ScalingRangeConfig,
     analyze,
-    estimate_multivariate,
-    estimate_multivariate_bc,
-    estimate_univariate,
+    octave_range,
     regression_weights,
     scaling_range,
     sorted_eigenvalues,
@@ -57,9 +55,6 @@ from .synthesis import (
     CirculantEmbedding,
     EmbeddingReport,
     SamplePath,
-    mfgn_cross_covariance,
-    synthesize_mfbm,
-    synthesize_mfgn,
 )
 from .wavelet import (
     WaveletFilter,

@@ -7,8 +7,8 @@ matrices, their spectral norms, the estimate correlation structure, squared
 Mahalanobis distances for normality checks, and the closed-form variance
 approximation V_N = (log2 e)^2 / 2 * sum_j w_j^2 / n_j.
 
-Also here: a chi-square quantile routine (Newton on the regularized incomplete
-gamma), a two-sided Wilcoxon rank-sum test (exact for tiny samples), the
+Also here: chi-square quantiles (the inverse regularized incomplete gamma of
+scipy.special), a two-sided Wilcoxon rank-sum test (exact for tiny samples), the
 Benjamini-Hochberg step-up rule, and a sliding-window estimation pipeline.
 """
 
@@ -40,8 +40,8 @@ from .estimation import (
     ScalingRangeConfig,
     analyze,
     estimate_windows,
+    octave_range,
     regression_weights,
-    scaling_range,
 )
 from .model import ModelParams
 from .synthesis import CirculantEmbedding, _check_seeds
@@ -65,18 +65,11 @@ class McConfig:
     j1: int | None = None  # explicit override of the derived range
     j2: int | None = None
 
-    def octave_range(self) -> tuple[int, int]:
-        if self.j1 is not None and self.j2 is not None:
-            return self.j1, self.j2
-        return scaling_range(self.n, self.range_cfg)
-
     def __post_init__(self):
         if self.n_mc < 2:
             raise SampleTooSmall(f"need at least 2 realizations, got {self.n_mc}")
         _check_seeds(self.seed0, self.n_mc)  # realization r uses seed0 + r
-        if (self.j1 is None) != (self.j2 is None):
-            raise DimensionMismatch("override j1 and j2 together or not at all")
-        self.octave_range()  # fails early when n cannot support the range
+        octave_range(self.n, self.range_cfg, self.j1, self.j2)  # fails before any synthesis
 
 
 @dataclass(frozen=True)
@@ -166,55 +159,17 @@ def mahalanobis_samples(est: np.ndarray) -> np.ndarray:
 
 
 def chi2_quantiles(dof: int, probs) -> np.ndarray:
-    """Inverse chi-square CDF by safeguarded Newton on the incomplete gamma.
-
-    Absolute tolerance 1e-10 on the quantile.
-    """
+    """Inverse chi-square CDF, 2 * gammaincinv(dof / 2, p), at each probability."""
     # scipy.special is imported where it is called, so that the commands
     # that never call it start without loading it
-    from scipy.special import gammainc, gammaln, ndtri
+    from scipy.special import gammaincinv
 
     if dof < 1:
         raise BadProbability(f"degrees of freedom must be >= 1, got {dof}")
     probs = np.atleast_1d(np.asarray(probs, dtype=float))
     if np.any((probs <= 0.0) | (probs >= 1.0)) or not np.all(np.isfinite(probs)):
         raise BadProbability("probabilities must lie strictly inside (0, 1)")
-    out = np.empty_like(probs)
-    half = dof / 2.0
-    log_norm = half * math.log(2.0) + gammaln(half)
-
-    def cdf(x: float) -> float:
-        return float(gammainc(half, x / 2.0))
-
-    for i, p in enumerate(probs):
-        # Wilson-Hilferty starting point, clamped to something positive
-        z = ndtri(p)
-        x = dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
-        if not (x > 0.0) or not math.isfinite(x):
-            x = float(dof)
-        # bracket the root by exponential search upward from the start
-        lo, hi = 0.0, x
-        while cdf(hi) < p:
-            lo = hi
-            hi *= 2.0
-        # safeguarded Newton, fall back to bisection when a step leaves the bracket
-        x = 0.5 * (lo + hi)
-        for _ in range(200):
-            f = cdf(x) - p
-            if f > 0.0:
-                hi = x
-            else:
-                lo = x
-            logpdf = (half - 1.0) * math.log(x) - 0.5 * x - log_norm if x > 0 else -math.inf
-            x_new = x - f / math.exp(logpdf) if logpdf > -700.0 else 0.5 * (lo + hi)
-            if not (lo < x_new < hi):
-                x_new = 0.5 * (lo + hi)
-            if abs(x_new - x) < 1e-12:
-                x = x_new
-                break
-            x = x_new
-        out[i] = x
-    return out
+    return 2.0 * gammaincinv(dof / 2.0, probs)
 
 
 def _midranks(a: np.ndarray) -> np.ndarray:
@@ -320,7 +275,7 @@ def estimate_correlation(est: np.ndarray) -> np.ndarray:
 
 def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
     """Synthesize-analyze-aggregate loop; deterministic given the config."""
-    j1, j2 = cfg.octave_range()
+    j1, j2 = octave_range(cfg.n, cfg.range_cfg, cfg.j1, cfg.j2)
     f = filter_bank(cfg.filter_name)
     emb = CirculantEmbedding(cfg.params, cfg.n)
     m = cfg.params.m

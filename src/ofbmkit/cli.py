@@ -2,9 +2,10 @@
 
 Every command is deterministic given its full flag set; outputs are written
 atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems
-(including a malformed series CSV and a seed outside 0..2^64 - 1), 3 model
-validation, 4 data/estimation (including NaN or infinite samples and a
-``sliding`` series shorter than one window), 5 internal.
+(including a file that is not UTF-8, a malformed series CSV and a seed
+outside 0..2^64 - 1), 3 model validation, 4 data/estimation (including NaN
+or infinite samples, a bad --j1/--j2 pair and a ``sliding`` series shorter
+than one window), 5 internal.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ from .errors import (
     SeriesTooShort,
     WindowTooSmall,
 )
-from .estimation import ScalingRangeConfig, record_to_dict, scaling_range
+from .estimation import ScalingRangeConfig, octave_range, record_to_dict
 from .model import load_params
 from .synthesis import (
     RNG_ID,
     CirculantEmbedding,
+    _check_seeds,
     path_to_binary,
     path_to_csv,
     series_from_csv,
@@ -95,15 +97,6 @@ def _write_json(path, payload: dict) -> None:
 def _range_config(args) -> ScalingRangeConfig:
     return ScalingRangeConfig(beta=args.beta, n0=args.n0)
 
-def _resolve_range(args, n: int) -> tuple[int, int]:
-    if (args.j1 is None) != (args.j2 is None):
-        raise WindowTooSmall("pass --j1 and --j2 together or neither")
-    if args.j1 is not None:
-        if args.j2 <= args.j1:
-            raise WindowTooSmall(f"need --j2 > --j1, got ({args.j1}, {args.j2})")
-        return args.j1, args.j2
-    return scaling_range(n, _range_config(args))
-
 
 def _weights_mode(args) -> str:
     return args.weights.replace("-", "_")
@@ -120,6 +113,7 @@ def _read_series(path, label_column: str | None = None):
 
 def cmd_synth(args) -> int:
     params = load_params(args.params)
+    _check_seeds(args.seed)  # before the embedding, which can take seconds to build
     emb = CirculantEmbedding(params, args.n)
     kind = "mfBm" if args.kind == "mfbm" else "mfGn"
     path = emb.sample(args.seed, kind=kind)
@@ -139,7 +133,7 @@ def cmd_estimate(args) -> int:
     from .wavelet import dwt, spectra_to_csv, spectrum_set
 
     x, _ = _read_series(args.input)
-    j1, j2 = _resolve_range(args, x.shape[1])
+    j1, j2 = octave_range(x.shape[1], _range_config(args), args.j1, args.j2)
     f = filter_bank(args.filter)
     pyr = dwt(x, j2, f)
     rec = analyze(pyr, j1, j2, f=f, balance=_weights_mode(args))
@@ -388,7 +382,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MalformedInput as exc:

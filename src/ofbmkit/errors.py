@@ -61,10 +61,6 @@ class NonFiniteData(DataError):
     pass
 
 
-class IndexOutOfRange(DataError):
-    pass
-
-
 class EmbeddingFailed(DataError):
     pass
 
@@ -106,10 +102,6 @@ class NonPositiveDiagonal(DataError):
 
 
 class NonPositiveEigenvalue(DataError):
-    pass
-
-
-class RankDeficient(DataError):
     pass
 
 

@@ -28,17 +28,10 @@ from .errors import (
     NonPositiveDiagonal,
     NonPositiveEigenvalue,
     NotSymmetric,
-    RankDeficient,
     SampleTooSmall,
     ScaleUnavailable,
 )
-from .wavelet import (
-    WaveletPyramid,
-    WaveletSpectrumSet,
-    dwt,
-    spectrum_set,
-    windowed_spectra,
-)
+from .wavelet import WaveletPyramid, dwt, spectrum_set, windowed_spectra
 
 WEIGHT_MODES = ("uniform", "by_count")
 
@@ -143,6 +136,23 @@ def scaling_range(n: int, cfg: ScalingRangeConfig) -> tuple[int, int]:
     return cfg.j1_0 + shift, cfg.j2_0 + shift
 
 
+def octave_range(
+    n: int, cfg: ScalingRangeConfig, j1: int | None = None, j2: int | None = None
+) -> tuple[int, int]:
+    """The octave range (j1, j2) when both are given, else scaling_range(n, cfg).
+
+    Raises DegenerateRange when only one of j1, j2 is given or unless
+    1 <= j1 < j2.
+    """
+    if (j1 is None) != (j2 is None):
+        raise DegenerateRange("pass j1 and j2 together or neither")
+    if j1 is None:
+        return scaling_range(n, cfg)
+    if not 1 <= j1 < j2:
+        raise DegenerateRange(f"need 1 <= j1 < j2, got ({j1}, {j2})")
+    return j1, j2
+
+
 def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a symmetric matrix, or of each in a (..., M, M) stack."""
     s = np.asarray(s, dtype=float)
@@ -153,42 +163,6 @@ def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
     if (np.abs(s - st).max(axis=(-2, -1)) > 1e-8 * scale).any():
         raise NotSymmetric("matrix is asymmetric beyond tolerance")
     return np.linalg.eigvalsh(0.5 * (s + st))
-
-
-def _check_range(spectra: WaveletSpectrumSet, w: RegressionWeights):
-    for j in range(w.j1, w.j2 + 1):
-        if j not in spectra.scales:
-            raise ScaleUnavailable(f"octave {j} missing from the spectrum set")
-
-
-def estimate_univariate(spectra: WaveletSpectrumSet, w: RegressionWeights) -> np.ndarray:
-    """Component-wise estimate from the spectrum diagonals."""
-    _check_range(spectra, w)
-    diags = np.stack(
-        [np.diag(spectra.at(j)) for j in range(w.j1, w.j2 + 1)]
-    )  # (n_j, M)
-    if np.any(diags <= 0.0):
-        raise NonPositiveDiagonal("spectrum diagonal entries must be positive")
-    return 0.5 * (w.w @ np.log2(diags) - 1.0)
-
-
-def estimate_multivariate(spectra: WaveletSpectrumSet, w: RegressionWeights) -> np.ndarray:
-    """Estimate from sorted eigenvalues of the full-sample spectra."""
-    _check_range(spectra, w)
-    m = spectra.m
-    rows = []
-    for j in range(w.j1, w.j2 + 1):
-        if spectra.counts[spectra.scales.index(j)] < m:
-            raise RankDeficient(
-                f"octave {j} has fewer coefficients than components ({m})"
-            )
-        lam = sorted_eigenvalues(spectra.at(j))
-        if lam[0] <= 0.0:
-            raise NonPositiveEigenvalue(
-                f"octave {j} spectrum has a non-positive eigenvalue {lam[0]:.3e}"
-            )
-        rows.append(np.log2(lam))
-    return 0.5 * (w.w @ np.stack(rows) - 1.0)
 
 
 def averaged_log_eigenvalues(windows: np.ndarray) -> np.ndarray:
@@ -202,16 +176,6 @@ def averaged_log_eigenvalues(windows: np.ndarray) -> np.ndarray:
     # C order, so that the mean adds the windows in the same order whatever
     # the layout of a stack of windows
     return np.log2(lam, order="C").mean(axis=-2)
-
-
-def estimate_multivariate_bc(
-    pyr: WaveletPyramid, j1: int, j2: int, w: RegressionWeights
-) -> np.ndarray:
-    """Repulsion-corrected estimate from window-averaged log eigenvalues."""
-    if (w.j1, w.j2) != (j1, j2):
-        raise DimensionMismatch("weights do not match the requested octave range")
-    rows = [averaged_log_eigenvalues(windowed_spectra(pyr, j, j2)) for j in range(j1, j2 + 1)]
-    return 0.5 * (w.w @ np.stack(rows) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -270,22 +234,25 @@ def estimate_windows(pyr: WaveletPyramid, w: RegressionWeights, t_starts) -> lis
 
 def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> dict:
     """Estimates and log tables of a pyramid, keeping its leading window axes."""
-    octaves = range(w.j1, w.j2 + 1)
-    spectra = spectrum_set(pyr, w.j1, w.j2)  # (octaves, ..., M, M)
-
-    diags = np.stack([spectra.at(j).diagonal(axis1=-2, axis2=-1) for j in octaves], axis=-2)
+    spectra = spectrum_set(pyr, w.j1, w.j2).spectra  # (octaves, ..., M, M)
+    diags = spectra.diagonal(axis1=-2, axis2=-1)
     if (diags <= 0.0).any():
         raise NonPositiveDiagonal("spectrum diagonal entries must be positive")
-    log_diag = np.log2(diags)
 
-    lam = np.stack([sorted_eigenvalues(spectra.at(j)) for j in octaves], axis=-2)
+    # windows first: a window n_j2 below M raises WindowTooSmall there, and
+    # would make the full-sample spectrum at j2 singular too
+    log_eig_bc = np.stack(
+        [averaged_log_eigenvalues(windowed_spectra(pyr, j, w.j2)) for j in range(w.j1, w.j2 + 1)],
+        axis=-2,
+    )
+    lam = sorted_eigenvalues(spectra)
     if (lam <= 0.0).any():
         raise NonPositiveEigenvalue("a full-sample spectrum has a non-positive eigenvalue")
-    log_eig = np.log2(lam)
 
-    log_eig_bc = np.stack(
-        [averaged_log_eigenvalues(windowed_spectra(pyr, j, w.j2)) for j in octaves], axis=-2
-    )
+    # octaves next to the components, (..., octaves, M), in C order, so that
+    # the regression sees the layout of a stack of per-octave rows
+    log_diag = np.log2(np.moveaxis(diags, 0, -2), order="C")
+    log_eig = np.log2(np.moveaxis(lam, 0, -2), order="C")
     return {
         "h_u": 0.5 * (w.w @ log_diag - 1.0),
         "h_m": 0.5 * (w.w @ log_eig - 1.0),

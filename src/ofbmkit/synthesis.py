@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmbeddingFailed,
-    IndexOutOfRange,
-    MalformedInput,
-    SeedOutOfRange,
-)
+from .errors import DimensionMismatch, EmbeddingFailed, MalformedInput, SeedOutOfRange
 from .model import ModelParams, params_to_dict
 
 # Identifier of the seed -> path map, stored in output metadata.
@@ -69,16 +63,6 @@ def gaussian_variates(seed: int, shape) -> np.ndarray:
     raw = gen.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)
-
-
-def mfgn_cross_covariance(p: ModelParams, m: int, m2: int, k: int) -> float:
-    """Pre-mixing increment covariance Gamma(k)[m, m2]; even in the lag k."""
-    if not (0 <= m < p.m and 0 <= m2 < p.m):
-        raise IndexOutOfRange(f"component indices ({m}, {m2}) outside 0..{p.m - 1}")
-    h = p.hurst.values[m] + p.hurst.values[m2]
-    sig = p.sigma.sigma[m, m2]
-    ak = abs(int(k))
-    return 0.5 * sig * (abs(ak - 1) ** h - 2.0 * ak**h + (ak + 1) ** h)
 
 
 def mfgn_covariance_matrices(p: ModelParams, lags) -> np.ndarray:
@@ -245,22 +229,6 @@ class CirculantEmbedding:
         return np.einsum("ij,fjk,lk->fil", w, c, w)
 
 
-def synthesize_mfgn(p: ModelParams, n: int, seed: int):
-    """One exact-covariance mfGn realization -> (SamplePath, EmbeddingReport)."""
-    emb = CirculantEmbedding(p, n)
-    return emb.sample(seed, kind="mfGn"), emb.report
-
-
-def synthesize_mfbm(p: ModelParams, n: int, seed: int) -> SamplePath:
-    """Cumulative sum of the mfGn path: path[t] = sum of increments 0..t.
-
-    The path has exactly n samples and no leading zero; its first differences
-    reproduce the mfGn realization exactly.
-    """
-    emb = CirculantEmbedding(p, n)
-    return emb.sample(seed, kind="mfBm")
-
-
 # ---------------------------------------------------------------------------
 # On-disk formats: CSV (t, c1..cM) and raw float64 + JSON sidecar
 # ---------------------------------------------------------------------------
@@ -328,7 +296,15 @@ def series_from_csv(fh, label_column: str | None = None):
     try:
         data = _load(io.StringIO(body), usecols=cols, ndmin=2).T
     except ValueError as exc:
-        raise MalformedInput(f"non-numeric sample: {exc}") from exc
+        # np.loadtxt counts the records it reads from 0 and skips blank lines,
+        # so its row r is data row r + 1 as the ragged-row message counts
+        bad = re.search(r"string (.*) to float64 at row (\d+), column (\d+)", str(exc))
+        if bad is None:
+            raise MalformedInput(f"non-numeric sample: {exc}") from exc
+        value, row, column = bad.groups()
+        raise MalformedInput(
+            f"non-numeric sample {value} in data row {int(row) + 1}, column {column}"
+        ) from exc
     if label is None:
         return data, None
     return data, _load(io.StringIO(body), usecols=[label], dtype=object, ndmin=1).astype(str)

@@ -165,11 +165,6 @@ class WaveletSpectrumSet:
     def m(self) -> int:
         return self.spectra.shape[-1]
 
-    def at(self, j: int) -> np.ndarray:
-        if j not in self.scales:
-            raise ScaleUnavailable(f"octave {j} not in {self.scales}")
-        return self.spectra[self.scales.index(j)]
-
 
 def pyramid_counts(n: int, length: int, j_max: int | None = None) -> tuple:
     """Coefficient counts n_1, n_2, ... of an n-sample series for a filter of

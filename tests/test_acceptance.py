@@ -22,9 +22,7 @@ from ofbmkit.analysis import (
 from ofbmkit.cli import main
 from ofbmkit.estimation import (
     ScalingRangeConfig,
-    estimate_multivariate,
-    estimate_multivariate_bc,
-    estimate_univariate,
+    analyze,
     regression_weights,
     sorted_eigenvalues,
 )
@@ -32,7 +30,7 @@ from ofbmkit.model import make_params, save_params
 from ofbmkit.synthesis import CirculantEmbedding, mfgn_covariance_matrices
 from ofbmkit.wavelet import dwt, pyramid_counts, spectrum_set, wavelet_spectrum
 
-from test_estimation import exact_pyramid, exact_spectra
+from test_estimation import exact_pyramid
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -65,14 +63,10 @@ def test_criterion_01_exact_power_law_recovery():
     h = np.array([0.3, 0.55, 0.8])
     j1, j2 = 3, 6
     pyr = exact_pyramid(h, j1, j2)
-    spectra = exact_spectra(h, j1, j2)
-    counts = [pyr.counts[j - 1] for j in range(j1, j2 + 1)]
     errs = []
     for mode in ("uniform", "by_count"):
-        w = regression_weights(j1, j2, mode, counts)
-        errs.append(np.abs(estimate_univariate(spectra, w) - h).max())
-        errs.append(np.abs(estimate_multivariate(spectra, w) - h).max())
-        errs.append(np.abs(estimate_multivariate_bc(pyr, j1, j2, w) - h).max())
+        rec = analyze(pyr, j1, j2, balance=mode)
+        errs.extend(np.abs(est - h).max() for est in (rec.h_u, rec.h_m, rec.h_m_bc))
     elapsed = time.perf_counter() - t0
     ok = max(errs) < 1e-12 and elapsed < 1.0
     report(1, "exact power-law recovery by all estimators",

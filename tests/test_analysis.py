@@ -180,6 +180,16 @@ def test_chi2_quantiles_against_scipy_grid():
         assert np.all(np.diff(mine) > 0)
 
 
+def test_chi2_quantiles_match_closed_forms_in_both_tails():
+    # dof 1: ndtri((1 + p) / 2)^2, written as 2 erfinv(p)^2, which keeps its
+    # digits at small p; dof 2: -2 ln(1 - p)
+    from scipy.special import erfinv
+
+    probs = np.concatenate([np.logspace(-6, -0.31, 40), 1.0 - np.logspace(-6, -0.31, 40)])
+    np.testing.assert_allclose(chi2_quantiles(1, probs), 2.0 * erfinv(probs) ** 2, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(chi2_quantiles(2, probs), -2.0 * np.log1p(-probs), rtol=1e-12, atol=0)
+
+
 def test_chi2_quantiles_validate_probs():
     with pytest.raises(BadProbability):
         chi2_quantiles(2, [0.0])

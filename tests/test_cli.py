@@ -7,7 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ofbmkit import analysis, cli
 from ofbmkit.cli import main, version_string
 from ofbmkit.model import make_params, save_params
 from ofbmkit.synthesis import RNG_ID
@@ -122,6 +125,38 @@ def test_estimate_too_short_exit_4(params_file, tmp_path, capsys):
         ["estimate", str(series), "--out-dir", str(tmp_path / "e2"), "--j1", "3", "--j2", "8"]
     )
     assert rc == 4
+
+
+def _no_embedding(*args, **kwargs):
+    raise AssertionError("circulant embedding built before the arguments were checked")
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc"])
+@pytest.mark.parametrize("octaves", [["--j1", "5"], ["--j1", "5", "--j2", "5"]])
+def test_octave_range_rule_exit_4(params_file, tmp_path, capsys, monkeypatch, command, octaves):
+    # one rule for both commands; mc applies it before any synthesis
+    if command == "estimate":
+        argv = ["estimate", str(_synth(params_file, tmp_path, extra=["--n", "2048"]))]
+    else:
+        monkeypatch.setattr(analysis, "CirculantEmbedding", _no_embedding)
+        argv = ["mc", "--params", params_file, "--n", "2048", "--n-mc", "4", "--seed", "1"]
+    rc = main(argv + octaves + ["--out-dir", str(tmp_path / "o")])
+    assert rc == 4
+    assert "DegenerateRange" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "sliding", "synth"])
+def test_file_that_is_not_utf8_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,c1\n0,1.5\xff\n")
+    if command == "synth":
+        argv = ["synth", "--params", str(bad), "--n", "64", "--seed", "1", "--out", str(tmp_path / "y")]
+    else:
+        argv = [command, str(bad), "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "o")]
+        argv += ["--window", "520", "--hop", "260"] if command == "sliding" else []
+    assert main(argv) == 2
+    assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 def test_mc_threads_identical_outputs(params_file, tmp_path):
@@ -269,14 +304,57 @@ def test_ragged_row_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["estimate", "sliding"])
-@pytest.mark.parametrize("content", ["", "t,c1,c2\n", "t,c1\n0,1.5\n1,x\n"])
+@pytest.mark.parametrize(
+    "content", ["", "t,c1,c2\n", "t,c1\n0,1.5\n1,x\n", "t,c1\n0,1.5\n\n1,2.5\n2,x\n"]
+)
 def test_empty_or_non_numeric_series_exit_2(tmp_path, capsys, command, content):
     path = tmp_path / "x.csv"
     path.write_text(content)
     extra = ["--window", "520", "--hop", "260"] if command == "sliding" else []
     rc = main([command, str(path), "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "o")] + extra)
     assert rc == 2
-    assert "malformed input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed input" in err
+    if "x" in content:
+        # rows are counted as in the ragged-row message: non-blank rows after the header, from 1
+        rows = [line for line in content.splitlines()[1:] if line]
+        assert f"non-numeric sample 'x' in data row {len(rows)}, column 2" in err
+
+
+_FUZZ_X = np.random.default_rng(3).normal(size=(2, 40)).cumsum(axis=1)
+# 40 rows: enough for octaves 1..2 with the default filter, so the file as written estimates
+_FUZZ_VALID = ("t,c1,c2\r\n" + "".join(
+    f"{t},{_FUZZ_X[0, t]!r},{_FUZZ_X[1, t]!r}\r\n" for t in range(40)
+)).encode()
+_FUZZ_PIECES = [b'"', b",", b"\n", b"\r", b"\xff", b"\xc3", b"\x00", b" ", b"x", b"-", b"e", b"nan", b"t"]
+
+
+@st.composite
+def _mutated_series(draw):
+    data = bytearray(_FUZZ_VALID)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        piece = draw(st.sampled_from(_FUZZ_PIECES) | st.binary(min_size=1, max_size=3))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "truncate"]))
+        if edit == "insert":
+            data[i:i] = piece
+        elif edit == "replace":
+            data[i : i + len(piece)] = piece
+        elif edit == "delete":
+            del data[i : i + len(piece)]
+        else:
+            del data[i:]
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(content=st.binary(max_size=40) | _mutated_series())
+def test_estimate_never_exits_5_on_malformed_input(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "x.csv"
+    path.write_bytes(content)
+    rc = main(["estimate", str(path), "--j1", "1", "--j2", "2", "--out-dir", str(path.parent / "o")])
+    assert rc in (0, 2, 4)
 
 
 def test_sliding_missing_label_column_exit_2(tmp_path):
@@ -327,7 +405,8 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_synth_seed_outside_64_bits_exit_2(params_file, tmp_path, capsys, seed):
+def test_synth_seed_outside_64_bits_exit_2(params_file, tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.setattr(cli, "CirculantEmbedding", _no_embedding)  # the seed is checked first
     out = tmp_path / "x.csv"
     rc = main(["synth", "--params", params_file, "--n", "600", "--seed", str(seed), "--out", str(out)])
     assert rc == 2
@@ -366,6 +445,8 @@ GOLDEN = {
     "groups.json": "5f41cbe7217a0c3bcf730f1f22fddd6b75a66353e9b3bf53081b372262052219",
     "windows_haar.csv": "6a091b955f24b45ee4c0cc33351e7084b7ff0fad8ce4c0cea3bef52b9b8f1566",
     "mc_report.json": "4359aaa86566e070e31491e3debf547dfbc88e52e5acbadc5fb128f75fb94c85",
+    # captured later, once chi-square quantiles came from scipy.special.gammaincinv
+    "qq.csv": "84769a857f924687c12dbe81daea1411ab526c2eab56d76815ddfb8b39773be9",
 }
 
 
@@ -393,7 +474,7 @@ def test_outputs_match_golden_digests(params_file, tmp_path):
         **{name: _sha256(tmp_path / "e" / name) for name in ("estimate.json", "logeig.csv", "spectra.csv")},
         **{name: _sha256(tmp_path / "s" / name) for name in ("windows.csv", "pvalues.csv", "groups.json")},
         "windows_haar.csv": _sha256(tmp_path / "h" / "windows.csv"),
-        "mc_report.json": _sha256(tmp_path / "mc" / "mc_report.json"),
+        **{name: _sha256(tmp_path / "mc" / name) for name in ("mc_report.json", "qq.csv")},
     }
     assert got == GOLDEN
 

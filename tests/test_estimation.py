@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,13 @@ from ofbmkit.errors import (
     NonPositiveDiagonal,
     NonPositiveEigenvalue,
     NotSymmetric,
-    RankDeficient,
     SampleTooSmall,
+    WindowTooSmall,
 )
 from ofbmkit.estimation import (
     ScalingRangeConfig,
     analyze,
-    estimate_multivariate,
-    estimate_multivariate_bc,
-    estimate_univariate,
+    octave_range,
     regression_weights,
     scaling_range,
     averaged_log_eigenvalues,
@@ -24,7 +24,7 @@ from ofbmkit.estimation import (
 )
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
-from ofbmkit.wavelet import WaveletPyramid, WaveletSpectrumSet, filter_bank
+from ofbmkit.wavelet import WaveletPyramid, dwt, filter_bank, spectrum_set, windowed_spectra
 
 
 def exact_pyramid(h, j1, j2, xi=None, n_j2=None):
@@ -47,19 +47,9 @@ def exact_pyramid(h, j1, j2, xi=None, n_j2=None):
     )
 
 
-def exact_spectra(h, j1, j2, xi=None, mix=None):
-    h = np.asarray(h, dtype=float)
-    m = h.size
-    xi = np.ones(m) if xi is None else np.asarray(xi, dtype=float)
-    scales = tuple(range(j1, j2 + 1))
-    mats = []
-    for j in scales:
-        s = np.diag(xi * 2.0 ** (j * (2.0 * h + 1.0)))
-        if mix is not None:
-            s = mix @ s @ mix.T
-        mats.append(s)
-    counts = tuple(2 ** (j2 - j) * 4 * m for j in scales)
-    return WaveletSpectrumSet(scales=scales, spectra=np.stack(mats), counts=counts)
+def with_coeffs(pyr, coeffs):
+    """The pyramid with its coefficient arrays replaced, counts kept."""
+    return replace(pyr, coeffs=tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +90,22 @@ def test_degenerate_range_rejected():
 def test_by_count_requires_counts():
     with pytest.raises(DimensionMismatch):
         regression_weights(1, 3, "by_count")
+
+
+# ---------------------------------------------------------------------------
+# octave range
+# ---------------------------------------------------------------------------
+
+def test_octave_range_explicit_or_derived():
+    cfg = ScalingRangeConfig()
+    assert octave_range(2**18, cfg) == scaling_range(2**18, cfg)
+    assert octave_range(100, cfg, 2, 5) == (2, 5)  # explicit: n is not checked
+
+
+@pytest.mark.parametrize("j1, j2", [(3, None), (None, 5), (5, 5), (6, 5), (0, 5)])
+def test_octave_range_rejects_half_or_empty_ranges(j1, j2):
+    with pytest.raises(DegenerateRange):
+        octave_range(2**18, ScalingRangeConfig(), j1, j2)
 
 
 # ---------------------------------------------------------------------------
@@ -190,64 +196,44 @@ def test_exact_recovery_all_estimators():
     h = np.array([0.3, 0.55, 0.8])
     j1, j2 = 3, 6
     pyr = exact_pyramid(h, j1, j2)
-    spectra = exact_spectra(h, j1, j2)
     for mode in ("uniform", "by_count"):
-        counts = [pyr.counts[j - 1] for j in range(j1, j2 + 1)]
-        w = regression_weights(j1, j2, mode, counts)
-        np.testing.assert_allclose(estimate_univariate(spectra, w), h, atol=1e-12)
-        np.testing.assert_allclose(estimate_multivariate(spectra, w), h, atol=1e-12)
-        np.testing.assert_allclose(estimate_multivariate_bc(pyr, j1, j2, w), h, atol=1e-12)
+        rec = analyze(pyr, j1, j2, balance=mode)
+        np.testing.assert_allclose(rec.h_u, h, atol=1e-12)
+        np.testing.assert_allclose(rec.h_m, h, atol=1e-12)
+        np.testing.assert_allclose(rec.h_m_bc, h, atol=1e-12)
 
 
 def test_bc_equals_plain_on_constant_windows():
-    h = np.array([0.4, 0.6])
-    pyr = exact_pyramid(h, 2, 5)
-    counts = [pyr.counts[j - 1] for j in range(2, 6)]
-    w = regression_weights(2, 5, "by_count", counts)
-    from ofbmkit.wavelet import spectrum_set
-
-    spectra = spectrum_set(pyr, 2, 5)
-    np.testing.assert_allclose(
-        estimate_multivariate_bc(pyr, 2, 5, w),
-        estimate_multivariate(spectra, w),
-        atol=1e-12,
-    )
+    rec = analyze(exact_pyramid(np.array([0.4, 0.6]), 2, 5), 2, 5)
+    np.testing.assert_allclose(rec.h_m_bc, rec.h_m, atol=1e-12)
 
 
 def test_amplitude_invariance():
     h = np.array([0.35, 0.75])
-    spectra = exact_spectra(h, 4, 7, xi=[2.0, 5.0])
-    w = regression_weights(4, 7, "uniform")
-    base_u = estimate_univariate(spectra, w)
-    base_m = estimate_multivariate(spectra, w)
-    scaled = WaveletSpectrumSet(
-        scales=spectra.scales, spectra=17.3 * spectra.spectra, counts=spectra.counts
-    )
-    np.testing.assert_allclose(estimate_univariate(scaled, w), base_u, atol=1e-12)
-    np.testing.assert_allclose(estimate_multivariate(scaled, w), base_m, atol=1e-12)
+    pyr = exact_pyramid(h, 4, 7, xi=[2.0, 5.0])
+    base = analyze(pyr, 4, 7, balance="uniform")
+    # coefficients times sqrt(c) scale every spectrum by c
+    scaled = analyze(with_coeffs(pyr, (np.sqrt(17.3) * d for d in pyr.coeffs)), 4, 7, balance="uniform")
+    for name in ("h_u", "h_m", "h_m_bc"):
+        np.testing.assert_allclose(getattr(scaled, name), getattr(base, name), atol=1e-12)
 
 
 def test_dyadic_shift_covariance():
     h = np.array([0.45, 0.65])
-    s_lo = exact_spectra(h, 3, 6, xi=[1.0, 3.0])
-    s_hi = exact_spectra(h, 4, 7, xi=[1.0, 3.0])
-    w_lo = regression_weights(3, 6, "uniform")
-    w_hi = regression_weights(4, 7, "uniform")
-    np.testing.assert_allclose(
-        estimate_multivariate(s_lo, w_lo), estimate_multivariate(s_hi, w_hi), atol=1e-12
-    )
+    lo = analyze(exact_pyramid(h, 3, 6, xi=[1.0, 3.0]), 3, 6, balance="uniform")
+    hi = analyze(exact_pyramid(h, 4, 7, xi=[1.0, 3.0]), 4, 7, balance="uniform")
+    np.testing.assert_allclose(lo.h_m, hi.h_m, atol=1e-12)
 
 
 def test_orthonormal_remixing_invariance():
     rng = np.random.default_rng(14)
     h = np.array([0.3, 0.5, 0.7])
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    plain = exact_spectra(h, 3, 6)
-    mixed = exact_spectra(h, 3, 6, mix=q)
-    w = regression_weights(3, 6, "uniform")
-    np.testing.assert_allclose(
-        estimate_multivariate(mixed, w), estimate_multivariate(plain, w), atol=1e-10
-    )
+    pyr = exact_pyramid(h, 3, 6)
+    plain = analyze(pyr, 3, 6, balance="uniform")
+    mixed = analyze(with_coeffs(pyr, (q @ d for d in pyr.coeffs)), 3, 6, balance="uniform")
+    np.testing.assert_allclose(mixed.h_m, plain.h_m, atol=1e-10)
+    np.testing.assert_allclose(mixed.h_m_bc, plain.h_m_bc, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -255,55 +241,59 @@ def test_orthonormal_remixing_invariance():
 # ---------------------------------------------------------------------------
 
 def test_nonpositive_diagonal_error():
-    h = np.array([0.4, 0.6])
-    s = exact_spectra(h, 3, 5)
-    broken = s.spectra.copy()
-    broken[0, 1, 1] = 0.0
-    bad = WaveletSpectrumSet(scales=s.scales, spectra=broken, counts=s.counts)
-    w = regression_weights(3, 5, "uniform")
+    pyr = exact_pyramid(np.array([0.4, 0.6]), 3, 5)
+    coeffs = list(pyr.coeffs)
+    coeffs[2] = coeffs[2] * np.array([[1.0], [0.0]])  # component 2 silent at octave 3
     with pytest.raises(NonPositiveDiagonal):
-        estimate_univariate(bad, w)
+        analyze(with_coeffs(pyr, coeffs), 3, 5, balance="uniform")
 
 
 def test_nonpositive_eigenvalue_error():
-    h = np.array([0.4, 0.6])
-    s = exact_spectra(h, 3, 5)
-    broken = s.spectra.copy()
-    broken[1] = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1, 3
-    bad = WaveletSpectrumSet(scales=s.scales, spectra=broken, counts=s.counts)
-    w = regression_weights(3, 5, "uniform")
+    pyr = exact_pyramid(np.array([0.4, 0.6]), 3, 5)
+    coeffs = list(pyr.coeffs)
+    coeffs[3] = coeffs[3][[0, 0]]  # component 1 repeated at octave 4: a singular spectrum
     with pytest.raises(NonPositiveEigenvalue):
-        estimate_multivariate(bad, w)
+        analyze(with_coeffs(pyr, coeffs), 3, 5, balance="uniform")
 
 
 def test_rank_deficient_error():
-    h = np.array([0.4, 0.6])
-    s = exact_spectra(h, 3, 5)
-    starved = WaveletSpectrumSet(scales=s.scales, spectra=s.spectra, counts=(8, 4, 1))
-    w = regression_weights(3, 5, "uniform")
-    with pytest.raises(RankDeficient):
-        estimate_multivariate(starved, w)
+    # 40 samples: n_3 = 2 coefficients at octave 3, fewer than M = 3 components;
+    # the window size is named, though the full-sample spectrum at octave 3
+    # has a non-positive computed eigenvalue as well
+    pyr = dwt(np.random.default_rng(2).normal(size=(3, 40)).cumsum(axis=1), 3)
+    assert pyr.counts[2] == 2 and sorted_eigenvalues(spectrum_set(pyr, 3, 3).spectra[0])[0] <= 0.0
+    with pytest.raises(WindowTooSmall):
+        analyze(pyr, 1, 3, balance="uniform")
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo oracles on synthesized paths
 # ---------------------------------------------------------------------------
 
-def test_analyze_matches_individual_operations():
-    from ofbmkit.wavelet import dwt, spectrum_set
+def per_octave_estimates(pyr, w):
+    """(H_U, H_M, H_M_bc) from the spectrum functions, one octave at a time."""
+    spectra = spectrum_set(pyr, w.j1, w.j2).spectra
+    log_diag = np.log2(np.stack([np.diag(s) for s in spectra]))
+    log_eig = np.log2(np.stack([sorted_eigenvalues(s) for s in spectra]))
+    log_eig_bc = np.stack(
+        [averaged_log_eigenvalues(windowed_spectra(pyr, j, w.j2)) for j in w.octaves]
+    )
+    return [0.5 * (w.w @ y - 1.0) for y in (log_diag, log_eig, log_eig_bc)]
 
+
+def test_analyze_matches_individual_operations():
     p = make_params([0.4, 0.7], [1.0, 1.0], [[1.0, 0.4], [0.4, 1.0]])
     path = CirculantEmbedding(p, 2**13).sample(123, kind="mfBm")
     j1, j2 = 4, 7
     pyr = dwt(path.data, j2)
     counts = [pyr.counts[j - 1] for j in range(j1, j2 + 1)]
     w = regression_weights(j1, j2, "by_count", counts)
-    spectra = spectrum_set(pyr, j1, j2)
     rec = analyze(pyr, j1, j2)
     # the batched core reproduces the per-octave functions bit for bit
-    np.testing.assert_array_equal(rec.h_u, estimate_univariate(spectra, w))
-    np.testing.assert_array_equal(rec.h_m, estimate_multivariate(spectra, w))
-    np.testing.assert_array_equal(rec.h_m_bc, estimate_multivariate_bc(pyr, j1, j2, w))
+    h_u, h_m, h_m_bc = per_octave_estimates(pyr, w)
+    np.testing.assert_array_equal(rec.h_u, h_u)
+    np.testing.assert_array_equal(rec.h_m, h_m)
+    np.testing.assert_array_equal(rec.h_m_bc, h_m_bc)
 
 
 def test_univariate_fbm_recovery():

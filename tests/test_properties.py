@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ofbmkit.synthesis as synthesis
 from ofbmkit.analysis import McConfig, run_mc
 from ofbmkit.errors import EmbeddingFailed
-from ofbmkit.estimation import ScalingRangeConfig, sorted_eigenvalues
+from ofbmkit.estimation import ScalingRangeConfig, analyze, sorted_eigenvalues
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
 from ofbmkit.wavelet import dwt, wavelet_spectrum
@@ -32,6 +34,41 @@ def test_mean_spectrum_eigenvalue_slopes_follow_exponents():
     log_eig = np.stack([np.log2(sorted_eigenvalues(acc[i])) for i in range(acc.shape[0])])
     slopes = np.diff(log_eig, axis=0).mean(axis=0)
     np.testing.assert_allclose(slopes, 2 * h + 1, atol=0.15)
+
+
+def _mixed_path(h, seed):
+    """A 2^11-sample mfBm path of exponents h under a random orthogonal mixing."""
+    m = len(h)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(m, m)))
+    return CirculantEmbedding(make_params(h, np.ones(m), None, q), 2**11).sample(seed, kind="mfBm").data
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    h=st.lists(st.floats(0.2, 0.8), min_size=1, max_size=3).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+)
+def test_amplitude_leaves_all_estimates_unchanged(h, seed, c):
+    x = _mixed_path(h, seed)
+    base, scaled = analyze(x, 2, 5), analyze(c * x, 2, 5)
+    for name in ("h_u", "h_m", "h_m_bc"):
+        np.testing.assert_allclose(getattr(scaled, name), getattr(base, name), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    h=st.lists(st.floats(0.2, 0.8), min_size=2, max_size=4).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_component_order_leaves_eigenvalue_estimates_unchanged(h, seed, data):
+    x = _mixed_path(h, seed)
+    order = data.draw(st.permutations(range(len(h))))
+    base, permuted = analyze(x, 2, 5), analyze(x[order], 2, 5)
+    np.testing.assert_allclose(permuted.h_m, base.h_m, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(permuted.h_m_bc, base.h_m_bc, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(permuted.h_u, base.h_u[order], rtol=0, atol=1e-12)
 
 
 def test_variance_ratio_band_mixing_and_nonmixing():

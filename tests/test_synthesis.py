@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofbmkit import synthesis
-from ofbmkit.errors import IndexOutOfRange, MalformedInput, SeedOutOfRange
+from ofbmkit.errors import MalformedInput, SeedOutOfRange
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import (
     RNG_ID,
@@ -17,15 +17,12 @@ from ofbmkit.synthesis import (
     SamplePath,
     gaussian_variates,
     mfgn_covariance_matrices,
-    mfgn_cross_covariance,
     path_from_binary,
     path_from_csv,
     path_sidecar,
     path_to_binary,
     path_to_csv,
     series_from_csv,
-    synthesize_mfbm,
-    synthesize_mfgn,
 )
 
 BIV = make_params(
@@ -37,43 +34,34 @@ BIV = make_params(
 
 
 def test_cross_covariance_white_noise_case():
-    p = make_params([0.5], [1.0])
-    assert mfgn_cross_covariance(p, 0, 0, 0) == pytest.approx(1.0)
-    assert mfgn_cross_covariance(p, 0, 0, 1) == pytest.approx(0.0, abs=1e-15)
+    gam = mfgn_covariance_matrices(make_params([0.5], [1.0]), [0, 1])
+    assert gam[0, 0, 0] == pytest.approx(1.0)
+    assert gam[1, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cross_covariance_lag_one_value():
     # 0.5 * (2**1.4 - 2) evaluated at high precision
-    p = make_params([0.7], [1.0])
-    assert mfgn_cross_covariance(p, 0, 0, 1) == pytest.approx(
-        0.3195079107728943, abs=1e-15
-    )
+    gam = mfgn_covariance_matrices(make_params([0.7], [1.0]), [1])
+    assert gam[0, 0, 0] == pytest.approx(0.3195079107728943, abs=1e-15)
 
 
 def test_cross_covariance_even_in_lag():
-    rng = np.random.default_rng(5)
-    p = BIV
-    for _ in range(50):
-        k = int(rng.integers(0, 40))
-        a, b = rng.integers(0, 2, size=2)
-        assert mfgn_cross_covariance(p, a, b, k) == pytest.approx(
-            mfgn_cross_covariance(p, a, b, -k), abs=1e-15
-        )
-
-
-def test_cross_covariance_index_checked():
-    with pytest.raises(IndexOutOfRange):
-        mfgn_cross_covariance(BIV, 0, 2, 1)
+    lags = np.arange(40)
+    np.testing.assert_allclose(
+        mfgn_covariance_matrices(BIV, lags), mfgn_covariance_matrices(BIV, -lags), rtol=0, atol=1e-15
+    )
 
 
 def test_covariance_matrices_match_scalar_entries():
+    # closed form Gamma(k)[a, b] = sigma_ab / 2 * (|k-1|^h - 2|k|^h + |k+1|^h), h = H_a + H_b
     gam = mfgn_covariance_matrices(BIV, [0, 1, 5])
+    sigma = BIV.sigma.sigma
     for i, k in enumerate((0, 1, 5)):
         for a in range(2):
             for b in range(2):
-                assert gam[i, a, b] == pytest.approx(
-                    mfgn_cross_covariance(BIV, a, b, k), abs=1e-15
-                )
+                h = BIV.hurst.values[a] + BIV.hurst.values[b]
+                ref = 0.5 * sigma[a, b] * (abs(k - 1) ** h - 2.0 * k**h + (k + 1) ** h)
+                assert gam[i, a, b] == pytest.approx(ref, abs=1e-15)
     assert mfgn_covariance_matrices(BIV, np.arange(6)).shape == (6, 2, 2)
 
 
@@ -183,10 +171,10 @@ def test_sample_draws_one_normal_per_embedding_slot(monkeypatch):
 
 
 def test_synthesis_deterministic():
-    a, _ = synthesize_mfgn(BIV, 256, 7)
-    b, _ = synthesize_mfgn(BIV, 256, 7)
+    a = CirculantEmbedding(BIV, 256).sample(7)
+    b = CirculantEmbedding(BIV, 256).sample(7)
     np.testing.assert_array_equal(a.data, b.data)
-    c, _ = synthesize_mfgn(BIV, 256, 8)
+    c = CirculantEmbedding(BIV, 256).sample(8)
     assert not np.array_equal(a.data, c.data)
 
 
@@ -203,7 +191,7 @@ def test_embedding_exact_covariance_closed_form():
 
 
 def test_embedding_report_fields():
-    _, rep = synthesize_mfgn(BIV, 100, 3)
+    rep = CirculantEmbedding(BIV, 100).report
     assert rep.embedding_size >= 2 * 99
     assert rep.embedding_size & (rep.embedding_size - 1) == 0  # power of two
     assert 0.0 <= rep.clipped_mass <= 1.0
@@ -258,8 +246,8 @@ def test_distinct_seeds_uncorrelated():
 
 
 def test_mfbm_is_cumsum_of_mfgn():
-    inc, _ = synthesize_mfgn(BIV, 300, 17)
-    path = synthesize_mfbm(BIV, 300, 17)
+    inc = CirculantEmbedding(BIV, 300).sample(17)
+    path = CirculantEmbedding(BIV, 300).sample(17, kind="mfBm")
     np.testing.assert_array_equal(path.data, np.cumsum(inc.data, axis=1))
     assert path.kind == "mfBm"
     assert path.n == 300
@@ -297,13 +285,13 @@ def test_batch_api_matches_single_calls():
     # one shared embedding gives the same paths as a fresh embedding per seed
     emb = CirculantEmbedding(BIV, 64)
     for seed in (5, 9, 2):
-        single, rep = synthesize_mfgn(BIV, 64, seed)
-        np.testing.assert_array_equal(emb.sample(seed).data, single.data)
-    assert emb.report.clipped_mass == 0.0 and rep.clipped_mass == 0.0
+        fresh = CirculantEmbedding(BIV, 64)
+        np.testing.assert_array_equal(emb.sample(seed).data, fresh.sample(seed).data)
+    assert emb.report.clipped_mass == 0.0 and fresh.report.clipped_mass == 0.0
 
 
 def test_csv_round_trip():
-    path, _ = synthesize_mfgn(BIV, 32, 4)
+    path = CirculantEmbedding(BIV, 32).sample(4)
     buf = io.StringIO(newline="")
     path_to_csv(path, buf)
     buf.seek(0)
@@ -440,7 +428,7 @@ def test_series_from_csv_takes_ascii_numerals_only(content):
 
 
 def test_binary_round_trip_and_sidecar():
-    path = synthesize_mfbm(BIV, 32, 4)
+    path = CirculantEmbedding(BIV, 32).sample(4, kind="mfBm")
     data = io.BytesIO()
     side = io.StringIO()
     path_to_binary(path, data, side)
