@@ -17,7 +17,6 @@ from .analysis import (
     estimate_correlation,
     mahalanobis_samples,
     performance_matrices,
-    qq_correlation,
     run_mc,
     sliding_window_estimates,
     spectral_norm,

@@ -102,8 +102,22 @@ def _weights_mode(args) -> str:
     return args.weights.replace("-", "_")
 
 
+@contextmanager
+def _decoding(role: str, path):
+    """Report a file that is not UTF-8 as MalformedInput naming it and its role."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{role} file {path} is not UTF-8: {exc}") from exc
+
+
+def _read_params(path):
+    with _decoding("--params", path):
+        return load_params(path)
+
+
 def _read_series(path, label_column: str | None = None):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _decoding("series", path), open(path, "r", encoding="utf-8", newline="") as fh:
         return series_from_csv(fh, label_column)
 
 
@@ -112,7 +126,7 @@ def _read_series(path, label_column: str | None = None):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    params = load_params(args.params)
+    params = _read_params(args.params)
     _check_seeds(args.seed)  # before the embedding, which can take seconds to build
     emb = CirculantEmbedding(params, args.n)
     kind = "mfBm" if args.kind == "mfbm" else "mfGn"
@@ -159,7 +173,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    params = load_params(args.params)
+    params = _read_params(args.params)
     cfg = McConfig(
         params=params,
         n=args.n,
@@ -218,16 +232,29 @@ def cmd_mc(args) -> int:
     return EXIT_OK
 
 
-def _window_labels(labels: np.ndarray, window: int, hop: int):
-    """Majority label of each window."""
-    out = []
-    start = 0
-    n = labels.size
-    while start + window <= n:
-        values, counts = np.unique(labels[start : start + window], return_counts=True)
-        out.append(values[np.argmax(counts)])
-        start += hop
-    return out
+def _window_labels(labels: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """Majority label of each window; a tie goes to the label that sorts first.
+
+    The labels are coded once.  Counts come from one cumulative sum per
+    distinct label, or, where that costs more (many distinct labels, such as
+    a numeric column), from each window's own codes.
+    """
+    values, codes = np.unique(labels, return_inverse=True)
+    starts = np.arange(0, labels.size - window + 1, hop)
+    if values.size * labels.size > starts.size * window:
+        modes = []
+        for s in starts:
+            present, counts = np.unique(codes[s : s + window], return_counts=True)
+            modes.append(present[np.argmax(counts)])
+        return values[modes]
+    best = np.zeros(starts.size, dtype=np.intp)
+    most = np.full(starts.size, -1)
+    for k in range(values.size):  # labels in sorted order; only a larger count wins
+        seen = np.concatenate(([0], np.cumsum(codes == k)))
+        count = seen[starts + window] - seen[starts]
+        best[count > most] = k
+        most = np.maximum(most, count)
+    return values[best]
 
 
 def cmd_sliding(args) -> int:
@@ -260,11 +287,11 @@ def cmd_sliding(args) -> int:
 
     if labels is not None and records:
         wlabels = _window_labels(labels, args.window, args.hop)
-        groups = sorted(set(wlabels))
+        groups = np.unique(wlabels).tolist()
         if len(groups) != 2:
             raise DataError(f"need exactly two window labels, got {groups}")
-        ga, gb = groups
-        payload = {"groups": [str(ga), str(gb)], "alpha": args.alpha, "tests": {}}
+        mask = wlabels == groups[0]
+        payload = {"groups": groups, "alpha": args.alpha, "tests": {}}
         with _atomic_open(os.path.join(args.out_dir, "pvalues.csv")) as fh:
             writer = csv.writer(fh)
             writer.writerow(["estimator", "rank", "m", "pvalue", "bh_threshold", "rejected"])
@@ -272,7 +299,6 @@ def cmd_sliding(args) -> int:
                 per_window = np.stack(
                     [{"U": r.h_u, "M": r.h_m, "BC": r.h_m_bc}[code] for r in records]
                 )
-                mask = np.asarray([wl == ga for wl in wlabels])
                 pvals = [
                     wilcoxon_ranksum(per_window[mask, m], per_window[~mask, m])
                     for m in range(per_window.shape[1])
@@ -382,7 +408,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MalformedInput as exc:

@@ -50,7 +50,7 @@ class CorrelationInfeasible(ModelValidationError):
 
 
 class MalformedInput(OfbmkitError):
-    """An input file is empty, ragged or holds a non-numeric sample."""
+    """An input file is not UTF-8, is empty or ragged, or holds a non-numeric sample."""
 
 
 class DataError(OfbmkitError):

@@ -161,8 +161,6 @@ class CirculantEmbedding:
         # sqrt(size) W B(f) as (M, M, size/2 + 1), frequency last
         mixed = np.moveaxis(params.mixing.entries @ b, 0, -1) * np.sqrt(size)
         self._factor = np.ascontiguousarray(mixed)
-        self._evals = clipped_evals
-        self._evecs = evecs
         self.size = size
         self.report = EmbeddingReport(
             embedding_size=size,
@@ -220,13 +218,13 @@ class CirculantEmbedding:
     def realized_covariance(self, max_lag: int) -> np.ndarray:
         """Exact mixed covariance of the sampling map, lags 0..max_lag.
 
-        Computed in closed form from the (possibly clipped) spectral matrices;
-        equals W Gamma(k) W^T whenever nothing was clipped.
+        The factor F(f) = sqrt(size) W B(f) gives F F^T / size = W B(f)^2 W^T,
+        the mixed (possibly clipped) spectral matrix, so its inverse FFT equals
+        W Gamma(k) W^T whenever nothing was clipped.
         """
-        lam = np.einsum("fij,fj,fkj->fik", self._evecs, self._evals, self._evecs)
-        c = np.fft.irfft(lam, n=self.size, axis=0)[: max_lag + 1]
-        w = self.params.mixing.entries
-        return np.einsum("ij,fjk,lk->fil", w, c, w)
+        f = self._factor
+        spec = np.einsum("ijf,kjf->fik", f, f) / self.size
+        return np.fft.irfft(spec, n=self.size, axis=0)[: max_lag + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +282,13 @@ def series_from_csv(fh, label_column: str | None = None):
         skip.add(label)
     cols = [i for i in range(len(header)) if i not in skip]
     body = text[len(first) :]
-    # with each quoted field cut to "", the records are the non-blank lines
-    lines = _QUOTED_FIELD.sub('""', body).split("\n")
-    fields = np.array([line.count(",") + 1 for line in lines if line])
+    # with each quoted field cut to "", the records are the non-blank lines;
+    # line k lies between bounds k and k + 1 and has one field more than
+    # commas (no UTF-8 byte of another character equals "," or "\n")
+    cut = np.frombuffer(_QUOTED_FIELD.sub('""', body).encode(), dtype=np.uint8)
+    bounds = np.concatenate(([-1], np.flatnonzero(cut == ord("\n")), [cut.size]))
+    commas = np.searchsorted(np.flatnonzero(cut == ord(",")), bounds)
+    fields = (np.diff(commas) + 1)[np.diff(bounds) > 1]
     if not fields.size or not cols:
         raise MalformedInput("series file holds no samples")
     ragged = np.flatnonzero(fields != len(header))

@@ -15,7 +15,6 @@ from ofbmkit.analysis import (
     McConfig,
     bh_reject,
     chi2_quantiles,
-    qq_correlation,
     run_mc,
     wilcoxon_ranksum,
 )
@@ -30,6 +29,7 @@ from ofbmkit.model import make_params, save_params
 from ofbmkit.synthesis import CirculantEmbedding, mfgn_covariance_matrices
 from ofbmkit.wavelet import dwt, pyramid_counts, spectrum_set, wavelet_spectrum
 
+from test_analysis import qq_correlation
 from test_estimation import exact_pyramid
 
 

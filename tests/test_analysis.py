@@ -14,7 +14,7 @@ from ofbmkit.analysis import (
     estimate_correlation,
     mahalanobis_samples,
     performance_matrices,
-    qq_correlation,
+    qq_pairs,
     run_mc,
     sliding_window_estimates,
     spectral_norm,
@@ -142,6 +142,12 @@ def test_mahalanobis_affine_invariance():
     np.testing.assert_allclose(d1, d2, atol=1e-8)
 
 
+def qq_correlation(samples, dof):
+    """Pearson correlation between empirical and theoretical QQ quantiles."""
+    _, theo, emp = qq_pairs(samples, dof)
+    return float(np.corrcoef(theo, emp)[0, 1])
+
+
 def test_mahalanobis_chi2_qq():
     rng = np.random.default_rng(6)
     m = 3
@@ -229,6 +235,20 @@ def test_wilcoxon_normal_approx_reasonable():
     ref = stats.mannwhitneyu(x, y, alternative="two-sided", method="asymptotic").pvalue
     assert p == pytest.approx(ref, rel=0.05, abs=1e-6)
     assert p < 0.001
+
+
+@pytest.mark.parametrize("k", [20, 30, 60])
+def test_wilcoxon_normal_branch_far_tail_matches_mpmath(k):
+    # two fully separated groups of k: 2 (1 - ndtr(z)) was 2.8e-6 relative off
+    # at k = 30 and 0.0 at k = 60, where the p-value is 3.56e-21
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        var = mpmath.mpf(k * k) * (2 * k + 1) / 12
+        z = (mpmath.mpf(k * k) / 2 - mpmath.mpf(1) / 2) / mpmath.sqrt(var)
+        ref = mpmath.erfc(z / mpmath.sqrt(2))
+        for x, y in ((range(k), range(k, 2 * k)), (range(k, 2 * k), range(k))):
+            p = wilcoxon_ranksum(list(x), list(y))
+            assert abs(p - ref) <= 1e-13 * ref
 
 
 def test_wilcoxon_null_pvalues_roughly_uniform():

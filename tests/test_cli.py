@@ -146,17 +146,29 @@ def test_octave_range_rule_exit_4(params_file, tmp_path, capsys, monkeypatch, co
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["estimate", "sliding", "synth"])
-def test_file_that_is_not_utf8_exit_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["estimate", "sliding", "synth", "mc"])
+def test_file_that_is_not_utf8_exit_2(params_file, tmp_path, capsys, command):
+    # the message names the bad file and its role; the good file next to it runs
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"t,c1\n0,1.5\xff\n")
+    labelled = command == "sliding"
+    series = _write_series(tmp_path / "good.csv", _walk_rows(3000, label=labelled),
+                           ("t", "c1", "c2") + ("label",) * labelled)
+    out = ["--out-dir", str(tmp_path / "o")]
     if command == "synth":
         argv = ["synth", "--params", str(bad), "--n", "64", "--seed", "1", "--out", str(tmp_path / "y")]
+    elif command == "mc":
+        argv = ["mc", "--params", str(bad), "--n", "2048", "--n-mc", "2", "--seed", "1",
+                "--j1", "2", "--j2", "6"] + out
     else:
-        argv = [command, str(bad), "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "o")]
-        argv += ["--window", "520", "--hop", "260"] if command == "sliding" else []
+        argv = [command, str(bad), "--j1", "1", "--j2", "4"] + out
+        argv += ["--window", "520", "--hop", "260", "--label-column", "label"] if labelled else []
     assert main(argv) == 2
-    assert "can't decode byte 0xff" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    role = "--params" if command in ("synth", "mc") else "series"
+    assert f"{role} file {bad} is not UTF-8" in err and "can't decode byte 0xff" in err
+    good = params_file if command in ("synth", "mc") else series
+    assert main([good if a == str(bad) else a for a in argv]) == 0
 
 
 def test_mc_threads_identical_outputs(params_file, tmp_path):
@@ -321,20 +333,26 @@ def test_empty_or_non_numeric_series_exit_2(tmp_path, capsys, command, content):
         assert f"non-numeric sample 'x' in data row {len(rows)}, column 2" in err
 
 
-_FUZZ_X = np.random.default_rng(3).normal(size=(2, 40)).cumsum(axis=1)
+_FUZZ_X = np.random.default_rng(3).normal(size=(2, 40)).cumsum(axis=1).tolist()  # floats: plain reprs
 # 40 rows: enough for octaves 1..2 with the default filter, so the file as written estimates
 _FUZZ_VALID = ("t,c1,c2\r\n" + "".join(
-    f"{t},{_FUZZ_X[0, t]!r},{_FUZZ_X[1, t]!r}\r\n" for t in range(40)
+    f"{t},{_FUZZ_X[0][t]!r},{_FUZZ_X[1][t]!r}\r\n" for t in range(40)
 )).encode()
 _FUZZ_PIECES = [b'"', b",", b"\n", b"\r", b"\xff", b"\xc3", b"\x00", b" ", b"x", b"-", b"e", b"nan", b"t"]
 
 
+# the same walk with a label column: windows 0..31 and 8..39 have majorities a and b
+_FUZZ_LABELLED = ("t,c1,c2,label\r\n" + "".join(
+    f"{t},{_FUZZ_X[0][t]!r},{_FUZZ_X[1][t]!r},{'ab'[t >= 20]}\r\n" for t in range(40)
+)).encode()
+
+
 @st.composite
-def _mutated_series(draw):
-    data = bytearray(_FUZZ_VALID)
+def _mutated_series(draw, valid=_FUZZ_VALID, pieces=_FUZZ_PIECES):
+    data = bytearray(valid)
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(data)))
-        piece = draw(st.sampled_from(_FUZZ_PIECES) | st.binary(min_size=1, max_size=3))
+        piece = draw(st.sampled_from(pieces) | st.binary(min_size=1, max_size=3))
         edit = draw(st.sampled_from(["insert", "replace", "delete", "truncate"]))
         if edit == "insert":
             data[i:i] = piece
@@ -355,6 +373,56 @@ def test_estimate_never_exits_5_on_malformed_input(tmp_path_factory, content):
     path.write_bytes(content)
     rc = main(["estimate", str(path), "--j1", "1", "--j2", "2", "--out-dir", str(path.parent / "o")])
     assert rc in (0, 2, 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), labelled=st.booleans())
+def test_sliding_never_exits_5_on_malformed_input(tmp_path_factory, data, labelled):
+    valid = _FUZZ_LABELLED if labelled else _FUZZ_VALID
+    content = data.draw(st.binary(max_size=40) | _mutated_series(valid) | st.just(valid))
+    path = tmp_path_factory.mktemp("fuzz") / "x.csv"
+    path.write_bytes(content)
+    argv = ["sliding", str(path), "--window", "32", "--hop", "8", "--j1", "1", "--j2", "2",
+            "--out-dir", str(path.parent / "o")]
+    rc = main(argv + (["--label-column", "label"] if labelled else []))
+    assert rc in (0, 2, 3, 4)
+    assert rc == 0 or content != valid
+
+
+_FUZZ_PARAMS = json.dumps(
+    {"H": [0.4, 0.7], "var": [1.0, 1.0], "rho": [[1.0, 0.4], [0.4, 1.0]], "W": [[1.0, 0.3], [-0.2, 1.0]]},
+    indent=2,
+).encode()
+_FUZZ_JSON_PIECES = [b'"', b",", b"{", b"}", b"[", b"]", b":", b"-", b"0", b"1e400", b"NaN",
+                     b"Infinity", b"null", b"true", b'"H"', b"\xff", b" "]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated_params(draw):
+    doc = json.loads(_FUZZ_PARAMS)
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(_JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(content=st.binary(max_size=40) | _mutated_series(_FUZZ_PARAMS, _FUZZ_JSON_PIECES)
+       | _mutated_params() | _JSON_VALUES.map(lambda v: json.dumps(v).encode()))
+def test_synth_never_exits_5_on_malformed_params(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "p.json"
+    path.write_bytes(content)
+    rc = main(["synth", "--params", str(path), "--n", "64", "--seed", "1", "--out", str(path.parent / "y.csv")])
+    assert rc in (0, 2, 3, 4)
 
 
 def test_sliding_missing_label_column_exit_2(tmp_path):
@@ -380,8 +448,10 @@ def test_sliding_drops_t_column_anywhere(tmp_path, header):
 
 
 def test_cli_import_does_not_load_scipy_stats(tmp_path):
-    # nor scipy at all: only mc, synth and a labelled sliding run call scipy.special
+    # nor scipy at all: only mc and synth call scipy.special; the labelled run
+    # has 12 and 13 windows per group, so the rank-sum test takes its normal branch
     series = _write_series(tmp_path / "x.csv", _walk_rows(3000))
+    labelled = _write_series(tmp_path / "xl.csv", _walk_rows(3000, label=True), ("t", "c1", "c2", "label"))
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "\n".join(
@@ -394,6 +464,8 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
             " '--j1', '1', '--j2', '4']) == 0",
             f"assert ofbmkit.cli.main(['sliding', {series!r}, '--out-dir', {str(tmp_path / 's')!r},"
             " '--window', '520', '--hop', '260', '--j1', '1', '--j2', '4']) == 0",
+            f"assert ofbmkit.cli.main(['sliding', {labelled!r}, '--out-dir', {str(tmp_path / 'l')!r},"
+            " '--window', '520', '--hop', '100', '--j1', '1', '--j2', '4', '--label-column', 'label']) == 0",
             "print(loaded())",
         ]
     )
@@ -402,6 +474,46 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert (tmp_path / "e" / "estimate.json").exists() and (tmp_path / "s" / "windows.csv").exists()
+    assert (tmp_path / "l" / "pvalues.csv").exists()
+
+
+def _window_labels_per_window(labels, window, hop):
+    """The majority rule window by window: np.unique sorts, argmax takes the first tie."""
+    out = []
+    for start in range(0, labels.size - window + 1, hop):
+        values, counts = np.unique(labels[start : start + window], return_counts=True)
+        out.append(values[np.argmax(counts)])
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    labels=st.lists(st.sampled_from(["b", "a", "c", "a b", ""]), min_size=1, max_size=60),
+    window=st.integers(1, 60),
+    hop=st.integers(1, 60),
+)
+def test_window_labels_equal_the_per_window_majority(labels, window, hop):
+    labels = np.array(labels)
+    window = min(window, labels.size)
+    hop = min(hop, window)
+    got = cli._window_labels(labels, window, hop)
+    assert got.tolist() == [str(v) for v in _window_labels_per_window(labels, window, hop)]
+
+
+def test_sliding_needs_exactly_two_window_labels_exit_4(tmp_path, capsys):
+    rows = [row[:3] + ["abc"[3 * row[0] // 3000]] for row in _walk_rows(3000)]
+    path = _write_series(tmp_path / "x.csv", rows, ("t", "c1", "c2", "label"))
+    rc = main(["sliding", path, "--window", "520", "--hop", "260", "--j1", "1", "--j2", "4",
+               "--label-column", "label", "--out-dir", str(tmp_path / "o")])
+    assert rc == 4
+    assert "need exactly two window labels, got ['a', 'b', 'c']" in capsys.readouterr().err
+
+
+def test_window_labels_tie_goes_to_the_first_label_in_sorted_order():
+    # three labels in 8 samples are counted window by window, two in 32 by cumulative sums
+    labels = np.array(["b", "b", "a", "a", "c", "c", "c", "b"])
+    assert cli._window_labels(labels, 4, 2).tolist() == ["a", "a", "c"]
+    assert cli._window_labels(np.array(["b", "b", "a", "a"] * 8), 4, 1).tolist() == ["a"] * 29
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -441,12 +553,14 @@ GOLDEN = {
     "logeig.csv": "86507bab15f0c5b2d408bb692d225b6182e22d4f4a0145f7c8dde614af613534",
     "spectra.csv": "dffe6ddbacc3bd1483b967e73efcdac471668978f0280fef2b546e8e020473cf",
     "windows.csv": "57c7c7c2ce0b54119f6e6b9860fb76c5237677b4b6a2914d82ae56a71926d4df",
-    "pvalues.csv": "b128b85b7ed986e24c4e3c811e98a11bf0227e1f5d1296f7d35f39f940cdfddb",
-    "groups.json": "5f41cbe7217a0c3bcf730f1f22fddd6b75a66353e9b3bf53081b372262052219",
     "windows_haar.csv": "6a091b955f24b45ee4c0cc33351e7084b7ff0fad8ce4c0cea3bef52b9b8f1566",
     "mc_report.json": "4359aaa86566e070e31491e3debf547dfbc88e52e5acbadc5fb128f75fb94c85",
     # captured later, once chi-square quantiles came from scipy.special.gammaincinv
     "qq.csv": "84769a857f924687c12dbe81daea1411ab526c2eab56d76815ddfb8b39773be9",
+    # recaptured once the rank-sum p-values came from math.erfc: only their last
+    # digits moved, and no BH decision changed
+    "pvalues.csv": "0ce69454f15940410fcf21ee8bb72dc4ce3716fe49eed9e1cd1581fe2a2c296d",
+    "groups.json": "c7770a557d5d8ee0afeee731ca5503a3387834468427d9d54d98fd6d40b7ffe6",
 }
 
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import ofbmkit.synthesis as synthesis
 from ofbmkit.analysis import McConfig, run_mc
-from ofbmkit.errors import EmbeddingFailed
-from ofbmkit.estimation import ScalingRangeConfig, analyze, sorted_eigenvalues
+from ofbmkit.errors import EmbeddingFailed, SeriesTooShort
+from ofbmkit.estimation import ScalingRangeConfig, analyze, regression_weights, sorted_eigenvalues
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
-from ofbmkit.wavelet import dwt, wavelet_spectrum
+from ofbmkit.wavelet import dwt, filter_bank, pyramid_counts, wavelet_spectrum
 
 W2 = np.array([[1.0, 0.6], [-0.5, 1.0]])
 RHO2 = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -69,6 +69,46 @@ def test_component_order_leaves_eigenvalue_estimates_unchanged(h, seed, data):
     np.testing.assert_allclose(permuted.h_m, base.h_m, rtol=0, atol=1e-12)
     np.testing.assert_allclose(permuted.h_m_bc, base.h_m_bc, rtol=0, atol=1e-12)
     np.testing.assert_allclose(permuted.h_u, base.h_u[order], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5000), name=st.sampled_from(["haar", "db2", "db3", "db4"]))
+def test_dwt_shapes_follow_the_count_law(n, name):
+    # n_j = floor((n_{j-1} - L + 1) / 2) from n_0 = n, down to the last octave
+    # with a coefficient, read off the arrays dwt returns
+    f = filter_bank(name)
+    x = np.arange(2 * n, dtype=float).reshape(2, n)
+    if (n - f.length + 1) // 2 < 1:
+        assert pyramid_counts(n, f.length) == ()
+        with pytest.raises(SeriesTooShort):
+            dwt(x, None, f)
+        return
+    shapes = [c.shape for c in dwt(x, None, f).coeffs]
+    prev = n
+    for shape in shapes:
+        assert shape == (2, (prev - f.length + 1) // 2)
+        prev = shape[1]
+    assert (prev - f.length + 1) // 2 < 1
+    assert pyramid_counts(n, f.length) == tuple(shape[1] for shape in shapes)
+
+
+@st.composite
+def _octaves_and_counts(draw):
+    j1 = draw(st.integers(1, 12))
+    j2 = draw(st.integers(j1 + 1, j1 + 8))
+    counts = draw(st.lists(st.integers(1, 2**16), min_size=j2 - j1 + 1, max_size=j2 - j1 + 1))
+    return j1, j2, counts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_octaves_and_counts(), balance=st.sampled_from(["uniform", "by_count"]))
+def test_regression_weights_sum_to_zero_with_unit_slope(case, balance):
+    j1, j2, counts = case
+    w = regression_weights(j1, j2, balance, counts)
+    j = np.arange(j1, j2 + 1)
+    scale = np.abs(w.w).sum() * j2  # the size of the terms each sum cancels
+    assert abs(w.w.sum()) <= 1e-14 * scale
+    assert abs((j * w.w).sum() - 1.0) <= 1e-14 * scale
 
 
 def test_variance_ratio_band_mixing_and_nonmixing():
