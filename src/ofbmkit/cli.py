@@ -235,26 +235,14 @@ def cmd_mc(args) -> int:
 def _window_labels(labels: np.ndarray, window: int, hop: int) -> np.ndarray:
     """Majority label of each window; a tie goes to the label that sorts first.
 
-    The labels are coded once.  Counts come from one cumulative sum per
-    distinct label, or, where that costs more (many distinct labels, such as
-    a numeric column), from each window's own codes.
+    The labels are coded once, so each window counts small integers.
     """
     values, codes = np.unique(labels, return_inverse=True)
-    starts = np.arange(0, labels.size - window + 1, hop)
-    if values.size * labels.size > starts.size * window:
-        modes = []
-        for s in starts:
-            present, counts = np.unique(codes[s : s + window], return_counts=True)
-            modes.append(present[np.argmax(counts)])
-        return values[modes]
-    best = np.zeros(starts.size, dtype=np.intp)
-    most = np.full(starts.size, -1)
-    for k in range(values.size):  # labels in sorted order; only a larger count wins
-        seen = np.concatenate(([0], np.cumsum(codes == k)))
-        count = seen[starts + window] - seen[starts]
-        best[count > most] = k
-        most = np.maximum(most, count)
-    return values[best]
+    modes = []
+    for s in range(0, labels.size - window + 1, hop):
+        present, counts = np.unique(codes[s : s + window], return_counts=True)
+        modes.append(present[np.argmax(counts)])
+    return values[np.asarray(modes, dtype=np.intp)]
 
 
 def cmd_sliding(args) -> int:

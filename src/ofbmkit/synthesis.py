@@ -284,8 +284,11 @@ def series_from_csv(fh, label_column: str | None = None):
     body = text[len(first) :]
     # with each quoted field cut to "", the records are the non-blank lines;
     # line k lies between bounds k and k + 1 and has one field more than
-    # commas (no UTF-8 byte of another character equals "," or "\n")
-    cut = np.frombuffer(_QUOTED_FIELD.sub('""', body).encode(), dtype=np.uint8)
+    # commas (no UTF-8 byte of another character equals "," or "\n"; a lone
+    # surrogate is encoded as its three bytes and left to np.loadtxt)
+    cut = np.frombuffer(
+        _QUOTED_FIELD.sub('""', body).encode("utf-8", "surrogatepass"), dtype=np.uint8
+    )
     bounds = np.concatenate(([-1], np.flatnonzero(cut == ord("\n")), [cut.size]))
     commas = np.searchsorted(np.flatnonzero(cut == ord(",")), bounds)
     fields = (np.diff(commas) + 1)[np.diff(bounds) > 1]

@@ -510,7 +510,6 @@ def test_sliding_needs_exactly_two_window_labels_exit_4(tmp_path, capsys):
 
 
 def test_window_labels_tie_goes_to_the_first_label_in_sorted_order():
-    # three labels in 8 samples are counted window by window, two in 32 by cumulative sums
     labels = np.array(["b", "b", "a", "a", "c", "c", "c", "b"])
     assert cli._window_labels(labels, 4, 2).tolist() == ["a", "a", "c"]
     assert cli._window_labels(np.array(["b", "b", "a", "a"] * 8), 4, 1).tolist() == ["a"] * 29

@@ -427,6 +427,13 @@ def test_series_from_csv_takes_ascii_numerals_only(content):
         series_from_csv(io.StringIO(content))
 
 
+@pytest.mark.parametrize("sample", ["1\ud800", "\udcff"])
+def test_series_from_csv_lone_surrogate_sample_is_malformed(sample):
+    # text decoded with errors="surrogateescape" can hold lone surrogates
+    with pytest.raises(MalformedInput, match="non-numeric sample .* in data row 2, column 2"):
+        series_from_csv(io.StringIO(f"t,c1\n0,1\n1,{sample}\n"))
+
+
 def test_binary_round_trip_and_sidecar():
     path = CirculantEmbedding(BIV, 32).sample(4, kind="mfBm")
     data = io.BytesIO()
