@@ -215,6 +215,20 @@ def test_mc_readme_smoke_command_writes_strict_json(params_file, tmp_path):
         assert rep["estimators"][code]["corr"] is None
         assert rep["estimators"][code]["mahalanobis"] is None
         assert np.isfinite(rep["estimators"][code]["estimates"]).all()
+    # the one run whose tables hold non-finite floats (corr.csv is all nan)
+    # and a table with no rows (qq.csv); digests captured before every CSV
+    # table went through one writer
+    got = {path.name: _sha256(path) for path in out_dir.iterdir()}
+    assert got == SMOKE_GOLDEN
+
+
+SMOKE_GOLDEN = {
+    "corr.csv": "44da0974e5bbc3e777ff7cb9b825d637aa45577f82bc5e4c886d88f9b664cdc0",
+    "estimates.csv": "6411a30f54c8a29eb46801826c17a8427b25038b61bfaeeeb74b3b83465ea14f",
+    "mc_report.json": "5ec56375893fe1c88a53bd2790a72d2b47455b5e0835bc52e3022d1041a77878",
+    "qq.csv": "49605df8a52160ff9a87ed34ee32b6f29ad811edf5e409bdc616b81da0d45e9b",
+    "spectral_norms.csv": "97111d800a093b2bd33a3e55c31b0204499b8c0d0da1d5598046632ca45ebe61",
+}
 
 
 def test_sliding_row_count_and_labels(tmp_path):
@@ -560,6 +574,10 @@ GOLDEN = {
     # digits moved, and no BH decision changed
     "pvalues.csv": "0ce69454f15940410fcf21ee8bb72dc4ce3716fe49eed9e1cd1581fe2a2c296d",
     "groups.json": "c7770a557d5d8ee0afeee731ca5503a3387834468427d9d54d98fd6d40b7ffe6",
+    # captured later, before every CSV table went through one writer
+    "estimates.csv": "21717b65f0018f8b10ee63bbaf209e0a735078d282a300af9e231bfade26260f",
+    "spectral_norms.csv": "8ba23e1f3a25c74c170d3281027ff2d015087feb3512808d29fe190f986f1720",
+    "corr.csv": "1090a8f9c4a8aa6a6c1868fd32a0c950c68eb85101e027a973ee5bfb7d6dbea1",
 }
 
 
@@ -587,7 +605,8 @@ def test_outputs_match_golden_digests(params_file, tmp_path):
         **{name: _sha256(tmp_path / "e" / name) for name in ("estimate.json", "logeig.csv", "spectra.csv")},
         **{name: _sha256(tmp_path / "s" / name) for name in ("windows.csv", "pvalues.csv", "groups.json")},
         "windows_haar.csv": _sha256(tmp_path / "h" / "windows.csv"),
-        **{name: _sha256(tmp_path / "mc" / name) for name in ("mc_report.json", "qq.csv")},
+        **{name: _sha256(tmp_path / "mc" / name)
+           for name in ("mc_report.json", "qq.csv", "estimates.csv", "spectral_norms.csv", "corr.csv")},
     }
     assert got == GOLDEN
 
