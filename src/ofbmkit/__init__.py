@@ -58,7 +58,6 @@ from .synthesis import (
 from .wavelet import (
     WaveletFilter,
     WaveletPyramid,
-    WaveletSpectrumSet,
     dwt,
     filter_bank,
     spectrum_set,

@@ -4,14 +4,14 @@ Every command is deterministic given its full flag set; outputs are written
 atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems
 (including a file that is not UTF-8, a malformed series CSV and a seed
 outside 0..2^64 - 1), 3 model validation, 4 data/estimation (including NaN
-or infinite samples, a bad --j1/--j2 pair and a ``sliding`` series shorter
-than one window), 5 internal.
+or infinite samples, a bad --j1/--j2 pair, a ``sliding`` series shorter
+than one window and a labelled ``sliding`` whose windows do not carry exactly
+two labels), 5 internal.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -27,7 +27,7 @@ from .analysis import (
     McConfig,
     bh_reject,
     qq_pairs,
-    report_to_json,
+    report_to_dict,
     run_mc,
     sliding_window_estimates,
     wilcoxon_ranksum,
@@ -50,6 +50,7 @@ from .synthesis import (
     path_to_binary,
     path_to_csv,
     series_from_csv,
+    table_to_csv,
 )
 from .wavelet import filter_bank
 
@@ -92,6 +93,11 @@ def _write_json(path, payload: dict) -> None:
     with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with _atomic_open(path) as fh:
+        table_to_csv(fh, header, zip(*rows))
 
 
 def _range_config(args) -> ScalingRangeConfig:
@@ -144,31 +150,30 @@ def cmd_synth(args) -> int:
 
 def cmd_estimate(args) -> int:
     from .estimation import analyze
-    from .wavelet import dwt, spectra_to_csv, spectrum_set
+    from .wavelet import dwt, spectrum_set
 
     x, _ = _read_series(args.input)
     j1, j2 = octave_range(x.shape[1], _range_config(args), args.j1, args.j2)
     f = filter_bank(args.filter)
     pyr = dwt(x, j2, f)
     rec = analyze(pyr, j1, j2, f=f, balance=_weights_mode(args))
-    os.makedirs(args.out_dir, exist_ok=True)
-    _write_json(os.path.join(args.out_dir, "estimate.json"), record_to_dict(rec))
-    with _atomic_open(os.path.join(args.out_dir, "spectra.csv")) as fh:
-        spectra_to_csv(spectrum_set(pyr, j1, j2), fh)
-    with _atomic_open(os.path.join(args.out_dir, "logeig.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "m", "log_diag", "log_eig", "log_eig_bc"])
-        for row, j in enumerate(range(rec.j1, rec.j2 + 1)):
-            for m in range(rec.h_m.size):
-                writer.writerow(
-                    [
-                        j,
-                        m + 1,
-                        repr(float(rec.diag_logs[row, m])),
-                        repr(float(rec.log_eig[row, m])),
-                        repr(float(rec.log_eig_bc[row, m])),
-                    ]
-                )
+    out = args.out_dir
+    os.makedirs(out, exist_ok=True)
+    _write_json(os.path.join(out, "estimate.json"), record_to_dict(rec))
+    spectra = [
+        (j, a + 1, b + 1, value, pyr.counts[j - 1])
+        for j, spectrum in zip(range(j1, j2 + 1), spectrum_set(pyr, j1, j2).tolist())
+        for a, row in enumerate(spectrum)
+        for b, value in enumerate(row)
+    ]
+    _write_csv(os.path.join(out, "spectra.csv"), ["j", "m", "mp", "s", "n_j"], spectra)
+    diag, eig, bc = rec.diag_logs.tolist(), rec.log_eig.tolist(), rec.log_eig_bc.tolist()
+    logeig = [
+        (j, m + 1, diag[row][m], eig[row][m], bc[row][m])
+        for row, j in enumerate(range(j1, j2 + 1))
+        for m in range(rec.h_m.size)
+    ]
+    _write_csv(os.path.join(out, "logeig.csv"), ["j", "m", "log_diag", "log_eig", "log_eig_bc"], logeig)
     return EXIT_OK
 
 
@@ -188,47 +193,36 @@ def cmd_mc(args) -> int:
     rep = run_mc(cfg, threads=args.threads)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    with _atomic_open(os.path.join(out, "mc_report.json")) as fh:
-        fh.write(report_to_json(rep) + "\n")
-
-    with _atomic_open(os.path.join(out, "estimates.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "estimator", "m", "value"])
-        for code in ESTIMATORS:
-            arr = rep.estimates[code]
-            for r in range(arr.shape[0]):
-                for m in range(arr.shape[1]):
-                    writer.writerow([r + 1, code, m + 1, repr(float(arr[r, m]))])
-
-    with _atomic_open(os.path.join(out, "qq.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "p", "chi2_quantile", "mahalanobis_quantile"])
-        dof = rep.h_true.size
-        for code in ESTIMATORS:
-            samples = rep.mahalanobis[code]
-            if np.any(np.isnan(samples)):
-                continue
-            probs, theo, emp = qq_pairs(samples, dof)
-            for p, t, e in zip(probs, theo, emp):
-                writer.writerow([code, repr(float(p)), repr(float(t)), repr(float(e))])
-
-    with _atomic_open(os.path.join(out, "spectral_norms.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "log2_n", "estimator", "matrix", "spectral_norm"])
-        for code in ESTIMATORS:
-            for name, value in rep.spectral_norms[code].items():
-                writer.writerow(
-                    [rep.config_n, repr(float(np.log2(rep.config_n))), code, name, repr(float(value))]
-                )
-
-    with _atomic_open(os.path.join(out, "corr.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "m", "mp", "corr"])
-        for code in ESTIMATORS:
-            c = rep.corr[code]
-            for a in range(c.shape[0]):
-                for b in range(c.shape[1]):
-                    writer.writerow([code, a + 1, b + 1, repr(float(c[a, b]))])
+    _write_json(os.path.join(out, "mc_report.json"), report_to_dict(rep))
+    estimates = [
+        (r + 1, code, m + 1, value)
+        for code in ESTIMATORS
+        for r, row in enumerate(rep.estimates[code].tolist())
+        for m, value in enumerate(row)
+    ]
+    _write_csv(os.path.join(out, "estimates.csv"), ["r", "estimator", "m", "value"], estimates)
+    qq = [
+        (code, *values)
+        for code in ESTIMATORS
+        if not np.any(np.isnan(rep.mahalanobis[code]))
+        for values in zip(*(a.tolist() for a in qq_pairs(rep.mahalanobis[code], rep.h_true.size)))
+    ]
+    header = ["estimator", "p", "chi2_quantile", "mahalanobis_quantile"]
+    _write_csv(os.path.join(out, "qq.csv"), header, qq)
+    norms = [
+        (rep.config_n, float(np.log2(rep.config_n)), code, name, float(value))
+        for code in ESTIMATORS
+        for name, value in rep.spectral_norms[code].items()
+    ]
+    header = ["n", "log2_n", "estimator", "matrix", "spectral_norm"]
+    _write_csv(os.path.join(out, "spectral_norms.csv"), header, norms)
+    corr = [
+        (code, a + 1, b + 1, value)
+        for code in ESTIMATORS
+        for a, row in enumerate(rep.corr[code].tolist())
+        for b, value in enumerate(row)
+    ]
+    _write_csv(os.path.join(out, "corr.csv"), ["estimator", "m", "mp", "corr"], corr)
     return EXIT_OK
 
 
@@ -254,6 +248,11 @@ def cmd_sliding(args) -> int:
         raise SeriesTooShort(
             f"series of {x.shape[1]} samples is shorter than one window of {args.window}"
         )
+    if labels is not None:
+        wlabels = _window_labels(labels, args.window, args.hop)
+        groups = np.unique(wlabels).tolist()
+        if len(groups) != 2:
+            raise DataError(f"need exactly two window labels, got {groups}")
     records = sliding_window_estimates(
         x,
         args.window,
@@ -263,48 +262,35 @@ def cmd_sliding(args) -> int:
         f=filter_bank(args.filter),
         balance=_weights_mode(args),
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    with _atomic_open(os.path.join(args.out_dir, "windows.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_start", "estimator", "m", "value"])
-        for rec in records:
-            vectors = {"U": rec.h_u, "M": rec.h_m, "BC": rec.h_m_bc}
-            for code in ESTIMATORS:
-                for m, value in enumerate(vectors[code]):
-                    writer.writerow([rec.t_start, code, m + 1, repr(float(value))])
+    # (windows, estimators, M), estimators in ESTIMATORS order
+    h = np.stack([(r.h_u, r.h_m, r.h_m_bc) for r in records])
+    out = args.out_dir
+    os.makedirs(out, exist_ok=True)
+    windows = [
+        (rec.t_start, code, m + 1, value)
+        for rec, vectors in zip(records, h.tolist())
+        for code, vector in zip(ESTIMATORS, vectors)
+        for m, value in enumerate(vector)
+    ]
+    _write_csv(os.path.join(out, "windows.csv"), ["t_start", "estimator", "m", "value"], windows)
 
-    if labels is not None and records:
-        wlabels = _window_labels(labels, args.window, args.hop)
-        groups = np.unique(wlabels).tolist()
-        if len(groups) != 2:
-            raise DataError(f"need exactly two window labels, got {groups}")
+    if labels is not None:
         mask = wlabels == groups[0]
-        payload = {"groups": groups, "alpha": args.alpha, "tests": {}}
-        with _atomic_open(os.path.join(args.out_dir, "pvalues.csv")) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["estimator", "rank", "m", "pvalue", "bh_threshold", "rejected"])
-            for code in ESTIMATORS:
-                per_window = np.stack(
-                    [{"U": r.h_u, "M": r.h_m, "BC": r.h_m_bc}[code] for r in records]
-                )
-                pvals = [
-                    wilcoxon_ranksum(per_window[mask, m], per_window[~mask, m])
-                    for m in range(per_window.shape[1])
-                ]
-                rep = bh_reject(pvals, args.alpha)
-                payload["tests"][code] = rep.to_dict()
-                for rank in range(rep.pvalues.size):
-                    writer.writerow(
-                        [
-                            code,
-                            rank + 1,
-                            int(rep.original_indices[rank]) + 1,
-                            repr(float(rep.pvalues[rank])),
-                            repr(float(rep.bh_thresholds[rank])),
-                            bool(rep.rejected[rank]),
-                        ]
-                    )
-        _write_json(os.path.join(args.out_dir, "groups.json"), payload)
+        tests = {}
+        for e, code in enumerate(ESTIMATORS):
+            pvals = [wilcoxon_ranksum(h[mask, e, m], h[~mask, e, m]) for m in range(h.shape[2])]
+            tests[code] = bh_reject(pvals, args.alpha).to_dict()
+        pvalues = [
+            (code, rank + 1, i + 1, p, threshold, rejected)
+            for code, t in tests.items()
+            for rank, (i, p, threshold, rejected) in enumerate(
+                zip(t["original_indices"], t["pvalues"], t["bh_thresholds"], t["rejected"])
+            )
+        ]
+        header = ["estimator", "rank", "m", "pvalue", "bh_threshold", "rejected"]
+        _write_csv(os.path.join(out, "pvalues.csv"), header, pvalues)
+        payload = {"groups": groups, "alpha": args.alpha, "tests": tests}
+        _write_json(os.path.join(out, "groups.json"), payload)
     return EXIT_OK
 
 

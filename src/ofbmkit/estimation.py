@@ -15,7 +15,6 @@ sum w_j = 0 and sum j w_j = 1.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -234,7 +233,7 @@ def estimate_windows(pyr: WaveletPyramid, w: RegressionWeights, t_starts) -> lis
 
 def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> dict:
     """Estimates and log tables of a pyramid, keeping its leading window axes."""
-    spectra = spectrum_set(pyr, w.j1, w.j2).spectra  # (octaves, ..., M, M)
+    spectra = spectrum_set(pyr, w.j1, w.j2)  # (octaves, ..., M, M)
     diags = spectra.diagonal(axis1=-2, axis2=-1)
     if (diags <= 0.0).any():
         raise NonPositiveDiagonal("spectrum diagonal entries must be positive")
@@ -278,7 +277,3 @@ def record_to_dict(r: EstimateRecord) -> dict:
     if r.t_start is not None:
         out["t_start"] = r.t_start
     return out
-
-
-def record_to_json(r: EstimateRecord) -> str:
-    return json.dumps(record_to_dict(r), indent=2, allow_nan=False)

@@ -231,11 +231,21 @@ class CirculantEmbedding:
 # On-disk formats: CSV (t, c1..cM) and raw float64 + JSON sidecar
 # ---------------------------------------------------------------------------
 
+def table_to_csv(fh, header, columns) -> None:
+    """Write a header row, then one row per position of the columns.
+
+    Each field is ``str`` of its value (for a float the shortest repr), lines
+    end in CRLF and nothing is quoted: no output field holds a comma, a quote
+    or a line end.
+    """
+    rows = map(",".join, zip(*[map(str, c) for c in columns]))
+    fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
+
+
 def path_to_csv(path: SamplePath, fh) -> None:
-    """Write the ``t,c1..cM`` layout: shortest float reprs, CRLF line ends."""
-    header = ",".join(["t"] + [f"c{i + 1}" for i in range(path.m)])
-    columns = [map(str, range(path.n))] + [map(repr, c) for c in path.data.tolist()]
-    fh.write("\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n")
+    """Write the ``t,c1..cM`` layout."""
+    header = ["t"] + [f"c{i + 1}" for i in range(path.m)]
+    table_to_csv(fh, header, [range(path.n), *path.data.tolist()])
 
 
 def path_from_csv(fh) -> np.ndarray:

@@ -16,7 +16,6 @@ equalizes the sample size entering eigenvalue estimation across scales.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -153,19 +152,6 @@ class WaveletPyramid:
         return self.coeffs[j - 1]
 
 
-@dataclass(frozen=True)
-class WaveletSpectrumSet:
-    """Per-octave M x M spectra with the coefficient counts that produced them."""
-
-    scales: tuple
-    spectra: np.ndarray  # (n_scales, ..., M, M)
-    counts: tuple
-
-    @property
-    def m(self) -> int:
-        return self.spectra.shape[-1]
-
-
 def pyramid_counts(n: int, length: int, j_max: int | None = None) -> tuple:
     """Coefficient counts n_1, n_2, ... of an n-sample series for a filter of
     ``length`` taps, via n_j = floor((n_{j-1} - L + 1) / 2).
@@ -232,14 +218,12 @@ def wavelet_spectrum(p: WaveletPyramid, j: int) -> np.ndarray:
     return 0.5 * (s + s.swapaxes(-1, -2))
 
 
-def spectrum_set(p: WaveletPyramid, j1: int = 1, j2: int | None = None) -> WaveletSpectrumSet:
-    """Spectra for octaves j1..j2 (j2 defaults to the deepest available)."""
+def spectrum_set(p: WaveletPyramid, j1: int = 1, j2: int | None = None) -> np.ndarray:
+    """Spectra for octaves j1..j2 (j2 defaults to the deepest available),
+    stacked as (octaves, ..., M, M)."""
     if j2 is None:
         j2 = p.j_max
-    scales = tuple(range(j1, j2 + 1))
-    spectra = np.stack([wavelet_spectrum(p, j) for j in scales])
-    counts = tuple(p.counts[j - 1] for j in scales)
-    return WaveletSpectrumSet(scales=scales, spectra=spectra, counts=counts)
+    return np.stack([wavelet_spectrum(p, j) for j in range(j1, j2 + 1)])
 
 
 def windowed_spectra(p: WaveletPyramid, j: int, j2: int) -> np.ndarray:
@@ -268,12 +252,3 @@ def windowed_spectra(p: WaveletPyramid, j: int, j2: int) -> np.ndarray:
     s = np.einsum("...mbk,...nbk->...bmn", blocks, blocks) / nw
     return 0.5 * (s + s.swapaxes(-1, -2))
 
-
-def spectra_to_csv(s: WaveletSpectrumSet, fh) -> None:
-    """Rows (j, m, m', S_mm'(2^j), n_j), 1-based component indices."""
-    writer = csv.writer(fh)
-    writer.writerow(["j", "m", "mp", "s", "n_j"])
-    for idx, j in enumerate(s.scales):
-        for a in range(s.m):
-            for b in range(s.m):
-                writer.writerow([j, a + 1, b + 1, repr(float(s.spectra[idx, a, b])), s.counts[idx]])

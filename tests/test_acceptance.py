@@ -27,7 +27,7 @@ from ofbmkit.estimation import (
 )
 from ofbmkit.model import make_params, save_params
 from ofbmkit.synthesis import CirculantEmbedding, mfgn_covariance_matrices
-from ofbmkit.wavelet import dwt, pyramid_counts, spectrum_set, wavelet_spectrum
+from ofbmkit.wavelet import dwt, pyramid_counts, wavelet_spectrum
 
 from test_analysis import qq_correlation
 from test_estimation import exact_pyramid

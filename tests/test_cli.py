@@ -521,6 +521,7 @@ def test_sliding_needs_exactly_two_window_labels_exit_4(tmp_path, capsys):
                "--label-column", "label", "--out-dir", str(tmp_path / "o")])
     assert rc == 4
     assert "need exactly two window labels, got ['a', 'b', 'c']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # checked before any estimate is written
 
 
 def test_window_labels_tie_goes_to_the_first_label_in_sorted_order():

@@ -261,7 +261,7 @@ def test_rank_deficient_error():
     # the window size is named, though the full-sample spectrum at octave 3
     # has a non-positive computed eigenvalue as well
     pyr = dwt(np.random.default_rng(2).normal(size=(3, 40)).cumsum(axis=1), 3)
-    assert pyr.counts[2] == 2 and sorted_eigenvalues(spectrum_set(pyr, 3, 3).spectra[0])[0] <= 0.0
+    assert pyr.counts[2] == 2 and sorted_eigenvalues(spectrum_set(pyr, 3, 3)[0])[0] <= 0.0
     with pytest.raises(WindowTooSmall):
         analyze(pyr, 1, 3, balance="uniform")
 
@@ -272,7 +272,7 @@ def test_rank_deficient_error():
 
 def per_octave_estimates(pyr, w):
     """(H_U, H_M, H_M_bc) from the spectrum functions, one octave at a time."""
-    spectra = spectrum_set(pyr, w.j1, w.j2).spectra
+    spectra = spectrum_set(pyr, w.j1, w.j2)
     log_diag = np.log2(np.stack([np.diag(s) for s in spectra]))
     log_eig = np.log2(np.stack([sorted_eigenvalues(s) for s in spectra]))
     log_eig_bc = np.stack(

@@ -2,10 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofbmkit import synthesis
@@ -23,6 +24,7 @@ from ofbmkit.synthesis import (
     path_to_binary,
     path_to_csv,
     series_from_csv,
+    table_to_csv,
 )
 
 BIV = make_params(
@@ -320,6 +322,38 @@ def test_path_to_csv_bytes_equal_csv_writer_form(m):
     assert out.getvalue() == ref.getvalue()
     out.seek(0)
     assert path_from_csv(out).tobytes() == path.data.tobytes()
+
+
+_CODES = st.text(alphabet=string.ascii_letters + string.digits + "_", min_size=1, max_size=4)
+_CELLS = st.one_of(
+    st.integers(-(2**70), 2**70), st.booleans(), _CODES, st.floats(), st.sampled_from(SPECIAL_VALUES)
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 5))
+    height = draw(st.integers(0, 12))
+    header = draw(st.lists(_CODES, min_size=width, max_size=width))
+    return header, [draw(st.lists(_CELLS, min_size=height, max_size=height)) for _ in range(width)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=_tables())
+@example(table=(["estimator", "p", "chi2_quantile"], [[], [], []]))
+@example(table=(["code", "x", "flag"], [["U", "BC"], [-0.0, 5e-324], [True, False]]))
+def test_table_to_csv_bytes_equal_csv_writer_form(table):
+    # the form every table once took, row by row through csv.writer with
+    # floats passed as repr strings
+    header, columns = table
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    out = io.StringIO(newline="")
+    table_to_csv(out, header, columns)
+    assert out.getvalue() == ref.getvalue()
 
 
 def _reference_series(text, label_column=None):

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from ofbmkit.wavelet import (
     WaveletPyramid,
     dwt,
     filter_bank,
-    spectra_to_csv,
     spectrum_set,
     wavelet_spectrum,
     windowed_spectra,
@@ -229,17 +226,6 @@ def test_eigenvalue_slope_matches_exponent():
     assert slope == pytest.approx(2 * h + 1, abs=0.1)
 
 
-def test_spectra_csv_layout():
-    rng = np.random.default_rng(9)
-    pyr = dwt(rng.normal(size=(2, 600)), 3)
-    ss = spectrum_set(pyr, 1, 3)
-    buf = io.StringIO(newline="")
-    spectra_to_csv(ss, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "j,m,mp,s,n_j"
-    assert len(lines) == 1 + 3 * 4
-
-
 def test_spectra_of_a_window_stack_equal_per_window():
     f = filter_bank("db2")
     pyrs = [dwt(x, 4, f) for x in np.random.default_rng(23).normal(size=(3, 2, 700))]
@@ -250,10 +236,10 @@ def test_spectra_of_a_window_stack_equal_per_window():
         source_len=700,
     )
     assert stack.m == 2
-    ss = spectrum_set(stack, 1, 4)
-    assert ss.spectra.shape == (4, 3, 2, 2) and ss.m == 2
+    spectra = spectrum_set(stack, 1, 4)
+    assert spectra.shape == (4, 3, 2, 2)
     for t, p in enumerate(pyrs):
-        assert np.array_equal(ss.spectra[:, t], spectrum_set(p, 1, 4).spectra)
+        assert np.array_equal(spectra[:, t], spectrum_set(p, 1, 4))
         for j in range(1, 5):
             assert np.array_equal(wavelet_spectrum(stack, j)[t], wavelet_spectrum(p, j))
             assert np.array_equal(windowed_spectra(stack, j, 4)[t], windowed_spectra(p, j, 4))
