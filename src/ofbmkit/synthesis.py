@@ -236,9 +236,10 @@ def table_to_csv(fh, header, columns) -> None:
 
     Each field is ``str`` of its value (for a float the shortest repr), lines
     end in CRLF and nothing is quoted: no output field holds a comma, a quote
-    or a line end.
+    or a line end.  A ``%s`` template formats a whole row in one call, which
+    is faster than calling ``str`` on each value.
     """
-    rows = map(",".join, zip(*[map(str, c) for c in columns]))
+    rows = map(",".join(["%s"] * len(header)).__mod__, zip(*columns))
     fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
 
 
