@@ -33,7 +33,6 @@ from .estimation import (
     regression_weights,
     scaling_range,
     sorted_eigenvalues,
-    varpi,
 )
 from .model import (
     HurstVector,
@@ -47,7 +46,6 @@ from .model import (
     params_from_json,
     params_to_json,
     rho_max,
-    save_params,
     validate_params,
 )
 from .synthesis import (

@@ -48,7 +48,6 @@ from .synthesis import CirculantEmbedding, _check_seeds
 from .wavelet import WaveletFilter, WaveletPyramid, check_finite, dwt, filter_bank, pyramid_counts
 
 ESTIMATORS = ("U", "M", "BC")
-MATRICES = ("bias2", "cov", "mse")
 
 
 @dataclass(frozen=True)
@@ -387,6 +386,12 @@ def qq_pairs(samples: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray, np.
     return probs, chi2_quantiles(dof, probs), s
 
 
+def _check_hop(window: int, hop: int) -> None:
+    """Raise WindowTooSmall unless 1 <= hop <= window."""
+    if not 1 <= hop <= window:
+        raise WindowTooSmall(f"need window >= hop >= 1, got ({window}, {hop})")
+
+
 def sliding_window_estimates(
     x: np.ndarray,
     window: int,
@@ -406,10 +411,7 @@ def sliding_window_estimates(
     empty list when the series is shorter than one window.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if not (1 <= hop <= window):
-        raise WindowTooSmall(f"need window >= hop >= 1, got ({window}, {hop})")
+    _check_hop(window, hop)
     if f is None:
         f = filter_bank()
     m, n = x.shape
@@ -470,4 +472,4 @@ def _window_pyramid(x, starts, window: int, spacing: int, j2: int, f, counts) ->
         .swapaxes(0, 1)
         for j in range(1, j2 + 1)
     )
-    return WaveletPyramid(coeffs=coeffs, counts=counts, filter=f, source_len=window)
+    return WaveletPyramid(coeffs=coeffs)

@@ -4,9 +4,10 @@ Every command is deterministic given its full flag set; outputs are written
 atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems
 (including a file that is not UTF-8, a malformed series CSV and a seed
 outside 0..2^64 - 1), 3 model validation, 4 data/estimation (including NaN
-or infinite samples, a bad --j1/--j2 pair, a ``sliding`` series shorter
-than one window and a labelled ``sliding`` whose windows do not carry exactly
-two labels), 5 internal.
+or infinite samples, a bad --j1/--j2 pair, a ``sliding`` --hop outside
+1..--window, a ``sliding`` series shorter than one window, a labelled
+``sliding`` whose windows do not carry exactly two labels and a labelled
+``sliding`` with --alpha outside (0, 1)), 5 internal.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from . import __version__
 from .analysis import (
     ESTIMATORS,
     McConfig,
+    _check_hop,
     bh_reject,
     qq_pairs,
     report_to_dict,
@@ -39,7 +42,6 @@ from .errors import (
     OfbmkitError,
     SeedOutOfRange,
     SeriesTooShort,
-    WindowTooSmall,
 )
 from .estimation import ScalingRangeConfig, octave_range, record_to_dict
 from .model import load_params
@@ -144,7 +146,7 @@ def cmd_synth(args) -> int:
     else:
         with _atomic_open(out, "wb") as data_fh, _atomic_open(out + ".json") as sidecar_fh:
             path_to_binary(path, data_fh, sidecar_fh)
-    _write_json(out + ".embedding.json", emb.report.to_dict())
+    _write_json(out + ".embedding.json", asdict(emb.report))
     return EXIT_OK
 
 
@@ -242,8 +244,8 @@ def _window_labels(labels: np.ndarray, window: int, hop: int) -> np.ndarray:
 def cmd_sliding(args) -> int:
     x, labels = _read_series(args.input, args.label_column)
 
-    if args.hop > args.window:
-        raise WindowTooSmall(f"hop {args.hop} exceeds window {args.window}")
+    _check_hop(args.window, args.hop)
+    octave_range(x.shape[1], ScalingRangeConfig(), args.j1, args.j2)
     if x.shape[1] < args.window:
         raise SeriesTooShort(
             f"series of {x.shape[1]} samples is shorter than one window of {args.window}"
@@ -264,6 +266,14 @@ def cmd_sliding(args) -> int:
     )
     # (windows, estimators, M), estimators in ESTIMATORS order
     h = np.stack([(r.h_u, r.h_m, r.h_m_bc) for r in records])
+    if labels is not None:
+        # the tests and BH run before any file is written, so a bad --alpha writes nothing
+        mask = wlabels == groups[0]
+        tests = {}
+        for e, code in enumerate(ESTIMATORS):
+            pvals = [wilcoxon_ranksum(h[mask, e, m], h[~mask, e, m]) for m in range(h.shape[2])]
+            tests[code] = bh_reject(pvals, args.alpha).to_dict()
+
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     windows = [
@@ -273,13 +283,7 @@ def cmd_sliding(args) -> int:
         for m, value in enumerate(vector)
     ]
     _write_csv(os.path.join(out, "windows.csv"), ["t_start", "estimator", "m", "value"], windows)
-
     if labels is not None:
-        mask = wlabels == groups[0]
-        tests = {}
-        for e, code in enumerate(ESTIMATORS):
-            pvals = [wilcoxon_ranksum(h[mask, e, m], h[~mask, e, m]) for m in range(h.shape[2])]
-            tests[code] = bh_reject(pvals, args.alpha).to_dict()
         pvalues = [
             (code, rank + 1, i + 1, p, threshold, rejected)
             for code, t in tests.items()

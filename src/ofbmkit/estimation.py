@@ -16,8 +16,7 @@ sum w_j = 0 and sum j w_j = 1.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +49,6 @@ class RegressionWeights:
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
-    @property
-    def octaves(self) -> np.ndarray:
-        return np.arange(self.j1, self.j2 + 1)
-
 
 def regression_weights(
     j1: int, j2: int, balance: str = "by_count", counts=None
@@ -83,56 +78,34 @@ def regression_weights(
     return RegressionWeights(j1=j1, j2=j2, w=w)
 
 
+# Base octave range at the reference size n0
+J1_0, J2_0 = 6, 9
+
+
 @dataclass(frozen=True)
 class ScalingRangeConfig:
-    """Sample-size-driven octave range: base range shifted by log2 a(n).
+    """Sample-size-driven octave range: (J1_0, J2_0) shifted by log2 a(n).
 
-    ``beta`` must sit in (1/(2*varpi+1), 1) for the asymptotic guarantees;
-    pass ``varpi_hint`` (from :func:`varpi` on the true exponents, simulation
-    settings only) to get a warning when it does not.
+    The asymptotic guarantees need ``beta`` above 1/(2w + 1), where w is the
+    smallest positive gap of (0, H_1..H_M) or H_1/2 + 1/4 if that is smaller.
     """
 
-    j1_0: int = 6
-    j2_0: int = 9
     beta: float = 0.9
     n0: int = 2**13
-    varpi_hint: float | None = None
 
     def __post_init__(self):
-        if self.j1_0 >= self.j2_0:
-            raise DegenerateRange(f"need j1_0 < j2_0, got ({self.j1_0}, {self.j2_0})")
         if not (0.0 < self.beta < 1.0):
             raise DimensionMismatch(f"beta must be in (0, 1), got {self.beta}")
-        if self.n0 < 2**self.j2_0:
-            raise DimensionMismatch(f"n0 = {self.n0} cannot support octave {self.j2_0}")
-
-
-def varpi(h) -> float:
-    """Scaling-range exponent bound: min of the positive gaps of (0, H_1..H_M)
-    and H_1/2 + 1/4."""
-    hv = np.atleast_1d(np.asarray(h, dtype=float))
-    padded = np.concatenate([[0.0], hv])
-    gaps = np.diff(padded)
-    positive = gaps[gaps > 0.0]
-    out = hv[0] / 2.0 + 0.25
-    if positive.size:
-        out = min(out, float(positive.min()))
-    return out
+        if self.n0 < 2**J2_0:
+            raise DimensionMismatch(f"n0 = {self.n0} cannot support octave {J2_0}")
 
 
 def scaling_range(n: int, cfg: ScalingRangeConfig) -> tuple[int, int]:
-    """Octave range for sample size n: (j1_0, j2_0) shifted by floor(beta*log2(n/n0))."""
+    """Octave range for sample size n: (J1_0, J2_0) shifted by floor(beta*log2(n/n0))."""
     if n < cfg.n0:
         raise SampleTooSmall(f"sample size {n} below the reference size {cfg.n0}")
-    if cfg.varpi_hint is not None and cfg.beta <= 1.0 / (2.0 * cfg.varpi_hint + 1.0):
-        warnings.warn(
-            f"beta = {cfg.beta} is at or below 1/(2*varpi+1) = "
-            f"{1.0 / (2.0 * cfg.varpi_hint + 1.0):.4f}; the shifted range loses "
-            "its asymptotic guarantee",
-            stacklevel=2,
-        )
     shift = math.floor(cfg.beta * math.log2(n / cfg.n0))
-    return cfg.j1_0 + shift, cfg.j2_0 + shift
+    return J1_0 + shift, J2_0 + shift
 
 
 def octave_range(
@@ -190,7 +163,7 @@ class EstimateRecord:
     log_eig: np.ndarray  # (n_octaves, M) sorted log2 eigenvalues
     log_eig_bc: np.ndarray  # (n_octaves, M) window-averaged log2 eigenvalues
     diag_logs: np.ndarray  # (n_octaves, M) log2 spectrum diagonals
-    t_start: int | None = field(default=None)
+    t_start: int | None = None
 
 
 def analyze(
@@ -263,7 +236,7 @@ def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> dict:
 
 
 def record_to_dict(r: EstimateRecord) -> dict:
-    out = {
+    return {
         "H_U": r.h_u.tolist(),
         "H_M": r.h_m.tolist(),
         "H_M_bc": r.h_m_bc.tolist(),
@@ -274,6 +247,3 @@ def record_to_dict(r: EstimateRecord) -> dict:
         "log_eig_bc": r.log_eig_bc.tolist(),
         "diag_logs": r.diag_logs.tolist(),
     }
-    if r.t_start is not None:
-        out["t_start"] = r.t_start
-    return out

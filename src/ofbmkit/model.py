@@ -61,9 +61,6 @@ class HurstVector:
     def m(self) -> int:
         return self.values.size
 
-    def __eq__(self, other):
-        return isinstance(other, HurstVector) and np.array_equal(self.values, other.values)
-
 
 @dataclass(frozen=True, eq=False)
 class IntrinsicCovariance:
@@ -112,13 +109,6 @@ class IntrinsicCovariance:
         """Assembled covariance matrix diag(sigma) @ rho @ diag(sigma)."""
         return self._assemble(self.variances, self.correlations)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntrinsicCovariance)
-            and np.array_equal(self.variances, other.variances)
-            and np.array_equal(self.correlations, other.correlations)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
@@ -142,9 +132,6 @@ class MixingMatrix:
     def m(self) -> int:
         return self.entries.shape[0]
 
-    def __eq__(self, other):
-        return isinstance(other, MixingMatrix) and np.array_equal(self.entries, other.entries)
-
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
@@ -157,14 +144,6 @@ class ModelParams:
     @property
     def m(self) -> int:
         return self.hurst.m
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModelParams)
-            and self.hurst == other.hurst
-            and self.sigma == other.sigma
-            and self.mixing == other.mixing
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,9 +283,3 @@ def params_from_json(text: str) -> ModelParams:
 def load_params(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         return params_from_json(fh.read())
-
-
-def save_params(p: ModelParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(params_to_json(p))
-        fh.write("\n")

@@ -83,13 +83,6 @@ class EmbeddingReport:
     min_spectral_eigenvalue: float
     clipped_mass: float
 
-    def to_dict(self) -> dict:
-        return {
-            "embedding_size": self.embedding_size,
-            "min_spectral_eigenvalue": self.min_spectral_eigenvalue,
-            "clipped_mass": self.clipped_mass,
-        }
-
 
 @dataclass(frozen=True)
 class SamplePath:
@@ -124,7 +117,7 @@ class CirculantEmbedding:
     :meth:`sample` is the fast path for Monte Carlo work.
     """
 
-    def __init__(self, params: ModelParams, n: int, clip_tol: float = CLIP_TOL):
+    def __init__(self, params: ModelParams, n: int):
         if n < 2:
             raise DimensionMismatch(f"need at least 2 samples, got {n}")
         self.params = params
@@ -149,10 +142,10 @@ class CirculantEmbedding:
                 break
             size *= 2
 
-        if mass > clip_tol:
+        if mass > CLIP_TOL:
             raise EmbeddingFailed(
                 f"embedding of size {size} clips {mass:.3e} of spectral mass "
-                f"(tolerance {clip_tol:.1e})"
+                f"(tolerance {CLIP_TOL:.1e})"
             )
 
         clipped_evals = np.maximum(evals, 0.0)

@@ -134,9 +134,11 @@ class WaveletPyramid:
     """
 
     coeffs: tuple
-    counts: tuple
-    filter: WaveletFilter
-    source_len: int
+
+    @property
+    def counts(self) -> tuple:
+        """Coefficient counts n_1, n_2, ... read from the arrays."""
+        return tuple(c.shape[-1] for c in self.coeffs)
 
     @property
     def m(self) -> int:
@@ -201,7 +203,7 @@ def dwt(x: np.ndarray, j_max: int | None = None, f: WaveletFilter | None = None)
             app[row] = np.convolve(approx[row], f.lowpass, mode="valid")[1::2]
         coeffs.append(det)
         approx = app
-    return WaveletPyramid(coeffs=tuple(coeffs), counts=counts, filter=f, source_len=n)
+    return WaveletPyramid(coeffs=tuple(coeffs))
 
 
 def check_finite(x: np.ndarray) -> None:
@@ -218,11 +220,8 @@ def wavelet_spectrum(p: WaveletPyramid, j: int) -> np.ndarray:
     return 0.5 * (s + s.swapaxes(-1, -2))
 
 
-def spectrum_set(p: WaveletPyramid, j1: int = 1, j2: int | None = None) -> np.ndarray:
-    """Spectra for octaves j1..j2 (j2 defaults to the deepest available),
-    stacked as (octaves, ..., M, M)."""
-    if j2 is None:
-        j2 = p.j_max
+def spectrum_set(p: WaveletPyramid, j1: int, j2: int) -> np.ndarray:
+    """Spectra for octaves j1..j2, stacked as (octaves, ..., M, M)."""
     return np.stack([wavelet_spectrum(p, j) for j in range(j1, j2 + 1)])
 
 

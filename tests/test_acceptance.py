@@ -20,12 +20,11 @@ from ofbmkit.analysis import (
 )
 from ofbmkit.cli import main
 from ofbmkit.estimation import (
-    ScalingRangeConfig,
     analyze,
     regression_weights,
     sorted_eigenvalues,
 )
-from ofbmkit.model import make_params, save_params
+from ofbmkit.model import make_params, params_to_json
 from ofbmkit.synthesis import CirculantEmbedding, mfgn_covariance_matrices
 from ofbmkit.wavelet import dwt, pyramid_counts, wavelet_spectrum
 
@@ -160,10 +159,10 @@ def test_criterion_06_mahalanobis_normality():
 
 def test_criterion_07_variance_approximation():
     p = make_params([0.4, 0.8], [1.0, 1.0], [[1.0, 0.5], [0.5, 1.0]])
-    rc = ScalingRangeConfig(j1_0=5, j2_0=8)
     ratios = {}
-    for n, seed in ((2**13, 71_000), (2**15, 72_000)):
-        cfg = McConfig(params=p, n=n, n_mc=1200, seed0=seed, balance="uniform", range_cfg=rc)
+    # octaves 5..8 at n = 2^13, shifted by floor(0.9 * log2(n / 2^13))
+    for n, seed, j1, j2 in ((2**13, 71_000, 5, 8), (2**15, 72_000, 6, 9)):
+        cfg = McConfig(params=p, n=n, n_mc=1200, seed0=seed, balance="uniform", j1=j1, j2=j2)
         rep = run_mc(cfg, threads=8)
         for code in ("U", "M", "BC"):
             ratios[(code, n)] = rep.estimates[code].var(axis=0, ddof=1) / rep.v_n
@@ -224,7 +223,7 @@ def test_criterion_10_threaded_determinism(tmp_path):
         w = rng.normal(size=(m, m)) + 1.5 * np.eye(m)
         params = make_params(h, rng.uniform(0.5, 2.0, size=m), rho, w)
         pfile = tmp_path / f"p{case}.json"
-        save_params(params, pfile)
+        pfile.write_text(params_to_json(params) + "\n")
         outs = []
         for threads in (1, 8):
             out = tmp_path / f"mc-{case}-{threads}"

@@ -33,7 +33,7 @@ from ofbmkit.errors import (
     WindowTooSmall,
     ZeroVariance,
 )
-from ofbmkit.estimation import ScalingRangeConfig, analyze, regression_weights
+from ofbmkit.estimation import analyze, regression_weights
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
 from ofbmkit.wavelet import dwt, filter_bank, pyramid_counts
@@ -99,8 +99,7 @@ def test_v_n_dimension_checked():
 
 def test_v_n_tracks_univariate_variance_nonmixing():
     p = make_params([0.6], [1.0])
-    cfg = McConfig(params=p, n=2**13, n_mc=400, seed0=910, balance="uniform",
-                   range_cfg=ScalingRangeConfig(j1_0=5, j2_0=8))
+    cfg = McConfig(params=p, n=2**13, n_mc=400, seed0=910, balance="uniform", j1=5, j2=8)
     rep = run_mc(cfg, threads=4)
     ratio = rep.estimates["U"].var(axis=0, ddof=1)[0] / rep.v_n
     assert abs(ratio - 1.0) < 0.30

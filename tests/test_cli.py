@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ofbmkit import analysis, cli
 from ofbmkit.cli import main, version_string
-from ofbmkit.model import make_params, save_params
+from ofbmkit.model import make_params, params_to_json
 from ofbmkit.synthesis import RNG_ID
 
 
@@ -22,7 +22,7 @@ def params_file(tmp_path):
         [0.4, 0.7], [1.0, 1.0], [[1.0, 0.4], [0.4, 1.0]], [[1.0, 0.3], [-0.2, 1.0]]
     )
     path = tmp_path / "params.json"
-    save_params(p, path)
+    path.write_text(params_to_json(p) + "\n")
     return str(path)
 
 
@@ -389,19 +389,35 @@ def test_estimate_never_exits_5_on_malformed_input(tmp_path_factory, content):
     assert rc in (0, 2, 4)
 
 
+# --window, --hop, --alpha, --j1, --j2 under which both valid files estimate
+_FUZZ_FLAGS = (32, 8, 0.05, 1, 2)
+_FUZZ_FLAG_VALUES = st.tuples(
+    st.integers(-2, 48),
+    st.sampled_from([0, -5]) | st.integers(-6, 40),
+    st.sampled_from([0.0, 1.0, 2.0, -0.5]) | st.floats(),
+    st.integers(-1, 4),
+    st.integers(-1, 5),
+)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), labelled=st.booleans())
 def test_sliding_never_exits_5_on_malformed_input(tmp_path_factory, data, labelled):
     valid = _FUZZ_LABELLED if labelled else _FUZZ_VALID
     content = data.draw(st.binary(max_size=40) | _mutated_series(valid) | st.just(valid))
+    flags = data.draw(st.just(_FUZZ_FLAGS) | _FUZZ_FLAG_VALUES)
     path = tmp_path_factory.mktemp("fuzz") / "x.csv"
     path.write_bytes(content)
-    argv = ["sliding", str(path), "--window", "32", "--hop", "8", "--j1", "1", "--j2", "2",
-            "--out-dir", str(path.parent / "o")]
+    out_dir = path.parent / "o"
+    names = ("--window", "--hop", "--alpha", "--j1", "--j2")
+    # "--hop=-5": a separate "-inf" or "-1e-05" would be read as a flag
+    argv = ["sliding", str(path), *(f"{name}={value}" for name, value in zip(names, flags)),
+            "--out-dir", str(out_dir)]
     rc = main(argv + (["--label-column", "label"] if labelled else []))
     assert rc in (0, 2, 3, 4)
-    assert rc == 0 or content != valid
+    assert rc == 0 or content != valid or flags != _FUZZ_FLAGS
+    assert rc == 0 or not out_dir.exists()  # every check runs before the first write
 
 
 _FUZZ_PARAMS = json.dumps(
@@ -547,6 +563,30 @@ def test_mc_last_seed_outside_64_bits_exit_2(params_file, tmp_path, capsys):
     assert rc == 2
     assert f"seeds {2**64 - 3}..{2**64} outside the valid range" in capsys.readouterr().err
     assert not (tmp_path / "mc").exists()
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+@pytest.mark.parametrize("hop", [0, -5])
+def test_sliding_hop_below_one_exit_4(tmp_path, capsys, hop, labelled):
+    header = ("t", "c1", "c2", "label") if labelled else ("t", "c1", "c2")
+    path = _write_series(tmp_path / "x.csv", _walk_rows(3000, label=labelled), header)
+    out_dir = tmp_path / "sl"
+    rc = main(["sliding", path, "--window", "520", f"--hop={hop}", "--j1", "1", "--j2", "4",
+               "--out-dir", str(out_dir)] + (["--label-column", "label"] if labelled else []))
+    assert rc == 4
+    assert f"WindowTooSmall: need window >= hop >= 1, got (520, {hop})" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("alpha", ["0", "2"])
+def test_sliding_alpha_outside_unit_interval_exit_4(tmp_path, capsys, alpha):
+    path = _write_series(tmp_path / "x.csv", _walk_rows(3000, label=True), ("t", "c1", "c2", "label"))
+    out_dir = tmp_path / "sl"
+    rc = main(["sliding", path, "--window", "520", "--hop", "260", "--j1", "1", "--j2", "4",
+               "--label-column", "label", "--alpha", alpha, "--out-dir", str(out_dir)])
+    assert rc == 4
+    assert f"BadProbability: alpha must be in (0, 1), got {float(alpha)}" in capsys.readouterr().err
+    assert not out_dir.exists()  # the tests run before windows.csv is written
 
 
 def test_sliding_series_shorter_than_window_exit_4(tmp_path, capsys):

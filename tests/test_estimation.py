@@ -20,11 +20,10 @@ from ofbmkit.estimation import (
     scaling_range,
     averaged_log_eigenvalues,
     sorted_eigenvalues,
-    varpi,
 )
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
-from ofbmkit.wavelet import WaveletPyramid, dwt, filter_bank, spectrum_set, windowed_spectra
+from ofbmkit.wavelet import WaveletPyramid, dwt, spectrum_set, windowed_spectra
 
 
 def exact_pyramid(h, j1, j2, xi=None, n_j2=None):
@@ -42,9 +41,7 @@ def exact_pyramid(h, j1, j2, xi=None, n_j2=None):
         block = np.diag(scale)  # columns cycle through scaled basis vectors
         coeffs.append(np.tile(block, nj // m))
         counts.append(nj)
-    return WaveletPyramid(
-        coeffs=tuple(coeffs), counts=tuple(counts), filter=filter_bank(), source_len=2 * counts[0]
-    )
+    return WaveletPyramid(coeffs=tuple(coeffs))
 
 
 def with_coeffs(pyr, coeffs):
@@ -70,7 +67,7 @@ def test_weight_constraints_always_hold():
         for mode, c in (("uniform", None), ("by_count", counts)):
             w = regression_weights(j1, j2, mode, c)
             assert abs(w.w.sum()) < 1e-12
-            assert abs((w.octaves * w.w).sum() - 1.0) < 1e-12
+            assert abs((np.arange(j1, j2 + 1) * w.w).sum() - 1.0) < 1e-12
 
 
 def test_by_count_weights_match_linear_system_oracle():
@@ -113,7 +110,7 @@ def test_octave_range_rejects_half_or_empty_ranges(j1, j2):
 # ---------------------------------------------------------------------------
 
 def test_scaling_range_reference_values():
-    cfg = ScalingRangeConfig(j1_0=6, j2_0=9, beta=0.9, n0=2**13)
+    cfg = ScalingRangeConfig(beta=0.9, n0=2**13)
     assert scaling_range(2**13, cfg) == (6, 9)
     assert scaling_range(2**18, cfg) == (10, 13)
 
@@ -127,20 +124,6 @@ def test_scaling_range_constant_width():
 def test_scaling_range_too_small():
     with pytest.raises(SampleTooSmall):
         scaling_range(2**12, ScalingRangeConfig())
-
-
-def test_scaling_range_varpi_warning():
-    hint = varpi([0.4, 0.41])  # tiny gap -> varpi = 0.01 -> beta bound ~ 0.98
-    cfg = ScalingRangeConfig(beta=0.9, varpi_hint=hint)
-    with pytest.warns(UserWarning):
-        scaling_range(2**13, cfg)
-
-
-def test_varpi_definition():
-    # gaps of (0, 0.4, 0.5, 0.8): positive gaps 0.4, 0.1, 0.3; H1/2+1/4 = 0.45
-    assert varpi([0.4, 0.5, 0.8]) == pytest.approx(0.1)
-    # equal exponents: only the first gap and the H1 term compete
-    assert varpi([0.6, 0.6]) == pytest.approx(min(0.6, 0.55))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +259,7 @@ def per_octave_estimates(pyr, w):
     log_diag = np.log2(np.stack([np.diag(s) for s in spectra]))
     log_eig = np.log2(np.stack([sorted_eigenvalues(s) for s in spectra]))
     log_eig_bc = np.stack(
-        [averaged_log_eigenvalues(windowed_spectra(pyr, j, w.j2)) for j in w.octaves]
+        [averaged_log_eigenvalues(windowed_spectra(pyr, j, w.j2)) for j in range(w.j1, w.j2 + 1)]
     )
     return [0.5 * (w.w @ y - 1.0) for y in (log_diag, log_eig, log_eig_bc)]
 

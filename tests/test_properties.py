@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ofbmkit.synthesis as synthesis
 from ofbmkit.analysis import McConfig, run_mc
 from ofbmkit.errors import EmbeddingFailed, SeriesTooShort
-from ofbmkit.estimation import ScalingRangeConfig, analyze, regression_weights, sorted_eigenvalues
+from ofbmkit.estimation import analyze, regression_weights, sorted_eigenvalues
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
 from ofbmkit.wavelet import dwt, filter_bank, pyramid_counts, wavelet_spectrum
@@ -113,12 +113,9 @@ def test_regression_weights_sum_to_zero_with_unit_slope(case, balance):
 
 def test_variance_ratio_band_mixing_and_nonmixing():
     # empirical Var over V_N stays inside [0.6, 1.4] with or without mixing
-    rc = ScalingRangeConfig(j1_0=5, j2_0=8)
     for mix, seed in ((None, 130_000), (W2, 131_000)):
         p = make_params([0.4, 0.8], [1.0, 1.0], RHO2, mix)
-        cfg = McConfig(
-            params=p, n=2**14, n_mc=400, seed0=seed, balance="uniform", range_cfg=rc
-        )
+        cfg = McConfig(params=p, n=2**14, n_mc=400, seed0=seed, balance="uniform", j1=5, j2=8)
         rep = run_mc(cfg, threads=8)
         for code in ("M", "BC"):
             ratio = rep.estimates[code].var(axis=0, ddof=1) / rep.v_n
@@ -127,13 +124,10 @@ def test_variance_ratio_band_mixing_and_nonmixing():
 
 def test_variance_independent_of_correlation_structure():
     # correlated vs uncorrelated components: same estimator variances within MC bands
-    rc = ScalingRangeConfig(j1_0=5, j2_0=8)
     variances = []
     for rho, seed in ((RHO2, 140_000), (np.eye(2), 141_000)):
         p = make_params([0.4, 0.8], [1.0, 1.0], rho, W2)
-        cfg = McConfig(
-            params=p, n=2**14, n_mc=400, seed0=seed, balance="uniform", range_cfg=rc
-        )
+        cfg = McConfig(params=p, n=2**14, n_mc=400, seed0=seed, balance="uniform", j1=5, j2=8)
         rep = run_mc(cfg, threads=8)
         variances.append(rep.estimates["BC"].var(axis=0, ddof=1))
     ratio = variances[0] / variances[1]

@@ -126,7 +126,7 @@ def test_spectrum_cyclic_basis_vectors():
     coeffs = (np.tile(eye, 1)[:, :m],)
     from ofbmkit.wavelet import WaveletPyramid
 
-    pyr = WaveletPyramid(coeffs=coeffs, counts=(m,), filter=filter_bank(), source_len=m)
+    pyr = WaveletPyramid(coeffs=coeffs)
     np.testing.assert_allclose(wavelet_spectrum(pyr, 1), eye / m, atol=1e-15)
 
 
@@ -185,12 +185,7 @@ def test_windowed_errors():
     from ofbmkit.wavelet import WaveletPyramid
 
     # hand-built pyramid violating the dyadic count chain
-    bad = WaveletPyramid(
-        coeffs=(rng.normal(size=(2, 30)), rng.normal(size=(2, 20))),
-        counts=(30, 20),
-        filter=filter_bank(),
-        source_len=100,
-    )
+    bad = WaveletPyramid(coeffs=(rng.normal(size=(2, 30)), rng.normal(size=(2, 20))))
     with pytest.raises(InsufficientCoefficients):
         windowed_spectra(bad, 1, 2)
 
@@ -229,12 +224,7 @@ def test_eigenvalue_slope_matches_exponent():
 def test_spectra_of_a_window_stack_equal_per_window():
     f = filter_bank("db2")
     pyrs = [dwt(x, 4, f) for x in np.random.default_rng(23).normal(size=(3, 2, 700))]
-    stack = WaveletPyramid(
-        coeffs=tuple(np.stack(c) for c in zip(*(p.coeffs for p in pyrs))),
-        counts=pyrs[0].counts,
-        filter=f,
-        source_len=700,
-    )
+    stack = WaveletPyramid(coeffs=tuple(np.stack(c) for c in zip(*(p.coeffs for p in pyrs))))
     assert stack.m == 2
     spectra = spectrum_set(stack, 1, 4)
     assert spectra.shape == (4, 3, 2, 2)
