@@ -34,18 +34,16 @@ def exact_pyramid(h, j1, j2, xi=None, n_j2=None):
     if n_j2 is None:
         n_j2 = 4 * m
     coeffs = []
-    counts = []
     for j in range(1, j2 + 1):
         nj = 2 ** (j2 - j) * n_j2
         scale = np.sqrt(m * xi * 2.0 ** (j * (2.0 * h + 1.0)))
         block = np.diag(scale)  # columns cycle through scaled basis vectors
         coeffs.append(np.tile(block, nj // m))
-        counts.append(nj)
     return WaveletPyramid(coeffs=tuple(coeffs))
 
 
 def with_coeffs(pyr, coeffs):
-    """The pyramid with its coefficient arrays replaced, counts kept."""
+    """The pyramid with its coefficient arrays replaced by arrays of the same shapes."""
     return replace(pyr, coeffs=tuple(coeffs))
 
 
