@@ -38,6 +38,7 @@ from .estimation import (
     EstimateRecord,
     RegressionWeights,
     ScalingRangeConfig,
+    _check_octaves,
     analyze,
     estimate_windows,
     octave_range,
@@ -408,10 +409,13 @@ def sliding_window_estimates(
     in blocks, sized from M, the window and the octave range, so working
     memory grows neither with the number of windows nor with the hop.  Every
     record equals :func:`analyze` on its window bit for bit.  Returns an
-    empty list when the series is shorter than one window.
+    empty list when the series is shorter than one window.  Raises
+    WindowTooSmall unless 1 <= hop <= window and DegenerateRange unless
+    1 <= j1 < j2.
     """
     x = np.asarray(x, dtype=float)
     _check_hop(window, hop)
+    _check_octaves(j1, j2)
     if f is None:
         f = filter_bank()
     m, n = x.shape

@@ -4,10 +4,11 @@ Every command is deterministic given its full flag set; outputs are written
 atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems
 (including a file that is not UTF-8, a malformed series CSV and a seed
 outside 0..2^64 - 1), 3 model validation, 4 data/estimation (including NaN
-or infinite samples, a bad --j1/--j2 pair, a ``sliding`` --hop outside
-1..--window, a ``sliding`` series shorter than one window, a labelled
-``sliding`` whose windows do not carry exactly two labels and a labelled
-``sliding`` with --alpha outside (0, 1)), 5 internal.
+or infinite samples, a bad --j1/--j2 pair, a --beta outside (0, 1) or an
+--n0 below 2^9, a ``sliding`` --hop outside 1..--window, a ``sliding``
+series shorter than one window, a labelled ``sliding`` whose windows do not
+carry exactly two labels and a labelled ``sliding`` with --alpha outside
+(0, 1)), 5 internal.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     SeedOutOfRange,
     SeriesTooShort,
 )
-from .estimation import ScalingRangeConfig, octave_range, record_to_dict
+from .estimation import ScalingRangeConfig, _check_octaves, octave_range, record_to_dict
 from .model import load_params
 from .synthesis import (
     RNG_ID,
@@ -245,7 +246,7 @@ def cmd_sliding(args) -> int:
     x, labels = _read_series(args.input, args.label_column)
 
     _check_hop(args.window, args.hop)
-    octave_range(x.shape[1], ScalingRangeConfig(), args.j1, args.j2)
+    _check_octaves(args.j1, args.j2)
     if x.shape[1] < args.window:
         raise SeriesTooShort(
             f"series of {x.shape[1]} samples is shorter than one window of {args.window}"

@@ -88,6 +88,7 @@ class ScalingRangeConfig:
 
     The asymptotic guarantees need ``beta`` above 1/(2w + 1), where w is the
     smallest positive gap of (0, H_1..H_M) or H_1/2 + 1/4 if that is smaller.
+    A ``beta`` outside (0, 1) or an ``n0`` below 2^J2_0 raises DegenerateRange.
     """
 
     beta: float = 0.9
@@ -95,9 +96,9 @@ class ScalingRangeConfig:
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
-            raise DimensionMismatch(f"beta must be in (0, 1), got {self.beta}")
+            raise DegenerateRange(f"beta must be in (0, 1), got {self.beta}")
         if self.n0 < 2**J2_0:
-            raise DimensionMismatch(f"n0 = {self.n0} cannot support octave {J2_0}")
+            raise DegenerateRange(f"n0 = {self.n0} cannot support octave {J2_0}")
 
 
 def scaling_range(n: int, cfg: ScalingRangeConfig) -> tuple[int, int]:
@@ -120,9 +121,14 @@ def octave_range(
         raise DegenerateRange("pass j1 and j2 together or neither")
     if j1 is None:
         return scaling_range(n, cfg)
+    _check_octaves(j1, j2)
+    return j1, j2
+
+
+def _check_octaves(j1: int, j2: int) -> None:
+    """Raise DegenerateRange unless 1 <= j1 < j2."""
     if not 1 <= j1 < j2:
         raise DegenerateRange(f"need 1 <= j1 < j2, got ({j1}, {j2})")
-    return j1, j2
 
 
 def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
@@ -174,7 +180,11 @@ def analyze(
     balance: str = "by_count",
     t_start: int | None = None,
 ) -> EstimateRecord:
-    """Run the full estimation pipeline on a series (or prebuilt pyramid)."""
+    """Run the full estimation pipeline on a series (or prebuilt pyramid).
+
+    Raises DegenerateRange unless 1 <= j1 < j2.
+    """
+    _check_octaves(j1, j2)
     pyr = x if isinstance(x, WaveletPyramid) else dwt(np.asarray(x, dtype=float), j2, f)
     if pyr.j_max < j2:
         raise ScaleUnavailable(f"pyramid reaches octave {pyr.j_max}, need {j2}")

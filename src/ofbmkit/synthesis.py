@@ -22,6 +22,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -59,10 +60,13 @@ def gaussian_variates(seed: int, shape) -> np.ndarray:
     from scipy.special import ndtri  # imported here: estimate and sliding never load scipy
 
     _check_seeds(seed)
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    raw = gen.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    # for the full uint64 range, Generator.integers returns these same words
+    raw = np.random.Philox(key=np.uint64(seed)).random_raw(shape)
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
 
 
 def mfgn_covariance_matrices(p: ModelParams, lags) -> np.ndarray:
@@ -224,22 +228,34 @@ class CirculantEmbedding:
 # On-disk formats: CSV (t, c1..cM) and raw float64 + JSON sidecar
 # ---------------------------------------------------------------------------
 
+# Rows per write: the writers hold one chunk of formatted rows (and of the
+# samples as Python floats) at a time, never the whole table.
+_CHUNK_ROWS = 4096
+
+
 def table_to_csv(fh, header, columns) -> None:
     """Write a header row, then one row per position of the columns.
 
     Each field is ``str`` of its value (for a float the shortest repr), lines
     end in CRLF and nothing is quoted: no output field holds a comma, a quote
     or a line end.  A ``%s`` template formats a whole row in one call, which
-    is faster than calling ``str`` on each value.
+    is faster than calling ``str`` on each value.  Rows are written
+    ``_CHUNK_ROWS`` at a time, so the whole text is never held in memory.
     """
-    rows = map(",".join(["%s"] * len(header)).__mod__, zip(*columns))
-    fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
+    fh.write(",".join(header) + "\r\n")
+    lines = map((",".join(["%s"] * len(header)) + "\r\n").__mod__, zip(*columns))
+    while chunk := "".join(islice(lines, _CHUNK_ROWS)):
+        fh.write(chunk)
 
 
 def path_to_csv(path: SamplePath, fh) -> None:
-    """Write the ``t,c1..cM`` layout."""
+    """Write the ``t,c1..cM`` layout, turning samples into floats a chunk at a time."""
     header = ["t"] + [f"c{i + 1}" for i in range(path.m)]
-    table_to_csv(fh, header, [range(path.n), *path.data.tolist()])
+    cuts = range(_CHUNK_ROWS, path.n, _CHUNK_ROWS)
+    columns = [
+        chain.from_iterable(map(np.ndarray.tolist, np.split(row, cuts))) for row in path.data
+    ]
+    table_to_csv(fh, header, [range(path.n), *columns])
 
 
 def path_from_csv(fh) -> np.ndarray:
@@ -250,14 +266,40 @@ def path_from_csv(fh) -> np.ndarray:
 # A field that opens with a quote runs to the next lone quote and may hold
 # commas and line ends ("" inside it stands for one quote); anywhere else a
 # quote is an ordinary character.  These are the rules of the csv module's
-# default dialect, which np.loadtxt(quotechar='"') follows as well.
-_QUOTED = r'"(?<![^,\n]")[^"]*(?:""[^"]*)*"?'
+# default dialect, which np.loadtxt(quotechar='"') follows as well.  The
+# patterns match UTF-8 bytes.
+_QUOTED = rb'"(?<![^,\n]")[^"]*(?:""[^"]*)*"?'
 _QUOTED_FIELD = re.compile(_QUOTED)
-_RECORD = re.compile(rf'(?:[^"\n]+|{_QUOTED}|")*')
+_RECORD = re.compile(rb'(?:[^"\n]+|' + _QUOTED + rb'|")*')
 
 
 def _load(lines, **kwargs) -> np.ndarray:
-    return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', **kwargs)
+    return np.loadtxt(
+        lines, delimiter=",", comments=None, quotechar='"', encoding="utf-8", **kwargs
+    )
+
+
+def _body(buf: bytes, start: int) -> io.BytesIO:
+    """The lines of ``buf`` from byte ``start`` on, without a copy of the bytes."""
+    stream = io.BytesIO(buf)
+    stream.seek(start)
+    return stream
+
+
+def _fields_per_record(body, quoted: bool) -> np.ndarray:
+    """Field count of each record in ``body``, UTF-8 bytes with LF line ends.
+
+    With each quoted field cut to "" (needed only if the text holds a quote),
+    the records are the non-blank lines; line k lies between bounds k and
+    k + 1 and has one field more than commas (no UTF-8 byte of another
+    character equals "," or "\\n").
+    """
+    if quoted:
+        body = _QUOTED_FIELD.sub(b'""', body)
+    cut = np.frombuffer(body, dtype=np.uint8)
+    bounds = np.concatenate(([-1], np.flatnonzero(cut == ord("\n")), [cut.size]))
+    commas = np.searchsorted(np.flatnonzero(cut == ord(",")), bounds)
+    return (np.diff(commas) + 1)[np.diff(bounds) > 1]
 
 
 def series_from_csv(fh, label_column: str | None = None):
@@ -269,10 +311,18 @@ def series_from_csv(fh, label_column: str | None = None):
     raises MalformedInput.  Lines end in LF, CRLF or CR (read as LF inside a
     quoted field too) and fields follow the csv module's quoting.  Samples
     are parsed by np.loadtxt, which gives the same doubles as float() but
-    accepts only ASCII numerals without underscores.
+    accepts only ASCII numerals without underscores.  A lone surrogate, which
+    has no UTF-8 form, reads as its ``\\uXXXX`` escape, so a sample holding
+    one is non-numeric.
+
+    The text is encoded once; the header, the field counts and both
+    np.loadtxt passes read that one buffer, so a read peaks at a small
+    multiple of the file size.
     """
-    text = fh.read().replace("\r\n", "\n").replace("\r", "\n")
-    first = _RECORD.match(text).group()
+    buf = fh.read().encode("utf-8", "backslashreplace")
+    if b"\r" in buf:
+        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    first = _RECORD.match(buf).group()
     if not first:
         raise MalformedInput("empty series file")
     header = _load([first], dtype=object, ndmin=1).tolist()
@@ -285,17 +335,8 @@ def series_from_csv(fh, label_column: str | None = None):
         label = names.index(label_column.lower())
         skip.add(label)
     cols = [i for i in range(len(header)) if i not in skip]
-    body = text[len(first) :]
-    # with each quoted field cut to "", the records are the non-blank lines;
-    # line k lies between bounds k and k + 1 and has one field more than
-    # commas (no UTF-8 byte of another character equals "," or "\n"; a lone
-    # surrogate is encoded as its three bytes and left to np.loadtxt)
-    cut = np.frombuffer(
-        _QUOTED_FIELD.sub('""', body).encode("utf-8", "surrogatepass"), dtype=np.uint8
-    )
-    bounds = np.concatenate(([-1], np.flatnonzero(cut == ord("\n")), [cut.size]))
-    commas = np.searchsorted(np.flatnonzero(cut == ord(",")), bounds)
-    fields = (np.diff(commas) + 1)[np.diff(bounds) > 1]
+    start = len(first)
+    fields = _fields_per_record(memoryview(buf)[start:], b'"' in buf)
     if not fields.size or not cols:
         raise MalformedInput("series file holds no samples")
     ragged = np.flatnonzero(fields != len(header))
@@ -303,7 +344,7 @@ def series_from_csv(fh, label_column: str | None = None):
         k = ragged[0]
         raise MalformedInput(f"data row {k + 1} has {fields[k]} fields, the header {len(header)}")
     try:
-        data = _load(io.StringIO(body), usecols=cols, ndmin=2).T
+        data = _load(_body(buf, start), usecols=cols, ndmin=2).T
     except ValueError as exc:
         # np.loadtxt counts the records it reads from 0 and skips blank lines,
         # so its row r is data row r + 1 as the ragged-row message counts
@@ -316,7 +357,7 @@ def series_from_csv(fh, label_column: str | None = None):
         ) from exc
     if label is None:
         return data, None
-    return data, _load(io.StringIO(body), usecols=[label], dtype=object, ndmin=1).astype(str)
+    return data, _load(_body(buf, start), usecols=[label], dtype=object, ndmin=1).astype(str)
 
 
 def path_sidecar(path: SamplePath) -> dict:

@@ -23,6 +23,7 @@ from ofbmkit.analysis import (
 )
 from ofbmkit.errors import (
     BadProbability,
+    DegenerateRange,
     DimensionMismatch,
     EmptySample,
     NonFiniteData,
@@ -423,6 +424,16 @@ def test_sliding_window_validates_hop():
     x = np.zeros((1, 3000))
     with pytest.raises(WindowTooSmall):
         sliding_window_estimates(x, window=200, hop=300, j1=1, j2=4)
+
+
+@pytest.mark.parametrize("j1", [0, -1])
+def test_analyze_and_sliding_apply_the_octave_rule(j1):
+    # checked at entry, before weights are built from a wrapped count index
+    x = np.random.default_rng(15).normal(size=(2, 4000)).cumsum(axis=1)
+    with pytest.raises(DegenerateRange):
+        analyze(x, j1, 4)
+    with pytest.raises(DegenerateRange):
+        sliding_window_estimates(x, window=1024, hop=256, j1=j1, j2=4)
 
 
 def test_sliding_window_stationary_fluctuation():

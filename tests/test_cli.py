@@ -132,9 +132,13 @@ def _no_embedding(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command", ["estimate", "mc"])
-@pytest.mark.parametrize("octaves", [["--j1", "5"], ["--j1", "5", "--j2", "5"]])
+@pytest.mark.parametrize(
+    "octaves",
+    [["--j1", "5"], ["--j1", "5", "--j2", "5"], ["--beta", "1.5"], ["--beta", "nan"], ["--n0", "100"]],
+)
 def test_octave_range_rule_exit_4(params_file, tmp_path, capsys, monkeypatch, command, octaves):
-    # one rule for both commands; mc applies it before any synthesis
+    # one rule for both commands, --beta and --n0 included; mc applies it
+    # before any synthesis
     if command == "estimate":
         argv = ["estimate", str(_synth(params_file, tmp_path, extra=["--n", "2048"]))]
     else:

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,9 +395,24 @@ def _csv_field(text, quote):
     return text
 
 
+def _plain(texts):
+    return [text for text in texts if not any(c in text for c in ',"\r\n')]
+
+
 @st.composite
 def series_files(draw):
-    """CSV text in the shapes series files take, with optional faults."""
+    """CSV text in the shapes series files take, with optional faults.
+
+    Half the texts hold no quote at all, so the reader's path that cuts
+    quoted fields before counting them runs, and so does the one that skips
+    the cut.
+    """
+    quotes = draw(st.booleans())
+    labels, not_numerals = (LABELS, NOT_NUMERALS) if quotes else map(_plain, (LABELS, NOT_NUMERALS))
+
+    def field(text):
+        return _csv_field(text, quotes and draw(st.booleans()))
+
     m = draw(st.integers(1, 3))
     names = [f"c{i + 1}" for i in range(m)]
     t_at = draw(st.none() | st.integers(0, m))
@@ -410,12 +427,12 @@ def series_files(draw):
         row = []
         for name in names:
             if name == "label":
-                cell = draw(st.sampled_from(LABELS))
+                cell = draw(st.sampled_from(labels))
             else:
                 cell = str(k) if name.strip().lower() == "t" else draw(value)
-            row.append(_csv_field(cell, draw(st.booleans())))
+            row.append(field(cell))
         rows.append(row)
-    fault = draw(st.sampled_from([None, "drop", "extra", "text", "pad_quote"]))
+    fault = draw(st.sampled_from([None, "drop", "extra", "text"] + ["pad_quote"] * quotes))
     if rows and fault:
         row = draw(st.sampled_from(rows))
         i = draw(st.integers(0, len(row) - 1))
@@ -424,10 +441,10 @@ def series_files(draw):
         elif fault == "extra":
             row.insert(i, "1.0")
         elif fault == "text":
-            row[i] = _csv_field(draw(st.sampled_from(NOT_NUMERALS)), draw(st.booleans()))
+            row[i] = field(draw(st.sampled_from(not_numerals)))
         else:
             row[i] = " " + _csv_field(row[i], True)
-    header = ",".join(_csv_field(name, draw(st.booleans())) for name in names)
+    header = ",".join(field(name) for name in names)
     lines = [header] + [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), "")
@@ -466,6 +483,43 @@ def test_series_from_csv_lone_surrogate_sample_is_malformed(sample):
     # text decoded with errors="surrogateescape" can hold lone surrogates
     with pytest.raises(MalformedInput, match="non-numeric sample .* in data row 2, column 2"):
         series_from_csv(io.StringIO(f"t,c1\n0,1\n1,{sample}\n"))
+
+
+@pytest.mark.parametrize("label_column", [None, "label"])
+def test_series_from_csv_peak_memory_is_a_small_multiple_of_the_text(label_column):
+    # tracemalloc sees numpy's buffers; the reader once held about 8 times the text
+    n = 2**16
+    data = np.random.default_rng(16).normal(size=(2, n)).cumsum(axis=1)
+    header, columns = ["t", "c1", "c2"], [range(n), *data.tolist()]
+    if label_column is not None:
+        header.append(label_column)
+        columns.append(["a"] * (n // 2) + ["b"] * (n // 2))
+    out = io.StringIO(newline="")
+    table_to_csv(out, header, columns)
+    text = out.getvalue()
+    fh = io.StringIO(text, newline="")
+    tracemalloc.start()
+    try:
+        back, labels = series_from_csv(fh, label_column)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, data)
+    assert peak <= 5 * len(text)
+
+
+def test_path_to_csv_peak_memory_does_not_grow_with_the_path():
+    rng = np.random.default_rng(17)
+    for n in (2**14, 2**15, 2**16, 2**17):
+        path = SamplePath(data=rng.normal(size=(2, n)).cumsum(axis=1), params=BIV, seed=0, kind="mfBm")
+        with open(os.devnull, "w", newline="") as fh:
+            tracemalloc.start()
+            try:
+                path_to_csv(path, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**21, n
 
 
 def test_binary_round_trip_and_sidecar():
