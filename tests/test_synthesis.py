@@ -403,9 +403,9 @@ def _plain(texts):
 def series_files(draw):
     """CSV text in the shapes series files take, with optional faults.
 
-    Half the texts hold no quote at all, so the reader's path that cuts
-    quoted fields before counting them runs, and so does the one that skips
-    the cut.
+    About half the draws allow no quote at all, so both of the reader's
+    paths run: the one that cuts quoted fields before counting fields, and
+    the one that skips the cut.
     """
     quotes = draw(st.booleans())
     labels, not_numerals = (LABELS, NOT_NUMERALS) if quotes else map(_plain, (LABELS, NOT_NUMERALS))
@@ -487,7 +487,7 @@ def test_series_from_csv_lone_surrogate_sample_is_malformed(sample):
 
 @pytest.mark.parametrize("label_column", [None, "label"])
 def test_series_from_csv_peak_memory_is_a_small_multiple_of_the_text(label_column):
-    # tracemalloc sees numpy's buffers; the reader once held about 8 times the text
+    # tracemalloc sees numpy's buffers too, so the bound covers the whole read
     n = 2**16
     data = np.random.default_rng(16).normal(size=(2, n)).cumsum(axis=1)
     header, columns = ["t", "c1", "c2"], [range(n), *data.tolist()]
