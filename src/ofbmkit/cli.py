@@ -2,13 +2,14 @@
 
 Every command is deterministic given its full flag set; outputs are written
 atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems
-(including a file that is not UTF-8, a malformed series CSV and a seed
-outside 0..2^64 - 1), 3 model validation, 4 data/estimation (including NaN
-or infinite samples, a bad --j1/--j2 pair, a --beta outside (0, 1) or an
---n0 below 2^9, a ``sliding`` --hop outside 1..--window, a ``sliding``
-series shorter than one window, a labelled ``sliding`` whose windows do not
-carry exactly two labels and a labelled ``sliding`` with --alpha outside
-(0, 1)), 5 internal.
+(including a file that is not UTF-8, a malformed series CSV, a seed outside
+0..2^64 - 1 and an ``OFBMKIT_THREADS`` that ``mc`` cannot read as an
+integer), 3 model validation, 4 data/estimation (including NaN or infinite
+samples, a ``synth`` or ``mc`` --n below 2, a bad --j1/--j2 pair, a --beta
+outside (0, 1) or an --n0 below 2^9, a ``sliding`` --hop outside
+1..--window, a ``sliding`` series shorter than one window, a labelled
+``sliding`` whose windows do not carry exactly two labels and a labelled
+``sliding`` with --alpha outside (0, 1)), 5 internal.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _write_json(path, payload: dict) -> None:
 
 def _write_csv(path, header, rows) -> None:
     with _atomic_open(path) as fh:
-        table_to_csv(fh, header, zip(*rows))
+        table_to_csv(fh, header, rows)
 
 
 def _range_config(args) -> ScalingRangeConfig:
@@ -353,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("OFBMKIT_THREADS", "1")),
+        # a string default goes through type=int only when mc parses its flags
+        default=os.environ.get("OFBMKIT_THREADS", "1"),
         help="worker threads (OFBMKIT_THREADS as fallback); has no effect on output",
     )
     p.add_argument("--out-dir", required=True)

@@ -26,7 +26,13 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmbeddingFailed, MalformedInput, SeedOutOfRange
+from .errors import (
+    DimensionMismatch,
+    EmbeddingFailed,
+    MalformedInput,
+    SeedOutOfRange,
+    SeriesTooShort,
+)
 from .model import ModelParams, params_to_dict
 
 # Identifier of the seed -> path map, stored in output metadata.
@@ -123,7 +129,7 @@ class CirculantEmbedding:
 
     def __init__(self, params: ModelParams, n: int):
         if n < 2:
-            raise DimensionMismatch(f"need at least 2 samples, got {n}")
+            raise SeriesTooShort(f"need at least 2 samples, got {n}")
         self.params = params
         self.n = int(n)
 
@@ -233,8 +239,8 @@ class CirculantEmbedding:
 _CHUNK_ROWS = 4096
 
 
-def table_to_csv(fh, header, columns) -> None:
-    """Write a header row, then one row per position of the columns.
+def table_to_csv(fh, header, rows) -> None:
+    """Write a header row, then one line per row of values.
 
     Each field is ``str`` of its value (for a float the shortest repr), lines
     end in CRLF and nothing is quoted: no output field holds a comma, a quote
@@ -243,7 +249,7 @@ def table_to_csv(fh, header, columns) -> None:
     ``_CHUNK_ROWS`` at a time, so the whole text is never held in memory.
     """
     fh.write(",".join(header) + "\r\n")
-    lines = map((",".join(["%s"] * len(header)) + "\r\n").__mod__, zip(*columns))
+    lines = map((",".join(["%s"] * len(header)) + "\r\n").__mod__, rows)
     while chunk := "".join(islice(lines, _CHUNK_ROWS)):
         fh.write(chunk)
 
@@ -255,7 +261,7 @@ def path_to_csv(path: SamplePath, fh) -> None:
     columns = [
         chain.from_iterable(map(np.ndarray.tolist, np.split(row, cuts))) for row in path.data
     ]
-    table_to_csv(fh, header, [range(path.n), *columns])
+    table_to_csv(fh, header, zip(range(path.n), *columns))
 
 
 def path_from_csv(fh) -> np.ndarray:
@@ -263,43 +269,30 @@ def path_from_csv(fh) -> np.ndarray:
     return series_from_csv(fh)[0]
 
 
-# A field that opens with a quote runs to the next lone quote and may hold
-# commas and line ends ("" inside it stands for one quote); anywhere else a
-# quote is an ordinary character.  These are the rules of the csv module's
-# default dialect, which np.loadtxt(quotechar='"') follows as well.  The
-# patterns match UTF-8 bytes.
-_QUOTED = rb'"(?<![^,\n]")[^"]*(?:""[^"]*)*"?'
-_QUOTED_FIELD = re.compile(_QUOTED)
-_RECORD = re.compile(rb'(?:[^"\n]+|' + _QUOTED + rb'|")*')
+# One record, the header: a field that opens with a quote runs to the next
+# lone quote and may hold commas and line ends ("" inside it stands for one
+# quote); anywhere else a quote is an ordinary character.  These are the
+# rules of the csv module's default dialect, which np.loadtxt(quotechar='"')
+# follows as well.  The pattern matches UTF-8 bytes.
+_RECORD = re.compile(rb'(?:[^"\n]+|"(?<![^,\n]")[^"]*(?:""[^"]*)*"?|")*')
+# np.loadtxt's messages for a row with the wrong field count (its rows counted
+# from 1) and for a sample that is not a number (its rows counted from 0)
+_WRONG_COUNT = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
+_NOT_A_NUMBER = re.compile(r"string (.*) to float64 at row (\d+), column (\d+)")
 
 
 def _load(lines, **kwargs) -> np.ndarray:
     return np.loadtxt(
-        lines, delimiter=",", comments=None, quotechar='"', encoding="utf-8", **kwargs
+        lines, delimiter=",", comments=None, quotechar='"', encoding="utf-8", ndmin=1, **kwargs
     )
 
 
-def _body(buf: bytes, start: int) -> io.BytesIO:
-    """The lines of ``buf`` from byte ``start`` on, without a copy of the bytes."""
-    stream = io.BytesIO(buf)
-    stream.seek(start)
-    return stream
-
-
-def _fields_per_record(body, quoted: bool) -> np.ndarray:
-    """Field count of each record in ``body``, UTF-8 bytes with LF line ends.
-
-    With each quoted field cut to "" (needed only if the text holds a quote),
-    the records are the non-blank lines; line k lies between bounds k and
-    k + 1 and has one field more than commas (no UTF-8 byte of another
-    character equals "," or "\\n").
-    """
-    if quoted:
-        body = _QUOTED_FIELD.sub(b'""', body)
-    cut = np.frombuffer(body, dtype=np.uint8)
-    bounds = np.concatenate(([-1], np.flatnonzero(cut == ord("\n")), [cut.size]))
-    commas = np.searchsorted(np.flatnonzero(cut == ord(",")), bounds)
-    return (np.diff(commas) + 1)[np.diff(bounds) > 1]
+def _row_dtype(names, label: int | None) -> np.dtype:
+    """One field per column: U1 for ``t`` (never parsed), object for the label, else f8."""
+    kinds = ["U1" if name == "t" else "f8" for name in names]
+    if label is not None:
+        kinds[label] = "O"
+    return np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
 
 
 def series_from_csv(fh, label_column: str | None = None):
@@ -308,16 +301,17 @@ def series_from_csv(fh, label_column: str | None = None):
     Columns named ``t`` are dropped wherever they stand; with
     ``label_column``, that column is split off as the labels.  An empty
     file, a ragged row, a non-numeric sample or a missing label column
-    raises MalformedInput.  Lines end in LF, CRLF or CR (read as LF inside a
-    quoted field too) and fields follow the csv module's quoting.  Samples
-    are parsed by np.loadtxt, which gives the same doubles as float() but
-    accepts only ASCII numerals without underscores.  A lone surrogate, which
-    has no UTF-8 form, reads as its ``\\uXXXX`` escape, so a sample holding
-    one is non-numeric.
+    raises MalformedInput; when the body holds several, the first bad row
+    is named.  Lines end in LF, CRLF or CR (read as LF inside a quoted field
+    too) and fields follow the csv module's quoting.  Samples are parsed by
+    np.loadtxt, which gives the same doubles as float() but accepts only
+    ASCII numerals without underscores.  A lone surrogate, which has no
+    UTF-8 form, reads as its ``\\uXXXX`` escape, so a sample holding one is
+    non-numeric.
 
-    The text is encoded once; the header, the field counts and both
-    np.loadtxt passes read that one buffer, so a read peaks at a small
-    multiple of the file size.
+    The text is encoded once and the body read from that buffer by one
+    np.loadtxt pass with a field per column, which also checks each row's
+    field count, so a read peaks at about twice the size of the text.
     """
     buf = fh.read().encode("utf-8", "backslashreplace")
     if b"\r" in buf:
@@ -325,39 +319,36 @@ def series_from_csv(fh, label_column: str | None = None):
     first = _RECORD.match(buf).group()
     if not first:
         raise MalformedInput("empty series file")
-    header = _load([first], dtype=object, ndmin=1).tolist()
+    header = _load([first], dtype=object).tolist()
     names = [name.strip().lower() for name in header]
-    skip = {i for i, name in enumerate(names) if name == "t"}
     label = None
     if label_column is not None:
         if label_column.lower() not in names:
             raise MalformedInput(f"no column named {label_column!r} in {header}")
         label = names.index(label_column.lower())
-        skip.add(label)
-    cols = [i for i in range(len(header)) if i not in skip]
+    cols = [i for i, name in enumerate(names) if name != "t" and i != label]
     start = len(first)
-    fields = _fields_per_record(memoryview(buf)[start:], b'"' in buf)
-    if not fields.size or not cols:
+    # a body of nothing but line ends holds no record
+    if not cols or buf.count(b"\n", start) == len(buf) - start:
         raise MalformedInput("series file holds no samples")
-    ragged = np.flatnonzero(fields != len(header))
-    if ragged.size:
-        k = ragged[0]
-        raise MalformedInput(f"data row {k + 1} has {fields[k]} fields, the header {len(header)}")
+    body = io.BytesIO(buf)
+    body.seek(start)
     try:
-        data = _load(_body(buf, start), usecols=cols, ndmin=2).T
+        rows = _load(body, dtype=_row_dtype(names, label))
     except ValueError as exc:
-        # np.loadtxt counts the records it reads from 0 and skips blank lines,
-        # so its row r is data row r + 1 as the ragged-row message counts
-        bad = re.search(r"string (.*) to float64 at row (\d+), column (\d+)", str(exc))
-        if bad is None:
-            raise MalformedInput(f"non-numeric sample: {exc}") from exc
-        value, row, column = bad.groups()
-        raise MalformedInput(
-            f"non-numeric sample {value} in data row {int(row) + 1}, column {column}"
-        ) from exc
-    if label is None:
-        return data, None
-    return data, _load(_body(buf, start), usecols=[label], dtype=object, ndmin=1).astype(str)
+        if wrong := _WRONG_COUNT.search(str(exc)):
+            required, found, row = wrong.groups()
+            message = f"data row {row} has {found} fields, the header {required}"
+            raise MalformedInput(message) from exc
+        if bad := _NOT_A_NUMBER.search(str(exc)):
+            value, row, column = bad.groups()
+            raise MalformedInput(
+                f"non-numeric sample {value} in data row {int(row) + 1}, column {column}"
+            ) from exc
+        raise MalformedInput(f"unreadable series file: {exc}") from exc
+    fields = rows.dtype.names
+    data = np.stack([rows[fields[i]] for i in cols])
+    return data, None if label is None else rows[fields[label]].astype(str)
 
 
 def path_sidecar(path: SamplePath) -> dict:

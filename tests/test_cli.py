@@ -569,6 +569,35 @@ def test_mc_last_seed_outside_64_bits_exit_2(params_file, tmp_path, capsys):
     assert not (tmp_path / "mc").exists()
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-4"])
+@pytest.mark.parametrize("command", ["synth", "mc"])
+def test_fewer_than_two_samples_exit_4(params_file, tmp_path, capsys, command, n):
+    # a bad --n is a data error, not a fault of the model file; nothing is written
+    out = tmp_path / "o"
+    if command == "synth":
+        argv = ["synth", "--params", params_file, f"--n={n}", "--seed", "1", "--out", str(out)]
+    else:
+        argv = ["mc", "--params", params_file, f"--n={n}", "--n-mc", "2", "--seed", "1",
+                "--j1", "1", "--j2", "2", "--out-dir", str(out)]
+    assert main(argv) == 4
+    assert f"SeriesTooShort: need at least 2 samples, got {n}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["params.json"]
+
+
+def test_threads_env_that_is_not_an_integer_fails_only_mc(params_file, tmp_path, capsys, monkeypatch):
+    # OFBMKIT_THREADS is only the default of mc --threads, converted when mc parses its flags
+    series = _synth(params_file, tmp_path)
+    monkeypatch.setenv("OFBMKIT_THREADS", "abc")
+    assert main(["--version"]) == 0
+    assert main(["estimate", str(series), "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "e")]) == 0
+    capsys.readouterr()
+    rc = main(["mc", "--params", params_file, "--n", "2048", "--n-mc", "2", "--seed", "1",
+               "--j1", "2", "--j2", "6", "--out-dir", str(tmp_path / "mc")])
+    assert rc == 2
+    assert "--threads: invalid int value: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "mc").exists()
+
+
 @pytest.mark.parametrize("labelled", [False, True])
 @pytest.mark.parametrize("hop", [0, -5])
 def test_sliding_hop_below_one_exit_4(tmp_path, capsys, hop, labelled):

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import string
 import tracemalloc
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofbmkit import synthesis
-from ofbmkit.errors import MalformedInput, SeedOutOfRange
+from ofbmkit.errors import MalformedInput, SeedOutOfRange, SeriesTooShort
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import (
     RNG_ID,
@@ -285,6 +286,13 @@ def test_mfbm_dyadic_selfsimilarity():
         assert abs(ratio - 2.0 ** (2 * h)) < 5 * se
 
 
+@pytest.mark.parametrize("n", [1, 0, -4])
+def test_embedding_needs_two_samples(n):
+    # a bad sample count is a data error, not a fault of the model
+    with pytest.raises(SeriesTooShort, match=f"need at least 2 samples, got {n}"):
+        CirculantEmbedding(BIV, n)
+
+
 def test_batch_api_matches_single_calls():
     # one shared embedding gives the same paths as a fresh embedding per seed
     emb = CirculantEmbedding(BIV, 64)
@@ -354,7 +362,7 @@ def test_table_to_csv_bytes_equal_csv_writer_form(table):
     for row in zip(*columns):
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     out = io.StringIO(newline="")
-    table_to_csv(out, header, columns)
+    table_to_csv(out, header, zip(*columns))
     assert out.getvalue() == ref.getvalue()
 
 
@@ -403,9 +411,9 @@ def _plain(texts):
 def series_files(draw):
     """CSV text in the shapes series files take, with optional faults.
 
-    About half the draws allow no quote at all, so both of the reader's
-    paths run: the one that cuts quoted fields before counting fields, and
-    the one that skips the cut.
+    About half the draws allow no quote at all.  In the other half any
+    field may be quoted, and labels and non-numerals that need quoting
+    (commas, quotes, line ends) are drawn too.
     """
     quotes = draw(st.booleans())
     labels, not_numerals = (LABELS, NOT_NUMERALS) if quotes else map(_plain, (LABELS, NOT_NUMERALS))
@@ -485,6 +493,34 @@ def test_series_from_csv_lone_surrogate_sample_is_malformed(sample):
         series_from_csv(io.StringIO(f"t,c1\n0,1\n1,{sample}\n"))
 
 
+def test_series_from_csv_names_the_first_bad_row_of_either_kind():
+    # a non-numeric data row 1 ahead of a ragged data row 2
+    with pytest.raises(MalformedInput, match="non-numeric sample 'x' in data row 1, column 2"):
+        series_from_csv(io.StringIO("t,c1\n0,x\n1\n"))
+
+
+@pytest.mark.parametrize(
+    "body, pattern, groups",
+    [(b"0,1,a\n1,2\n", "_WRONG_COUNT", ("3", "2", "2")),
+     (b"0,1,a\n1,x,b\n", "_NOT_A_NUMBER", ("'x'", "1", "2"))],
+)
+def test_loadtxt_messages_match_the_reader_patterns(body, pattern, groups):
+    # the reader rewrites these two np.loadtxt messages, so a numpy that words
+    # them (or counts their rows) differently fails here
+    with pytest.raises(ValueError) as exc:
+        synthesis._load(io.BytesIO(body), dtype=synthesis._row_dtype(["t", "c1", "label"], 2))
+    assert getattr(synthesis, pattern).search(str(exc.value)).groups() == groups
+
+
+@pytest.mark.parametrize("content", ["t,c1\n0,1\n1\n", "t,c1\n0,x\n"])
+def test_series_from_csv_unmatched_loadtxt_message_is_malformed(monkeypatch, content):
+    never = re.compile("(?!)")
+    monkeypatch.setattr(synthesis, "_WRONG_COUNT", never)
+    monkeypatch.setattr(synthesis, "_NOT_A_NUMBER", never)
+    with pytest.raises(MalformedInput, match="unreadable series file: .* row"):
+        series_from_csv(io.StringIO(content))
+
+
 @pytest.mark.parametrize("label_column", [None, "label"])
 def test_series_from_csv_peak_memory_is_a_small_multiple_of_the_text(label_column):
     # tracemalloc sees numpy's buffers too, so the bound covers the whole read
@@ -495,7 +531,7 @@ def test_series_from_csv_peak_memory_is_a_small_multiple_of_the_text(label_colum
         header.append(label_column)
         columns.append(["a"] * (n // 2) + ["b"] * (n // 2))
     out = io.StringIO(newline="")
-    table_to_csv(out, header, columns)
+    table_to_csv(out, header, zip(*columns))
     text = out.getvalue()
     fh = io.StringIO(text, newline="")
     tracemalloc.start()
@@ -505,7 +541,7 @@ def test_series_from_csv_peak_memory_is_a_small_multiple_of_the_text(label_colum
     finally:
         tracemalloc.stop()
     assert np.array_equal(back, data)
-    assert peak <= 5 * len(text)
+    assert peak < 2.25 * len(text)
 
 
 def test_path_to_csv_peak_memory_does_not_grow_with_the_path():
