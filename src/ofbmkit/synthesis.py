@@ -10,6 +10,11 @@ normals, mapped by that factor and one inverse real FFT.  Paths carry the
 covariance W Gamma(k) W^T exactly whenever the embedding is positive
 semidefinite; negative spectral mass is clipped and reported.
 
+Memory: the factor is M^2 (size/2 + 1) doubles, built in place a block of
+frequencies at a time, so the build peaks below twice the factor once the
+factor spans a few blocks (``_BLOCK_VALUES``); a draw peaks at about four
+times the path it returns.
+
 Reproducibility: all randomness flows through a counter-based Philox generator
 keyed by a 64-bit seed, and normal variates are produced by inverse-CDF from
 fixed-point uniforms, so identical (params, n, seed) inputs give bit-identical
@@ -22,7 +27,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, combinations_with_replacement, islice
 
 import numpy as np
 
@@ -47,6 +52,8 @@ PSD_DUST_RTOL = 1e-12
 MAX_SIZE_FACTOR = 2**16
 # Seeds are Philox keys: unsigned 64-bit integers.
 SEED_MAX = 2**64 - 1
+# Values per block of the embedding build, and per slice of the normals' cast
+_BLOCK_VALUES = 2**16
 
 
 def _check_seeds(first: int, count: int = 1) -> None:
@@ -69,10 +76,12 @@ def gaussian_variates(seed: int, shape) -> np.ndarray:
     # for the full uint64 range, Generator.integers returns these same words
     raw = np.random.Philox(key=np.uint64(seed)).random_raw(shape)
     raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u += 0.5
+    words, u = raw.reshape(-1), raw.view(np.float64).reshape(-1)
+    # k + 1/2 written over k in slices: a ufunc copies a whole input that overlaps its output
+    for i in range(0, u.size, _BLOCK_VALUES):
+        np.add(words[i : i + _BLOCK_VALUES], 0.5, out=u[i : i + _BLOCK_VALUES])
     u *= 2.0**-53
-    return ndtri(u, out=u)
+    return ndtri(u, out=u).reshape(raw.shape)
 
 
 def mfgn_covariance_matrices(p: ModelParams, lags) -> np.ndarray:
@@ -124,7 +133,10 @@ class CirculantEmbedding:
     """Spectral factorization of the mfGn covariance, reusable across seeds.
 
     Precomputing the factorization once and drawing many seeds through
-    :meth:`sample` is the fast path for Monte Carlo work.
+    :meth:`sample` is the fast path for Monte Carlo work.  The instance keeps
+    only the factor, M^2 (size/2 + 1) doubles; building it peaks below twice
+    that for a factor of more than a few blocks, and :meth:`sample` at about
+    four times the returned path.
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -139,7 +151,7 @@ class CirculantEmbedding:
         size = max(size, 4)
 
         while True:
-            evals, evecs, spec_min = self._spectrum(params, size)
+            factor, evals = self._factor_and_eigenvalues(params, size)
             neg = np.abs(np.minimum(evals, 0.0))
             # f = 0 and f = size/2 occur once in the full spectrum, others twice
             wts = np.full(evals.shape[0], 2.0)
@@ -158,34 +170,45 @@ class CirculantEmbedding:
                 f"(tolerance {CLIP_TOL:.1e})"
             )
 
-        clipped_evals = np.maximum(evals, 0.0)
-        # B(f) = U sqrt(L) U^T, real symmetric PSD, one matrix per frequency
-        b = (evecs * np.sqrt(clipped_evals)[:, None, :]) @ np.swapaxes(evecs, 1, 2)
-        # sqrt(size) W B(f) as (M, M, size/2 + 1), frequency last
-        mixed = np.moveaxis(params.mixing.entries @ b, 0, -1) * np.sqrt(size)
-        self._factor = np.ascontiguousarray(mixed)
+        self._factor = factor
         self.size = size
         self.report = EmbeddingReport(
             embedding_size=size,
-            min_spectral_eigenvalue=spec_min,
+            min_spectral_eigenvalue=float(evals.min()),
             clipped_mass=mass,
         )
 
     @staticmethod
-    def _spectrum(params: ModelParams, size: int):
-        """Eigendecompose the block spectrum on frequencies 0..size/2."""
-        half = size // 2
-        gam = mfgn_covariance_matrices(params, np.arange(half + 1))
-        m = params.m
-        ext = np.empty((size, m, m))
-        ext[: half + 1] = gam
-        ext[half + 1 :] = gam[1:half][::-1]
-        lam = np.fft.rfft(ext, axis=0)
-        # blocks are symmetric in the lag, so the spectrum is real
-        lam = lam.real
-        lam = 0.5 * (lam + np.swapaxes(lam, 1, 2))
-        evals, evecs = np.linalg.eigh(lam)
-        return evals, evecs, float(evals.min())
+    def _factor_and_eigenvalues(params: ModelParams, size: int):
+        """Factor sqrt(size) W B(f) as (M, M, size/2 + 1), and the spectral eigenvalues.
+
+        One buffer holds in turn the lag covariances, each pair's real spectrum
+        and the factor, written over the spectrum a block of frequencies at a
+        time.  Each frequency is factored on its own, so blocks change no bit.
+        """
+        m, half, w = params.m, size // 2, params.mixing.entries
+        buf = np.empty((m, m, half + 1))
+        step = max(1, _BLOCK_VALUES // (m * m))
+        blocks = [slice(f, min(f + step, half + 1)) for f in range(0, half + 1, step)]
+        for blk in blocks:
+            gam = mfgn_covariance_matrices(params, np.arange(blk.start, blk.stop))
+            buf[:, :, blk] = np.moveaxis(gam, 0, -1)
+
+        def spectrum(c):  # of the lags periodized over size: symmetric, so real
+            return np.fft.rfft(np.concatenate((c, c[-2:0:-1]))).real
+
+        # both orders of a pair: sigma need not be symmetric in the last bit
+        for i, j in combinations_with_replacement(range(m), 2):
+            lam = spectrum(buf[i, j])
+            buf[i, j] = buf[j, i] = 0.5 * (lam + (lam if i == j else spectrum(buf[j, i])))
+        evals = np.empty((half + 1, m))
+        for blk in blocks:
+            vals, vecs = np.linalg.eigh(np.moveaxis(buf[:, :, blk], -1, 0))
+            evals[blk] = vals
+            # B(f) = U sqrt(L) U^T, real symmetric PSD, one matrix per frequency
+            b = (vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+            np.multiply(np.moveaxis(w @ b, 0, -1), np.sqrt(size), out=buf[:, :, blk])
+        return buf, evals
 
     def sample(self, seed: int, kind: str = "mfGn") -> SamplePath:
         """Draw one mixed M x n realization for the given seed.
@@ -193,10 +216,10 @@ class CirculantEmbedding:
         The seed gives M * size normals, mapped by :meth:`_paths` through a
         Hermitian half-spectrum; ``kind="mfBm"`` returns their cumulative sum.
         """
-        z = gaussian_variates(seed, (self.params.m, self.size))
-        data = self._paths(z)
+        # no reference to the normals is kept here, so _paths can free them
+        data = self._paths(gaussian_variates(seed, (self.params.m, self.size)))
         if kind == "mfBm":
-            data = np.cumsum(data, axis=1)
+            np.cumsum(data, axis=1, out=data)
         return SamplePath(data=data, params=self.params, seed=int(seed), kind=kind)
 
     def _paths(self, z: np.ndarray) -> np.ndarray:
@@ -205,15 +228,20 @@ class CirculantEmbedding:
         Column f of ``z`` is the noise at frequency f of the full spectrum;
         its Hermitian part is drawn: real z[0] and z[size/2], and
         (z[f] + z[size - f]) / 2 + i (z[f] - z[size - f]) / 2 in between.
+        ``z`` is never written; each intermediate is dropped once used.
         """
         m, half = self.params.m, self.size // 2
         mirror = z[:, :half:-1]  # frequencies size - f for f = 1..size/2 - 1
         re = z[:, : half + 1].copy()
-        re[:, 1:half] = 0.5 * (z[:, 1:half] + mirror)
-        im = 0.5 * (z[:, 1:half] - mirror)
+        np.add(z[:, 1:half], mirror, out=re[:, 1:half])
+        re[:, 1:half] *= 0.5
+        im = z[:, 1:half] - mirror
+        im *= 0.5
+        del z, mirror
         spec = np.empty((m, half + 1, 2))  # real and imaginary parts
         np.einsum("ijf,jf->if", self._factor, re, out=spec[..., 0])
         np.einsum("ijf,jf->if", self._factor[:, :, 1:half], im, out=spec[:, 1:half, 1])
+        del re, im
         spec[:, [0, half], 1] = 0.0
         x = np.fft.irfft(spec.view(complex)[..., 0], n=self.size, axis=1)
         return x[:, : self.n]
@@ -302,8 +330,9 @@ def series_from_csv(fh, label_column: str | None = None):
     ``label_column``, that column is split off as the labels.  An empty
     file, a ragged row, a non-numeric sample or a missing label column
     raises MalformedInput; when the body holds several, the first bad row
-    is named.  Lines end in LF, CRLF or CR (read as LF inside a quoted field
-    too) and fields follow the csv module's quoting.  Samples are parsed by
+    is named (and a non-numeric sample's column, by number and header).
+    Lines end in LF, CRLF or CR (read as LF inside a quoted field too) and
+    fields follow the csv module's quoting.  Samples are parsed by
     np.loadtxt, which gives the same doubles as float() but accepts only
     ASCII numerals without underscores.  A lone surrogate, which has no
     UTF-8 form, reads as its ``\\uXXXX`` escape, so a sample holding one is
@@ -342,8 +371,13 @@ def series_from_csv(fh, label_column: str | None = None):
             raise MalformedInput(message) from exc
         if bad := _NOT_A_NUMBER.search(str(exc)):
             value, row, column = bad.groups()
+            hint = "" if label is not None else (
+                "; estimate and unlabelled sliding read numeric columns only"
+                " (sliding --label-column takes labels)"
+            )
             raise MalformedInput(
                 f"non-numeric sample {value} in data row {int(row) + 1}, column {column}"
+                f" ({header[int(column) - 1]!r}){hint}"
             ) from exc
         raise MalformedInput(f"unreadable series file: {exc}") from exc
     fields = rows.dtype.names
@@ -371,7 +405,19 @@ def path_to_binary(path: SamplePath, data_file, sidecar_file) -> None:
 
 
 def path_from_binary(data_file, sidecar_file) -> tuple[np.ndarray, dict]:
+    """(M x N samples, sidecar) from the pair path_to_binary writes.
+
+    A sidecar without positive integer ``M`` and ``N``, or a data file that
+    does not hold exactly M * N * 8 bytes, raises MalformedInput.
+    """
     meta = json.load(sidecar_file)
-    raw = np.frombuffer(data_file.read(), dtype="<f8")
-    arr = raw.reshape(meta["M"], meta["N"])
-    return arr, meta
+    shape = [meta.get("M"), meta.get("N")] if isinstance(meta, dict) else [None, None]
+    if not all(type(k) is int and k > 0 for k in shape):
+        raise MalformedInput(f"binary sidecar needs positive integers M and N, got {shape}")
+    raw = data_file.read()
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise MalformedInput(
+            f"binary file holds {len(raw)} bytes, the sidecar's {shape[0]} x {shape[1]} "
+            f"float64 samples need {8 * shape[0] * shape[1]}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape), meta

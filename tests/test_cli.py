@@ -466,6 +466,30 @@ def test_sliding_missing_label_column_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["estimate", "sliding"])
+def test_label_column_without_label_flag_names_it_exit_2(tmp_path, capsys, command):
+    path = _write_series(tmp_path / "xl.csv", _walk_rows(3000, label=True), ("t", "c1", "c2", "Group"))
+    extra = ["--window", "520", "--hop", "260"] if command == "sliding" else []
+    rc = main([command, path, "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "o")] + extra)
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err
+    assert "non-numeric sample 'a' in data row 1, column 4 ('Group'); " in err
+    assert "estimate and unlabelled sliding read numeric columns only" in err
+    assert "(sliding --label-column takes labels)" in err
+
+
+def test_labelled_sliding_names_a_non_numeric_sample_column_without_the_label_note(tmp_path, capsys):
+    rows = _walk_rows(3000, label=True)
+    rows[6][2] = "x"
+    path = _write_series(tmp_path / "xl.csv", rows, ("t", "c1", "c2", "label"))
+    rc = main(["sliding", path, "--window", "520", "--hop", "260", "--j1", "1", "--j2", "4",
+               "--label-column", "label", "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "non-numeric sample 'x' in data row 7, column 3 ('c2')\n" in err
+
+
 @pytest.mark.parametrize("header", [("label", "t", "c1", "c2"), ("c1", "c2", "t", "label")])
 def test_sliding_drops_t_column_anywhere(tmp_path, header):
     rows = _walk_rows(3000, label=True)

@@ -18,6 +18,7 @@ from ofbmkit.model import make_params
 from ofbmkit.synthesis import (
     RNG_ID,
     CirculantEmbedding,
+    EmbeddingReport,
     SamplePath,
     gaussian_variates,
     mfgn_covariance_matrices,
@@ -200,6 +201,129 @@ def test_embedding_report_fields():
     assert rep.embedding_size >= 2 * 99
     assert rep.embedding_size & (rep.embedding_size - 1) == 0  # power of two
     assert 0.0 <= rep.clipped_mass <= 1.0
+
+
+def _one_shot_embedding(params, n):
+    """The embedding build as whole-array passes: the blocked build must equal it bit for bit."""
+    size = max(4, 1 << (2 * (n - 1) - 1).bit_length())
+    while True:
+        half = size // 2
+        gam = synthesis.mfgn_covariance_matrices(params, np.arange(half + 1))
+        ext = np.empty((size, params.m, params.m))
+        ext[: half + 1] = gam
+        ext[half + 1 :] = gam[1:half][::-1]
+        lam = np.fft.rfft(ext, axis=0).real
+        lam = 0.5 * (lam + np.swapaxes(lam, 1, 2))
+        evals, evecs = np.linalg.eigh(lam)
+        wts = np.full(half + 1, 2.0)
+        wts[0] = wts[-1] = 1.0
+        total = float(np.sum(wts[:, None] * np.abs(evals)))
+        clipped = float(np.sum(wts[:, None] * np.abs(np.minimum(evals, 0.0))))
+        mass = clipped / total if total > 0.0 else 0.0
+        if mass <= synthesis.PSD_DUST_RTOL or size * 2 > synthesis.MAX_SIZE_FACTOR * n:
+            break
+        size *= 2
+    b = (evecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]) @ np.swapaxes(evecs, 1, 2)
+    factor = np.moveaxis(params.mixing.entries @ b, 0, -1) * np.sqrt(size)
+    return np.ascontiguousarray(factor), EmbeddingReport(size, float(evals.min()), mass)
+
+
+def _chain_model(m):
+    """M components with rising H and variances, correlations 0.5^|a-b| and a mild mixing."""
+    idx = np.arange(m)
+    mixing = np.eye(m) + 0.2 * np.sin(1.0 + np.add.outer(2 * idx, idx))
+    rho = 0.5 ** np.abs(np.subtract.outer(idx, idx))
+    return make_params(np.linspace(0.3, 0.8, m), np.linspace(0.5, 2.0, m), rho, mixing)
+
+
+# sigma = s_a rho_ab s_b rounds differently in its two orders: not symmetric in the last bit
+SKEW3 = make_params(
+    [0.3, 0.5, 0.8], [1.0, 2.0, 3.0], [[1.0, 0.3, 0.15], [0.3, 1.0, 0.3], [0.15, 0.3, 1.0]]
+)
+
+
+def _assert_equals_one_shot(params, n):
+    emb = CirculantEmbedding(params, n)
+    factor, report = _one_shot_embedding(params, n)
+    frequencies = emb.size // 2 + 1
+    step = synthesis._BLOCK_VALUES // params.m**2
+    # the case must span at least three blocks and end in a partial one
+    assert frequencies > 2 * step and frequencies % step != 0
+    assert np.array_equal(emb._factor, factor)
+    assert emb._factor.flags.c_contiguous
+    assert emb.report == report
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        (make_params([0.7], [2.0]), 2**17),
+        (BIV, 2**15),
+        (SKEW3, 2**14),
+        (QUAD, 2**13),
+        (_chain_model(8), 2**12),
+    ],
+    ids=["m1", "m2", "m3-skew-sigma", "m4", "m8"],
+)
+def test_blocked_build_equals_the_one_shot_build(params, n):
+    _assert_equals_one_shot(params, n)
+
+
+def test_skew_sigma_model_is_asymmetric_in_the_last_bit():
+    sigma = SKEW3.sigma.sigma
+    assert not np.array_equal(sigma, sigma.T)
+    np.testing.assert_allclose(sigma, sigma.T, rtol=1e-15, atol=0)
+
+
+def test_blocked_build_equals_the_one_shot_build_through_the_doubling_loop(monkeypatch):
+    # a Gaussian-shaped covariance: its periodization clips at the first size
+    # and is clean after one doubling, which must take the new size's blocks
+    def gaussian_shaped(params, lags):
+        k = np.abs(np.atleast_1d(np.asarray(lags, dtype=float)))
+        return np.exp(-((k / 2000.0) ** 2))[:, None, None] * params.sigma.sigma
+
+    monkeypatch.setattr(synthesis, "mfgn_covariance_matrices", gaussian_shaped)
+    n = 2**13
+    _assert_equals_one_shot(SKEW3, n)
+    report = CirculantEmbedding(SKEW3, n).report
+    assert report.embedding_size == 4 * n
+    assert 0.0 < report.clipped_mass <= synthesis.PSD_DUST_RTOL
+
+
+def test_gaussian_variates_equal_the_one_shot_cast_across_slices():
+    from scipy.special import ndtri
+
+    shape = (3, synthesis._BLOCK_VALUES + 5)
+    raw = np.random.Philox(key=np.uint64(77)).random_raw(shape) >> np.uint64(11)
+    u = (raw.astype(np.float64) + 0.5) * 2.0**-53
+    assert np.array_equal(gaussian_variates(77, shape), ndtri(u))
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m, n", [(8, 2**14), (16, 2**12)])
+def test_embedding_build_peaks_within_twice_the_factor(m, n):
+    params = _chain_model(m)
+    CirculantEmbedding(params, 64)  # first-call allocations of numpy and LAPACK
+    emb, peak = _peak_bytes(lambda: CirculantEmbedding(params, n))
+    assert emb._factor.nbytes == m * m * (emb.size // 2 + 1) * 8
+    assert peak <= 2.0 * emb._factor.nbytes
+
+
+@pytest.mark.parametrize("kind", ["mfGn", "mfBm"])
+@pytest.mark.parametrize("m, n", [(4, 2**15), (8, 2**14)])
+def test_sample_peaks_within_four_and_a_half_paths(m, n, kind):
+    emb = CirculantEmbedding(_chain_model(m), n)
+    emb.sample(0, kind=kind)
+    path, peak = _peak_bytes(lambda: emb.sample(1, kind=kind))
+    assert peak <= 4.5 * path.data.nbytes
 
 
 def test_white_noise_sample_moments():
@@ -571,3 +695,36 @@ def test_binary_round_trip_and_sidecar():
     assert meta["kind"] == "mfBm"
     assert meta["rng"] == RNG_ID
     assert json.dumps(path_sidecar(path))  # serializable
+
+
+def _binary_pair(path):
+    data, side = io.BytesIO(), io.StringIO()
+    path_to_binary(path, data, side)
+    return data.getvalue(), json.loads(side.getvalue())
+
+
+@pytest.mark.parametrize("extra", [-8, -1, 3, 8])
+def test_path_from_binary_needs_m_times_n_samples(extra):
+    raw, meta = _binary_pair(CirculantEmbedding(BIV, 32).sample(4))
+    raw = raw[:extra] if extra < 0 else raw + bytes(extra)
+    with pytest.raises(MalformedInput, match=f"binary file holds {512 + extra} bytes.* need 512"):
+        path_from_binary(io.BytesIO(raw), io.StringIO(json.dumps(meta)))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"M": None}, {"N": None}, {"M": "2"}, {"N": 32.0}, {"N": 0}, {"M": -2, "N": -32}, {"M": True}],
+    ids=["no-M", "no-N", "M-string", "N-float", "N-zero", "negative", "M-bool"],
+)
+def test_path_from_binary_sidecar_needs_integer_m_and_n(edit):
+    raw, meta = _binary_pair(CirculantEmbedding(BIV, 32).sample(4))
+    meta.update(edit)
+    meta = {key: value for key, value in meta.items() if value is not None}
+    with pytest.raises(MalformedInput, match="binary sidecar needs positive integers M and N"):
+        path_from_binary(io.BytesIO(raw), io.StringIO(json.dumps(meta)))
+
+
+def test_path_from_binary_sidecar_must_be_an_object():
+    raw, _ = _binary_pair(CirculantEmbedding(BIV, 32).sample(4))
+    with pytest.raises(MalformedInput, match="binary sidecar"):
+        path_from_binary(io.BytesIO(raw), io.StringIO("[2, 32]"))
