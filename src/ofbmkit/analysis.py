@@ -18,6 +18,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -271,11 +272,21 @@ def estimate_correlation(est: np.ndarray) -> np.ndarray:
     return np.corrcoef(est, rowvar=False).reshape(est.shape[1], est.shape[1])
 
 
+@lru_cache(maxsize=1)
+def _embedding(params: ModelParams, n: int) -> CirculantEmbedding:
+    """The embedding of the last study, keyed by the params object's identity."""
+    return CirculantEmbedding(params, n)
+
+
 def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
-    """Synthesize-analyze-aggregate loop; deterministic given the config."""
+    """Synthesize-analyze-aggregate loop; deterministic given the config.
+
+    The next study of the same params object at the same n reuses this one's
+    embedding, which holds M^2 * (size/2 + 1) doubles until another replaces it.
+    """
     j1, j2 = octave_range(cfg.n, cfg.range_cfg, cfg.j1, cfg.j2)
     f = filter_bank(cfg.filter_name)
-    emb = CirculantEmbedding(cfg.params, cfg.n)
+    emb = _embedding(cfg.params, cfg.n)
     m = cfg.params.m
 
     def one(r: int) -> EstimateRecord:

@@ -3,13 +3,14 @@
 Every command is deterministic given its full flag set; outputs are written
 atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems
 (including a file that is not UTF-8, a malformed series CSV, a seed outside
-0..2^64 - 1 and an ``OFBMKIT_THREADS`` that ``mc`` cannot read as an
-integer), 3 model validation, 4 data/estimation (including NaN or infinite
-samples, a ``synth`` or ``mc`` --n below 2, a bad --j1/--j2 pair, a --beta
-outside (0, 1) or an --n0 below 2^9, a ``sliding`` --hop outside
-1..--window, a ``sliding`` series shorter than one window, a labelled
-``sliding`` whose windows do not carry exactly two labels and a labelled
-``sliding`` with --alpha outside (0, 1)), 5 internal.
+0..2^64 - 1, and an ``mc`` --threads, or an ``OFBMKIT_THREADS`` in its
+place, that is not an integer of at least 1), 3 model validation, 4
+data/estimation (including NaN or infinite samples, a ``synth`` or ``mc``
+--n below 2, a bad --j1/--j2 pair, a --beta outside (0, 1) or an --n0
+below 2^9, a ``sliding`` --hop outside 1..--window, a ``sliding`` series
+shorter than one window, a labelled ``sliding`` whose windows do not carry
+exactly two labels and a labelled ``sliding`` with --alpha outside
+(0, 1)), 5 internal.
 """
 
 from __future__ import annotations
@@ -321,6 +322,17 @@ def _add_analysis_flags(p: argparse.ArgumentParser):
     )
 
 
+def _thread_count(text: str) -> int:
+    """mc --threads, or OFBMKIT_THREADS in its place: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ofbmkit",
@@ -353,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
         "--threads",
-        type=int,
-        # a string default goes through type=int only when mc parses its flags
+        type=_thread_count,
+        # a string default goes through the type only when mc parses its flags
         default=os.environ.get("OFBMKIT_THREADS", "1"),
         help="worker threads (OFBMKIT_THREADS as fallback); has no effect on output",
     )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import ofbmkit.analysis as analysis
+import ofbmkit.synthesis as synthesis
 from ofbmkit.analysis import (
     McConfig,
     bh_reject,
@@ -15,6 +16,7 @@ from ofbmkit.analysis import (
     mahalanobis_samples,
     performance_matrices,
     qq_pairs,
+    report_to_json,
     run_mc,
     sliding_window_estimates,
     spectral_norm,
@@ -25,11 +27,13 @@ from ofbmkit.errors import (
     BadProbability,
     DegenerateRange,
     DimensionMismatch,
+    EmbeddingFailed,
     EmptySample,
     NonFiniteData,
     NotSymmetric,
     SampleTooSmall,
     SeedOutOfRange,
+    SeriesTooShort,
     SingularCovariance,
     WindowTooSmall,
     ZeroVariance,
@@ -390,6 +394,90 @@ def test_run_mc_attaches_realization_index():
     cfg = McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=9)
     with pytest.raises(DataError, match="realization 1"):
         run_mc(cfg)
+
+
+# ---------------------------------------------------------------------------
+# the embedding memo of run_mc
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(params, n) of each embedding build run_mc asks for, from an empty memo."""
+    calls = []
+
+    def spy(params, n):
+        calls.append((params, n))
+        return CirculantEmbedding(params, n)
+
+    analysis._embedding.cache_clear()
+    monkeypatch.setattr(analysis, "CirculantEmbedding", spy)
+    yield calls
+    analysis._embedding.cache_clear()
+
+
+def _study(params, n=2**12, seed0=11):
+    return McConfig(params=params, n=n, n_mc=4, seed0=seed0, j1=3, j2=6)
+
+
+def _fresh_report(cfg) -> str:
+    analysis._embedding.cache_clear()
+    return report_to_json(run_mc(cfg))
+
+
+def test_run_mc_builds_once_for_studies_of_one_params_and_n(builds):
+    cfgs = [_study(SMALL_P, seed0=11), _study(SMALL_P, seed0=900)]
+    reports = [report_to_json(run_mc(cfg, threads=t)) for cfg, t in zip(cfgs, (2, 1))]
+    assert len(builds) == 1
+    assert reports == [_fresh_report(cfg) for cfg in cfgs]  # byte for byte
+    assert len(builds) == 3
+
+
+def test_run_mc_builds_again_for_another_n_or_params_object(builds):
+    twin = make_params(
+        [0.4, 0.7], [1.0, 1.0], [[1.0, 0.4], [0.4, 1.0]], [[1.0, 0.3], [-0.2, 1.0]]
+    )  # equal in value to SMALL_P, another object
+    small = report_to_json(run_mc(_study(SMALL_P, n=2**12)))
+    run_mc(_study(SMALL_P, n=2**13))
+    assert report_to_json(run_mc(_study(twin, n=2**12))) == small
+    assert [(p is SMALL_P, n) for p, n in builds] == [(True, 2**12), (True, 2**13), (False, 2**12)]
+    assert builds[2][0] is twin
+
+
+def test_run_mc_alternating_models_never_reuse_a_stale_embedding(builds):
+    other = make_params([0.6, 0.8], [1.0, 2.0], [[1.0, -0.3], [-0.3, 1.0]])
+    fresh = {p: _fresh_report(_study(p)) for p in (SMALL_P, other)}
+    assert fresh[SMALL_P] != fresh[other]
+    builds.clear()
+    analysis._embedding.cache_clear()
+    for p in (SMALL_P, other, SMALL_P, SMALL_P):
+        assert report_to_json(run_mc(_study(p))) == fresh[p]
+    assert [b[0] for b in builds] == [SMALL_P, other, SMALL_P]
+
+
+def test_run_mc_does_not_keep_a_failed_build(builds, monkeypatch):
+    cfg = _study(SMALL_P, n=2**10)
+    good = report_to_json(run_mc(cfg))
+    for _ in range(2):  # a failure is raised again, not remembered
+        with pytest.raises(SeriesTooShort):
+            analysis._embedding(SMALL_P, 1)
+
+    def negative_cov(params, lags):
+        out = np.zeros((np.atleast_1d(lags).size, 2, 2))
+        out[:, 0, 0] = out[:, 1, 1] = -1.0  # uniformly negative spectrum
+        return out
+
+    # n = 4 keeps the doubling loop short before the build gives up
+    tiny = McConfig(params=SMALL_P, n=4, n_mc=4, seed0=11, j1=1, j2=2)
+    covariance = synthesis.mfgn_covariance_matrices
+    monkeypatch.setattr(synthesis, "mfgn_covariance_matrices", negative_cov)
+    for _ in range(2):
+        with pytest.raises(EmbeddingFailed):
+            run_mc(tiny)
+    assert [n for _, n in builds] == [2**10, 1, 1, 4, 4]
+    assert report_to_json(run_mc(cfg)) == good  # the memo still holds n = 2^10
+    monkeypatch.setattr(synthesis, "mfgn_covariance_matrices", covariance)
+    assert analysis._embedding(SMALL_P, 4).n == 4
+    assert [n for _, n in builds[5:]] == [4]  # built, not a remembered failure
 
 
 def test_pyramid_counts_match_dwt():

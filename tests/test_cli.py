@@ -622,6 +622,27 @@ def test_threads_env_that_is_not_an_integer_fails_only_mc(params_file, tmp_path,
     assert not (tmp_path / "mc").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(params_file, tmp_path, capsys, monkeypatch, source, threads):
+    # mc --threads, or OFBMKIT_THREADS in its place, is checked when mc parses its
+    # flags; a large count is not run, since it would start that many threads
+    monkeypatch.setattr(analysis, "CirculantEmbedding", _no_embedding)
+    flag = ["--threads", threads] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("OFBMKIT_THREADS", threads)
+        assert main(["--version"]) == 0
+        assert main(["synth", "--params", params_file, "--n", "64", "--seed", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "mc"
+    rc = main(["mc", "--params", params_file, "--n", "2048", "--n-mc", "2", "--seed", "1",
+               "--j1", "2", "--j2", "6", "--out-dir", str(out)] + flag)
+    assert rc == 2
+    assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("labelled", [False, True])
 @pytest.mark.parametrize("hop", [0, -5])
 def test_sliding_hop_below_one_exit_4(tmp_path, capsys, hop, labelled):
