@@ -27,10 +27,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     BadProbability,
     DataError,
-    DimensionMismatch,
     EmptySample,
     NotSymmetric,
     SampleTooSmall,
+    ShapeMismatch,
     SingularCovariance,
     WindowTooSmall,
     ZeroVariance,
@@ -104,11 +104,11 @@ def performance_matrices(est: np.ndarray, h_true) -> tuple[np.ndarray, np.ndarra
     est = np.asarray(est, dtype=float)
     h = np.asarray(h_true, dtype=float)
     if est.ndim != 2 or h.ndim != 1 or est.shape[1] != h.size:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"estimates {est.shape} incompatible with true vector {h.shape}"
         )
     if est.shape[0] < 2:
-        raise DimensionMismatch("need at least two realizations")
+        raise ShapeMismatch("need at least two realizations")
     mean = est.mean(axis=0)
     db = mean - h
     bias2 = np.outer(db, db)
@@ -134,9 +134,9 @@ def v_n_approx(w: RegressionWeights, counts) -> float:
     """First-order variance approximation (log2 e)^2 / 2 * sum_j w_j^2 / n_j."""
     counts = np.asarray(counts, dtype=float)
     if counts.size != w.w.size:
-        raise DimensionMismatch("counts do not align with the weights")
+        raise ShapeMismatch("counts do not align with the weights")
     if np.any(counts <= 0):
-        raise DimensionMismatch("counts must be positive")
+        raise ShapeMismatch("counts must be positive")
     return float(0.5 * math.log2(math.e) ** 2 * np.sum(w.w**2 / counts))
 
 
@@ -266,7 +266,7 @@ def estimate_correlation(est: np.ndarray) -> np.ndarray:
     """Pearson correlation matrix of the estimate components."""
     est = np.asarray(est, dtype=float)
     if est.ndim != 2 or est.shape[0] < 3:
-        raise DimensionMismatch("need an (n_mc >= 3, M) estimate array")
+        raise ShapeMismatch("need an (n_mc >= 3, M) estimate array")
     if np.any(est.std(axis=0) == 0.0):
         raise ZeroVariance("an estimate component has zero variance")
     return np.corrcoef(est, rowvar=False).reshape(est.shape[1], est.shape[1])

@@ -2,15 +2,10 @@
 
 Every command is deterministic given its full flag set; outputs are written
 atomically (temp file + rename).  Exit codes: 0 ok, 2 usage or file problems
-(including a file that is not UTF-8, a malformed series CSV, a seed outside
-0..2^64 - 1, and an ``mc`` --threads, or an ``OFBMKIT_THREADS`` in its
-place, that is not an integer of at least 1), 3 model validation, 4
-data/estimation (including NaN or infinite samples, a ``synth`` or ``mc``
---n below 2, a bad --j1/--j2 pair, a --beta outside (0, 1) or an --n0
-below 2^9, a ``sliding`` --hop outside 1..--window, a ``sliding`` series
-shorter than one window, a labelled ``sliding`` whose windows do not carry
-exactly two labels and a labelled ``sliding`` with --alpha outside
-(0, 1)), 5 internal.
+(argparse, a missing or unreadable file, a parameter file that is not JSON),
+5 internal; an :class:`~ofbmkit.errors.OfbmkitError` exits with its own
+``exit_code`` (see :mod:`ofbmkit.errors`: 2 malformed input or seed, 3 model
+validation, 4 data/estimation).
 """
 
 from __future__ import annotations
@@ -38,14 +33,7 @@ from .analysis import (
     sliding_window_estimates,
     wilcoxon_ranksum,
 )
-from .errors import (
-    DataError,
-    MalformedInput,
-    ModelValidationError,
-    OfbmkitError,
-    SeedOutOfRange,
-    SeriesTooShort,
-)
+from .errors import DataError, MalformedInput, OfbmkitError, SeriesTooShort
 from .estimation import ScalingRangeConfig, _check_octaves, octave_range, record_to_dict
 from .model import load_params
 from .synthesis import (
@@ -61,8 +49,6 @@ from .wavelet import filter_bank
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_MODEL = 3
-EXIT_DATA = 4
 EXIT_INTERNAL = 5
 
 
@@ -404,21 +390,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MalformedInput as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SeedOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModelValidationError as exc:
-        print(f"model validation error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except DataError as exc:
-        print(f"estimation error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OfbmkitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        print(exc.line(), file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,23 +1,34 @@
-"""Exception hierarchy.
+"""Exception hierarchy; each branch carries the exit code the CLI reports it with.
 
-Model-parameter problems derive from :class:`ModelValidationError`; everything
-raised while crunching data derives from :class:`DataError`; an input file that
-cannot be parsed raises :class:`MalformedInput`, and a seed outside the 64-bit
-range raises :class:`SeedOutOfRange`.  The CLI maps the branches to distinct
-exit codes.
+``cli.main`` prints an error's :meth:`~OfbmkitError.line` to stderr and returns
+its ``exit_code``: 2 for :class:`MalformedInput` (an input file that cannot be
+parsed) and :class:`SeedOutOfRange` (a seed outside 0 .. 2^64 - 1), 3 for
+:class:`ModelValidationError` (a model parameter problem), 4 for
+:class:`DataError` (anything raised while crunching data) and 4 for any other
+:class:`OfbmkitError`.
 """
 
 
 class OfbmkitError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 4
+    template = "error: {name}: {message}"
+
+    def line(self) -> str:
+        """The line the CLI prints to stderr for this error."""
+        return self.template.format(name=type(self).__name__, message=self)
+
 
 class ModelValidationError(OfbmkitError):
     """A model parameterization failed validation."""
 
+    exit_code = 3
+    template = "model validation error: {name}: {message}"
+
 
 class DimensionMismatch(ModelValidationError):
-    pass
+    """A model document's arrays are missing or of inconsistent shapes."""
 
 
 class HurstOutOfRange(ModelValidationError):
@@ -52,9 +63,19 @@ class CorrelationInfeasible(ModelValidationError):
 class MalformedInput(OfbmkitError):
     """An input file is not UTF-8, is empty or ragged, or holds a non-numeric sample."""
 
+    exit_code = 2
+    template = "error: malformed input: {message}"
+
 
 class DataError(OfbmkitError):
     """A computation on concrete data failed."""
+
+    exit_code = 4
+    template = "estimation error: {name}: {message}"
+
+
+class ShapeMismatch(DataError):
+    """Arrays passed to a computation have shapes or settings that do not fit together."""
 
 
 class NonFiniteData(DataError):
@@ -123,3 +144,6 @@ class ZeroVariance(DataError):
 
 class SeedOutOfRange(OfbmkitError):
     """A seed lies outside the unsigned 64-bit range 0 .. 2**64 - 1."""
+
+    exit_code = 2
+    template = "error: {message}"

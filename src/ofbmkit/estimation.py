@@ -22,12 +22,13 @@ import numpy as np
 
 from .errors import (
     DegenerateRange,
-    DimensionMismatch,
+    NonFiniteData,
     NonPositiveDiagonal,
     NonPositiveEigenvalue,
     NotSymmetric,
     SampleTooSmall,
     ScaleUnavailable,
+    ShapeMismatch,
 )
 from .wavelet import WaveletPyramid, dwt, spectrum_set, windowed_spectra
 
@@ -45,7 +46,7 @@ class RegressionWeights:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float).copy()
         if w.size != self.j2 - self.j1 + 1:
-            raise DimensionMismatch("weight vector does not span j1..j2")
+            raise ShapeMismatch("weight vector does not span j1..j2")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -61,16 +62,16 @@ def regression_weights(
     if j2 <= j1:
         raise DegenerateRange(f"need j2 > j1, got ({j1}, {j2})")
     if balance not in WEIGHT_MODES:
-        raise DimensionMismatch(f"balance must be one of {WEIGHT_MODES}")
+        raise ShapeMismatch(f"balance must be one of {WEIGHT_MODES}")
     j = np.arange(j1, j2 + 1, dtype=float)
     if balance == "uniform":
         b = np.ones_like(j)
     else:
         if counts is None:
-            raise DimensionMismatch("by_count weights require per-octave counts")
+            raise ShapeMismatch("by_count weights require per-octave counts")
         b = np.asarray(counts, dtype=float)
         if b.size != j.size or np.any(b <= 0):
-            raise DimensionMismatch("counts must be positive and span j1..j2")
+            raise ShapeMismatch("counts must be positive and span j1..j2")
     v0 = b.sum()
     v1 = (b * j).sum()
     v2 = (b * j * j).sum()
@@ -135,7 +136,7 @@ def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a symmetric matrix, or of each in a (..., M, M) stack."""
     s = np.asarray(s, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {s.shape}")
+        raise ShapeMismatch(f"expected a square matrix, got shape {s.shape}")
     st = s.swapaxes(-1, -2)
     scale = np.abs(s).max(axis=(-2, -1))
     if (np.abs(s - st).max(axis=(-2, -1)) > 1e-8 * scale).any():
@@ -216,7 +217,13 @@ def estimate_windows(pyr: WaveletPyramid, w: RegressionWeights, t_starts) -> lis
 
 def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> dict:
     """Estimates and log tables of a pyramid, keeping its leading window axes."""
-    spectra = spectrum_set(pyr, w.j1, w.j2)  # (octaves, ..., M, M)
+    # finite samples can still overflow in the coefficients' products
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectra = spectrum_set(pyr, w.j1, w.j2)  # (octaves, ..., M, M)
+    finite = np.isfinite(spectra).reshape(len(spectra), -1).all(axis=1)
+    if not finite.all():
+        j = w.j1 + int(np.argmin(finite))
+        raise NonFiniteData(f"the wavelet spectrum at octave {j} overflows double precision")
     diags = spectra.diagonal(axis1=-2, axis2=-1)
     if (diags <= 0.0).any():
         raise NonPositiveDiagonal("spectrum diagonal entries must be positive")

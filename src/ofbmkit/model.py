@@ -120,6 +120,8 @@ class MixingMatrix:
         w = np.asarray(self.entries, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionMismatch(f"mixing matrix must be square, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise SingularMixing(f"mixing matrix entries must be finite, got {w.tolist()}")
         sv = np.linalg.svd(w, compute_uv=False)
         if sv[-1] < DET_RTOL * sv[0] or sv[0] == 0.0:
             raise SingularMixing(

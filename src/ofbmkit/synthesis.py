@@ -32,11 +32,11 @@ from itertools import chain, combinations_with_replacement, islice
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EmbeddingFailed,
     MalformedInput,
     SeedOutOfRange,
     SeriesTooShort,
+    ShapeMismatch,
 )
 from .model import ModelParams, params_to_dict
 
@@ -54,6 +54,9 @@ MAX_SIZE_FACTOR = 2**16
 SEED_MAX = 2**64 - 1
 # Values per block of the embedding build, and per slice of the normals' cast
 _BLOCK_VALUES = 2**16
+# Bound on a draw's inverse-FFT and cumulative sums per unit of the sum of |factor|
+# entries: 2 sqrt(2) times the largest |normal| (|ndtri(2^-54)| = 8.29) is 23.45
+_DRAW_GAIN = 24.0
 
 
 def _check_seeds(first: int, count: int = 1) -> None:
@@ -115,7 +118,7 @@ class SamplePath:
     def __post_init__(self):
         d = np.asarray(self.data, dtype=float)
         if d.ndim != 2:
-            raise DimensionMismatch("sample path data must be a 2-d array")
+            raise ShapeMismatch("sample path data must be a 2-d array")
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
@@ -151,7 +154,8 @@ class CirculantEmbedding:
         size = max(size, 4)
 
         while True:
-            factor, evals = self._factor_and_eigenvalues(params, size)
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow raises EmbeddingFailed
+                factor, evals = self._factor_and_eigenvalues(params, size)
             neg = np.abs(np.minimum(evals, 0.0))
             # f = 0 and f = size/2 occur once in the full spectrum, others twice
             wts = np.full(evals.shape[0], 2.0)
@@ -185,6 +189,10 @@ class CirculantEmbedding:
         One buffer holds in turn the lag covariances, each pair's real spectrum
         and the factor, written over the spectrum a block of frequencies at a
         time.  Each frequency is factored on its own, so blocks change no bit.
+        EmbeddingFailed is raised at the first block whose eigenvalues are not
+        finite or that takes the sum of |factor| entries, times _DRAW_GAIN,
+        past double range: below that, no draw's inverse FFT or cumulative sum
+        can overflow.
         """
         m, half, w = params.m, size // 2, params.mixing.entries
         buf = np.empty((m, m, half + 1))
@@ -202,12 +210,19 @@ class CirculantEmbedding:
             lam = spectrum(buf[i, j])
             buf[i, j] = buf[j, i] = 0.5 * (lam + (lam if i == j else spectrum(buf[j, i])))
         evals = np.empty((half + 1, m))
+        reach = 0.0  # sum of |factor| entries so far
         for blk in blocks:
             vals, vecs = np.linalg.eigh(np.moveaxis(buf[:, :, blk], -1, 0))
             evals[blk] = vals
             # B(f) = U sqrt(L) U^T, real symmetric PSD, one matrix per frequency
             b = (vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]) @ np.swapaxes(vecs, 1, 2)
             np.multiply(np.moveaxis(w @ b, 0, -1), np.sqrt(size), out=buf[:, :, blk])
+            reach += np.abs(buf[:, :, blk]).sum()
+            if not (np.isfinite(vals).all() and np.isfinite(_DRAW_GAIN * reach)):
+                raise EmbeddingFailed(
+                    f"embedding of size {size} overflows double precision: the model's scale "
+                    "is too large"
+                )
         return buf, evals
 
     def sample(self, seed: int, kind: str = "mfGn") -> SamplePath:

@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import (
     BadFilter,
-    DimensionMismatch,
     InsufficientCoefficients,
     NonFiniteData,
     ScaleUnavailable,
     SeriesTooShort,
+    ShapeMismatch,
     WindowTooSmall,
 )
 
@@ -182,7 +182,7 @@ def dwt(x: np.ndarray, j_max: int | None = None, f: WaveletFilter | None = None)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2:
-        raise DimensionMismatch("input must be 1-d or 2-d (components x time)")
+        raise ShapeMismatch("input must be 1-d or 2-d (components x time)")
     check_finite(x)
     n = x.shape[1]
     counts = pyramid_counts(n, f.length, j_max)

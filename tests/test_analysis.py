@@ -26,7 +26,6 @@ from ofbmkit.analysis import (
 from ofbmkit.errors import (
     BadProbability,
     DegenerateRange,
-    DimensionMismatch,
     EmbeddingFailed,
     EmptySample,
     NonFiniteData,
@@ -34,6 +33,7 @@ from ofbmkit.errors import (
     SampleTooSmall,
     SeedOutOfRange,
     SeriesTooShort,
+    ShapeMismatch,
     SingularCovariance,
     WindowTooSmall,
     ZeroVariance,
@@ -98,7 +98,7 @@ def test_v_n_scales_inversely_with_counts():
 
 def test_v_n_dimension_checked():
     w = regression_weights(1, 3, "uniform")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         v_n_approx(w, [100, 200])
 
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ofbmkit import analysis, cli
+from ofbmkit import analysis, cli, errors
 from ofbmkit.cli import main, version_string
 from ofbmkit.model import make_params, params_to_json
-from ofbmkit.synthesis import RNG_ID
+from ofbmkit.synthesis import RNG_ID, CirculantEmbedding
 
 
 @pytest.fixture
@@ -747,3 +747,104 @@ def test_synth_binary_matches_golden_digests(params_file, tmp_path, kind):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "params.json", "x.bin", "x.bin.embedding.json", "x.bin.json"
     ]
+
+
+def _error_classes(cls=errors.OfbmkitError):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _error_classes(child)]
+
+
+# (branch, exit code, stderr line), the most specific branch first
+_ERROR_BRANCHES = [
+    (errors.MalformedInput, 2, "error: malformed input: {message}"),
+    (errors.SeedOutOfRange, 2, "error: {message}"),
+    (errors.ModelValidationError, 3, "model validation error: {name}: {message}"),
+    (errors.DataError, 4, "estimation error: {name}: {message}"),
+    (errors.OfbmkitError, 4, "error: {name}: {message}"),
+]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_its_branch_code_and_line(tmp_path, capsys, monkeypatch, cls):
+    # braces and a percent sign in the message must reach stderr as they are
+    exc = cls(0, 1, 0.9, 0.5) if cls is errors.CorrelationInfeasible else cls("bad {x} at 100%")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    rc = main(["synth", "--params", "p.json", "--n", "8", "--seed", "1", "--out", str(tmp_path / "x")])
+    code, line = next((code, line) for branch, code, line in _ERROR_BRANCHES if isinstance(exc, branch))
+    assert rc == code
+    assert capsys.readouterr().err == line.format(name=cls.__name__, message=exc) + "\n"
+    assert os.listdir(tmp_path) == []
+
+
+def _model_file(tmp_path, var=(1.0, 1.0), w="[[1, 0], [0, 1]]"):
+    # written by hand: the W of a repro may hold NaN or Infinity
+    path = tmp_path / "model.json"
+    path.write_text(
+        f'{{"H": [0.4, 0.6], "var": {list(var)}, "rho": [[1, 0.2], [0.2, 1]], "W": {w}}}'
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", ["synth", "mc"])
+def test_non_finite_mixing_exit_3(tmp_path, capsys, command, entry):
+    params = _model_file(tmp_path, w=f"[[1, {entry}], [0, 1]]")
+    out = str(tmp_path / "o")
+    if command == "synth":
+        argv = ["synth", "--params", params, "--n", "1024", "--seed", "1", "--out", out]
+    else:
+        argv = ["mc", "--params", params, "--n", "1024", "--n-mc", "2", "--seed", "1",
+                "--j1", "1", "--j2", "4", "--out-dir", out]
+    assert main(argv) == 3
+    assert "model validation error: SingularMixing: mixing matrix entries must be finite" in (
+        capsys.readouterr().err
+    )
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+_OVERFLOWING_MODELS = {
+    "var-1e308": {"var": (1e308, 1e308)},  # the spectral eigenvalues are NaN
+    "w-1e300": {"var": (1e10, 1.0), "w": "[[1e300, 0], [0, 1e300]]"},  # a draw's FFT overflows
+}
+
+
+@pytest.mark.parametrize("model", sorted(_OVERFLOWING_MODELS))
+@pytest.mark.parametrize("command", ["synth-csv", "synth-bin", "mc"])
+def test_overflowing_embedding_exit_4_and_writes_nothing(tmp_path, capsys, monkeypatch, command, model):
+    params = _model_file(tmp_path, **_OVERFLOWING_MODELS[model])
+    out = str(tmp_path / "o")
+    if command == "mc":
+        # the embedding fails before any realization is drawn
+        monkeypatch.setattr(CirculantEmbedding, "sample", _no_embedding)
+        argv = ["mc", "--params", params, "--n", "1024", "--n-mc", "2", "--seed", "1",
+                "--j1", "1", "--j2", "4", "--out-dir", out]
+    else:
+        argv = ["synth", "--params", params, "--n", "1024", "--seed", "1", "--out", out,
+                "--format", command[-3:]]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "estimation error: EmbeddingFailed: embedding of size 2048 overflows double precision: "
+        "the model's scale is too large\n"
+    )
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+@pytest.mark.parametrize("scale, error", [(1e200, "NonFiniteData"), (1e-200, "NonPositiveDiagonal")])
+@pytest.mark.parametrize("command", ["estimate", "sliding"])
+def test_finite_series_whose_spectra_leave_double_range_exit_4(tmp_path, capsys, command, scale, error):
+    # every sample is finite; the squares of the coefficients overflow or underflow
+    x = np.random.default_rng(0).normal(size=(2, 8192)).cumsum(axis=1) * scale
+    rows = [[t, repr(a), repr(b)] for t, (a, b) in enumerate(zip(*x.tolist()))]
+    series = _write_series(tmp_path / "x.csv", rows)
+    out = str(tmp_path / "o")
+    extra = ["--window", "4096", "--hop", "1024", "--j1", "1", "--j2", "4"] if command == "sliding" else []
+    assert main([command, series, "--out-dir", out] + extra) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"estimation error: {error}: ")
+    if error == "NonFiniteData":
+        octave = 1 if command == "sliding" else 6  # the first of the octave range
+        assert f"the wavelet spectrum at octave {octave} overflows double precision" in err
+    assert os.listdir(tmp_path) == ["x.csv"]

@@ -5,11 +5,11 @@ import pytest
 
 from ofbmkit.errors import (
     DegenerateRange,
-    DimensionMismatch,
     NonPositiveDiagonal,
     NonPositiveEigenvalue,
     NotSymmetric,
     SampleTooSmall,
+    ShapeMismatch,
     WindowTooSmall,
 )
 from ofbmkit.estimation import (
@@ -83,7 +83,7 @@ def test_degenerate_range_rejected():
 
 
 def test_by_count_requires_counts():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         regression_weights(1, 3, "by_count")
 
 

@@ -107,6 +107,13 @@ def test_singular_mixing_rejected():
         MixingMatrix(np.array([[1.0, 2.0], [0.5, 1.0]]) * np.array([[1.0], [0.5]]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_non_finite_mixing_rejected(entry):
+    # checked before the SVD, which does not converge on NaN
+    with pytest.raises(SingularMixing, match="mixing matrix entries must be finite"):
+        MixingMatrix(np.array([[1.0, entry], [0.0, 1.0]]))
+
+
 def test_covariance_not_psd_rejected():
     rho = np.array([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8], [-0.8, 0.8, 1.0]])
     with pytest.raises(CovarianceNotPSD):

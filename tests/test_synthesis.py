@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofbmkit import synthesis
-from ofbmkit.errors import MalformedInput, SeedOutOfRange, SeriesTooShort
+from ofbmkit.errors import EmbeddingFailed, MalformedInput, SeedOutOfRange, SeriesTooShort
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import (
     RNG_ID,
@@ -728,3 +728,16 @@ def test_path_from_binary_sidecar_must_be_an_object():
     raw, _ = _binary_pair(CirculantEmbedding(BIV, 32).sample(4))
     with pytest.raises(MalformedInput, match="binary sidecar"):
         path_from_binary(io.BytesIO(raw), io.StringIO("[2, 32]"))
+
+
+
+def test_embedding_rejects_a_factor_whose_draws_could_overflow():
+    # unmixed, the factor's |entries| sum to about 1.0e5: at a mixing scale of
+    # 1e303 that sum is finite, but 24 times it, the bound on a draw's sums, is not
+    def embedding(scale):
+        corr = [[1.0, 0.2], [0.2, 1.0]]
+        return CirculantEmbedding(make_params([0.4, 0.6], [1.0, 1.0], corr, np.eye(2) * scale), 1024)
+
+    with pytest.raises(EmbeddingFailed, match="overflows double precision"):
+        embedding(1e303)
+    assert np.isfinite(embedding(1e301).sample(1, kind="mfBm").data).all()
