@@ -788,6 +788,97 @@ def _model_file(tmp_path, var=(1.0, 1.0), w="[[1, 0], [0, 1]]"):
     return str(path)
 
 
+_EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+# one model document per validation branch, as changes to the document
+# {"H": [0.4, 0.6], "var": [1, 1], "rho": [[1, 0.2], [0.2, 1]], "W": I}, and the
+# line it prints; the "-before-" rows fail two checks and pin which runs first
+_INVALID_MODELS = {
+    "sigma-shape": (
+        {"rho": _EYE3},
+        "DimensionMismatch: expected 2 variances and a 2x2 correlation matrix, "
+        "got shapes (2,) and (3, 3)",
+    ),
+    "sigma-variance": ({"var": [1, 0]}, "CovarianceNotPSD: variances must be positive, got [1. 0.]"),
+    "sigma-asymmetric": (
+        {"rho": [[1, 0.2], [0.3, 1]]}, "CovarianceNotPSD: correlation matrix is not symmetric"
+    ),
+    "sigma-diagonal": (
+        {"rho": [[0.9, 0.2], [0.2, 1]]},
+        "CovarianceNotPSD: correlation matrix must have a unit diagonal",
+    ),
+    "sigma-entry-range": (
+        {"rho": [[1, 1.5], [1.5, 1]]}, "CovarianceNotPSD: correlation entries must lie in [-1, 1]"
+    ),
+    "sigma-psd": (
+        {"H": [0.4, 0.5, 0.6], "var": [1, 1, 1], "W": _EYE3,
+         "rho": [[1, 0.8, -0.8], [0.8, 1, 0.8], [-0.8, 0.8, 1]]},
+        "CovarianceNotPSD: assembled covariance has eigenvalue -6.000e-01 below the PSD tolerance",
+    ),
+    "hurst-shape": (
+        {"H": [[0.4, 0.6]]}, "DimensionMismatch: Hurst vector must be one-dimensional and nonempty"
+    ),
+    "hurst-range": (
+        {"H": [0.4, 1.2]}, "HurstOutOfRange: Hurst exponents must lie in (0, 1), got [0.4 1.2]"
+    ),
+    "hurst-order": (
+        {"H": [0.6, 0.4]},
+        "HurstUnsorted: Hurst exponents must be nondecreasing, got [0.6 0.4]; "
+        "reorder components explicitly rather than relying on sorting",
+    ),
+    "mixing-square": (
+        {"W": [[1, 0, 0], [0, 1, 0]]}, "DimensionMismatch: mixing matrix must be square, got shape (2, 3)"
+    ),
+    "mixing-finite": (
+        {"W": [[1, float("nan")], [0, 1]]},
+        "SingularMixing: mixing matrix entries must be finite, got [[1.0, nan], [0.0, 1.0]]",
+    ),
+    "mixing-singular": (
+        {"W": [[1, 0], [0, 1e-12]]},
+        "SingularMixing: mixing matrix is numerically singular (sigma_min/sigma_max = 1.000e-12)",
+    ),
+    "dimensions": (
+        {"H": [0.3, 0.5, 0.7]},
+        "DimensionMismatch: inconsistent dimensions: H has 3, Sigma has 2, W has 2",
+    ),
+    "feasibility": (
+        {"H": [0.2, 0.8], "rho": [[1, 0.9], [0.9, 1]]},
+        "CorrelationInfeasible: correlation rho[0,1] = 0.9 exceeds the feasible bound "
+        "rho_max = 0.661997 for this Hurst pair",
+    ),
+    "document": (
+        {"W": "I"}, "DimensionMismatch: malformed parameter document: could not convert string to float: 'I'"
+    ),
+    "sigma-before-hurst": (
+        {"H": [0.6, 0.4], "var": [1, -1]}, "CovarianceNotPSD: variances must be positive, got [ 1. -1.]"
+    ),
+    "hurst-before-mixing": (
+        {"H": [0.4, 1.5], "W": [[1, 0], [0, 0]]},
+        "HurstOutOfRange: Hurst exponents must lie in (0, 1), got [0.4 1.5]",
+    ),
+    "mixing-before-dimensions": (
+        {"H": [0.3, 0.5, 0.7], "W": [[1, 0], [0, float("inf")]]},
+        "SingularMixing: mixing matrix entries must be finite, got [[1.0, 0.0], [0.0, inf]]",
+    ),
+    "dimensions-before-feasibility": (
+        {"H": [0.2, 0.8, 0.9], "rho": [[1, 0.9], [0.9, 1]]},
+        "DimensionMismatch: inconsistent dimensions: H has 3, Sigma has 2, W has 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", list(_INVALID_MODELS))
+def test_each_model_validation_branch_exit_3_with_its_line(tmp_path, capsys, monkeypatch, model):
+    change, line = _INVALID_MODELS[model]
+    doc = {"H": [0.4, 0.6], "var": [1, 1], "rho": [[1, 0.2], [0.2, 1]], "W": [[1, 0], [0, 1]]}
+    (tmp_path / "model.json").write_text(json.dumps(doc | change))
+    monkeypatch.setattr(CirculantEmbedding, "__init__", _no_embedding)
+    argv = ["synth", "--params", str(tmp_path / "model.json"), "--n", "64", "--seed", "1",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"model validation error: {line}\n"
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
 @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
 @pytest.mark.parametrize("command", ["synth", "mc"])
 def test_non_finite_mixing_exit_3(tmp_path, capsys, command, entry):
