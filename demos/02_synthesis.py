@@ -32,7 +32,7 @@ for r in range(nreal):
     for k in range(4):
         acc[k] += x[:, k:] @ x[:, : 512 - k].T / (512 - k)
 acc /= nreal
-w = params.mixing.entries
+w = params.mixing
 theory = np.einsum("ij,fjk,lk->fil", w, mfgn_covariance_matrices(params, np.arange(4)), w)
 for k in range(4):
     err = np.abs(acc[k] - theory[k]).max()

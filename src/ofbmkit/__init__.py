@@ -1,6 +1,8 @@
 """Multivariate selfsimilar process synthesis and Hurst-vector estimation.
 
-Build a model with :func:`make_params`, draw paths with a
+Build a model with :func:`make_params` (or read one with
+:func:`load_params`): a :class:`ModelParams`, checked in full when it is
+made, so every instance is a valid model.  Draw paths with a
 :class:`CirculantEmbedding` (reusable across seeds), and estimate the
 exponent vector with :func:`analyze` or benchmark estimators with
 :func:`run_mc`.
@@ -35,9 +37,6 @@ from .estimation import (
     sorted_eigenvalues,
 )
 from .model import (
-    HurstVector,
-    IntrinsicCovariance,
-    MixingMatrix,
     ModelParams,
     OfbmEquivalent,
     load_params,
@@ -46,7 +45,6 @@ from .model import (
     params_from_json,
     params_to_json,
     rho_max,
-    validate_params,
 )
 from .synthesis import (
     CirculantEmbedding,

@@ -308,7 +308,7 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
         "M": np.stack([rec.h_m for rec in records]),
         "BC": np.stack([rec.h_m_bc for rec in records]),
     }
-    h_true = cfg.params.hurst.values
+    h_true = cfg.params.hurst
     counts = pyramid_counts(cfg.n, f.length, j2)[j1 - 1 : j2]
     weights = records[0].weights
     vn = v_n_approx(weights, counts)

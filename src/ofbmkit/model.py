@@ -1,10 +1,12 @@
 """Model parameterizations for mixtures of correlated fractional Brownian motions.
 
-A model is specified by a sorted vector of Hurst exponents ``H``, an intrinsic
-covariance ``Sigma`` (given as per-component variances plus a correlation
-matrix) and an invertible mixing matrix ``W``.  Validation enforces, besides
-the obvious shape and range constraints, the pairwise feasibility bound that
-couples how far apart two Hurst exponents may be for a given cross-correlation.
+A model is one :class:`ModelParams`: a sorted vector of Hurst exponents ``H``,
+an intrinsic covariance ``Sigma`` (given as per-component variances plus a
+correlation matrix) and an invertible mixing matrix ``W``.  It is valid by
+construction: besides the obvious shape and range constraints, building one
+enforces the pairwise feasibility bound that couples how far apart two Hurst
+exponents may be for a given cross-correlation.  :func:`make_params` builds one
+from plain arrays, :func:`load_params` from a JSON document.
 """
 
 from __future__ import annotations
@@ -38,36 +40,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class HurstVector:
-    """Sorted vector of selfsimilarity exponents, each in (0, 1)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if v.ndim != 1 or v.size < 1:
-            raise DimensionMismatch("Hurst vector must be one-dimensional and nonempty")
-        if np.any(v <= 0.0) or np.any(v >= 1.0) or not np.all(np.isfinite(v)):
-            raise HurstOutOfRange(f"Hurst exponents must lie in (0, 1), got {v}")
-        if np.any(np.diff(v) < 0.0):
-            raise HurstUnsorted(
-                f"Hurst exponents must be nondecreasing, got {v}; "
-                "reorder components explicitly rather than relying on sorting"
-            )
-        object.__setattr__(self, "values", _readonly(v))
-
-    @property
-    def m(self) -> int:
-        return self.values.size
+def _assemble(var: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    s = np.sqrt(var)
+    return s[:, None] * rho * s[None, :]
 
 
 @dataclass(frozen=True, eq=False)
-class IntrinsicCovariance:
-    """Pre-mixing covariance: per-component variances and a correlation matrix."""
+class ModelParams:
+    """Validated (H, Sigma, W) triple, held as four read-only arrays.
 
+    ``hurst`` is the sorted vector H, ``variances`` and ``correlations`` give
+    Sigma and ``mixing`` is W.  Construction checks, in this order and raising
+    at the first failure: Sigma (the shapes; positive, finite variances; a
+    symmetric correlation matrix with a unit diagonal and entries in [-1, 1];
+    a finite trace; positive semidefiniteness), H (one-dimensional and
+    nonempty; each exponent in (0, 1); nondecreasing, never reordered), W
+    (square; finite; numerically invertible), that all three have the same
+    dimension, and the feasibility bound :func:`rho_max` on every pair.
+
+    Raises the specific :class:`~ofbmkit.errors.ModelValidationError` subclass
+    naming what failed; :class:`~ofbmkit.errors.CorrelationInfeasible` carries
+    the offending pair and its bound.
+    """
+
+    hurst: np.ndarray
     variances: np.ndarray
     correlations: np.ndarray
+    mixing: np.ndarray
 
     def __post_init__(self):
         var = np.atleast_1d(np.asarray(self.variances, dtype=float))
@@ -86,38 +85,31 @@ class IntrinsicCovariance:
             raise CovarianceNotPSD("correlation matrix must have a unit diagonal")
         if np.any(np.abs(rho) > 1.0 + 1e-12):
             raise CovarianceNotPSD("correlation entries must lie in [-1, 1]")
-        sigma = self._assemble(var, rho)
+        with np.errstate(over="ignore"):  # an overflow shows in the trace
+            sigma = _assemble(var, rho)
+            trace = np.trace(sigma)
+        if not np.isfinite(trace):
+            raise CovarianceNotPSD(
+                "assembled covariance overflows double precision: the variances are too large"
+            )
         eigs = np.linalg.eigvalsh(sigma)
-        if eigs[0] < -PSD_RTOL * np.trace(sigma):
+        if eigs[0] < -PSD_RTOL * trace:
             raise CovarianceNotPSD(
                 f"assembled covariance has eigenvalue {eigs[0]:.3e} below the PSD tolerance"
             )
-        object.__setattr__(self, "variances", _readonly(var))
-        object.__setattr__(self, "correlations", _readonly(0.5 * (rho + rho.T)))
 
-    @staticmethod
-    def _assemble(var: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        s = np.sqrt(var)
-        return s[:, None] * rho * s[None, :]
+        h = np.atleast_1d(np.asarray(self.hurst, dtype=float))
+        if h.ndim != 1 or h.size < 1:
+            raise DimensionMismatch("Hurst vector must be one-dimensional and nonempty")
+        if np.any(h <= 0.0) or np.any(h >= 1.0) or not np.all(np.isfinite(h)):
+            raise HurstOutOfRange(f"Hurst exponents must lie in (0, 1), got {h}")
+        if np.any(np.diff(h) < 0.0):
+            raise HurstUnsorted(
+                f"Hurst exponents must be nondecreasing, got {h}; "
+                "reorder components explicitly rather than relying on sorting"
+            )
 
-    @property
-    def m(self) -> int:
-        return self.variances.size
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """Assembled covariance matrix diag(sigma) @ rho @ diag(sigma)."""
-        return self._assemble(self.variances, self.correlations)
-
-
-@dataclass(frozen=True, eq=False)
-class MixingMatrix:
-    """Invertible matrix blending the component processes."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.entries, dtype=float)
+        w = np.asarray(self.mixing, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionMismatch(f"mixing matrix must be square, got shape {w.shape}")
         if not np.isfinite(w).all():
@@ -128,24 +120,29 @@ class MixingMatrix:
                 f"mixing matrix is numerically singular (sigma_min/sigma_max = "
                 f"{sv[-1] / sv[0] if sv[0] else 0.0:.3e})"
             )
-        object.__setattr__(self, "entries", _readonly(w))
+
+        if not (h.size == m == w.shape[0]):
+            raise DimensionMismatch(
+                f"inconsistent dimensions: H has {h.size}, Sigma has {m}, W has {w.shape[0]}"
+            )
+        rho = 0.5 * (rho + rho.T)
+        for a in range(m):
+            for b in range(a + 1, m):
+                bound = rho_max(h[a], h[b])
+                if rho[a, b] ** 2 > bound**2 + FEAS_SLACK:
+                    raise CorrelationInfeasible(a, b, float(rho[a, b]), bound)
+
+        for name, value in (("hurst", h), ("variances", var), ("correlations", rho), ("mixing", w)):
+            object.__setattr__(self, name, _readonly(value))
 
     @property
     def m(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ModelParams:
-    """Validated (H, Sigma, W) triple. Construct through :func:`validate_params`."""
-
-    hurst: HurstVector
-    sigma: IntrinsicCovariance
-    mixing: MixingMatrix
+        return self.hurst.size
 
     @property
-    def m(self) -> int:
-        return self.hurst.m
+    def sigma(self) -> np.ndarray:
+        """Assembled covariance matrix diag(sigma) @ rho @ diag(sigma)."""
+        return _assemble(self.variances, self.correlations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,43 +178,11 @@ def rho_max(h1: float, h2: float) -> float:
     return math.sqrt(num) / den
 
 
-def validate_params(
-    h: HurstVector | np.ndarray,
-    s: IntrinsicCovariance,
-    w: MixingMatrix | np.ndarray,
-) -> ModelParams:
-    """Validate a raw (H, Sigma, W) triple into :class:`ModelParams`.
+def make_params(h, variances, correlations=None, mixing=None) -> ModelParams:
+    """The documented constructor: a :class:`ModelParams` from plain arrays.
 
-    Accepts either the typed wrappers or raw arrays (variances/correlations
-    must already be wrapped in :class:`IntrinsicCovariance`).  Never reorders
-    the Hurst vector; an unsorted vector is an error.
-
-    Raises the specific :class:`~ofbmkit.errors.ModelValidationError` subclass
-    naming what failed; :class:`~ofbmkit.errors.CorrelationInfeasible` carries
-    the offending pair and its bound.
-    """
-    hv = h if isinstance(h, HurstVector) else HurstVector(np.asarray(h))
-    wm = w if isinstance(w, MixingMatrix) else MixingMatrix(np.asarray(w))
-    if not (hv.m == s.m == wm.m):
-        raise DimensionMismatch(
-            f"inconsistent dimensions: H has {hv.m}, Sigma has {s.m}, W has {wm.m}"
-        )
-    hvals = hv.values
-    rho = s.correlations
-    for a in range(hv.m):
-        for b in range(a + 1, hv.m):
-            bound = rho_max(hvals[a], hvals[b])
-            if rho[a, b] ** 2 > bound**2 + FEAS_SLACK:
-                raise CorrelationInfeasible(a, b, float(rho[a, b]), bound)
-    return ModelParams(hv, s, wm)
-
-
-def make_params(
-    h, variances, correlations=None, mixing=None
-) -> ModelParams:
-    """Convenience constructor from plain arrays.
-
-    ``correlations`` defaults to the identity and ``mixing`` to the identity.
+    ``correlations`` defaults to the identity and ``mixing`` to the identity;
+    a single variance is repeated for every component.
     """
     hvals = np.atleast_1d(np.asarray(h, dtype=float))
     m = hvals.size
@@ -226,7 +191,7 @@ def make_params(
         var = np.full(m, float(var[0]))
     rho = np.eye(m) if correlations is None else np.asarray(correlations, dtype=float)
     wmat = np.eye(m) if mixing is None else np.asarray(mixing, dtype=float)
-    return validate_params(hvals, IntrinsicCovariance(var, rho), wmat)
+    return ModelParams(hvals, var, rho, wmat)
 
 
 def ofbm_equivalent(p: ModelParams) -> OfbmEquivalent:
@@ -236,15 +201,13 @@ def ofbm_equivalent(p: ModelParams) -> OfbmEquivalent:
     entrywise product), the Hurst matrix ``W diag(H) W^{-1}`` and the gain
     matrix ``G`` itself.
     """
-    hvals = p.hurst.values
-    m = p.m
+    hvals, m, wmat = p.hurst, p.m, p.mixing
     g = np.empty((m, m))
     for a in range(m):
         for b in range(m):
             hs = hvals[a] + hvals[b]
             g[a, b] = math.gamma(hs + 1.0) * math.sin(0.5 * math.pi * hs) / (2.0 * math.pi)
-    wmat = p.mixing.entries
-    aastar = wmat @ (g * p.sigma.sigma) @ wmat.T
+    aastar = wmat @ (g * p.sigma) @ wmat.T
     aastar = 0.5 * (aastar + aastar.T)
     hurst_matrix = wmat @ np.diag(hvals) @ np.linalg.inv(wmat)
     return OfbmEquivalent(aastar=aastar, hurst_matrix=hurst_matrix, g_matrix=g)
@@ -256,22 +219,11 @@ def ofbm_equivalent(p: ModelParams) -> OfbmEquivalent:
 
 def params_to_dict(p: ModelParams) -> dict:
     return {
-        "H": p.hurst.values.tolist(),
-        "var": p.sigma.variances.tolist(),
-        "rho": p.sigma.correlations.tolist(),
-        "W": p.mixing.entries.tolist(),
+        "H": p.hurst.tolist(),
+        "var": p.variances.tolist(),
+        "rho": p.correlations.tolist(),
+        "W": p.mixing.tolist(),
     }
-
-
-def params_from_dict(d: dict) -> ModelParams:
-    try:
-        h = np.asarray(d["H"], dtype=float)
-        var = np.asarray(d["var"], dtype=float)
-        rho = np.asarray(d["rho"], dtype=float)
-        wmat = np.asarray(d["W"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"malformed parameter document: {exc}") from exc
-    return validate_params(h, IntrinsicCovariance(var, rho), wmat)
 
 
 def params_to_json(p: ModelParams) -> str:
@@ -279,7 +231,12 @@ def params_to_json(p: ModelParams) -> str:
 
 
 def params_from_json(text: str) -> ModelParams:
-    return params_from_dict(json.loads(text))
+    doc = json.loads(text)
+    try:
+        arrays = [np.asarray(doc[key], dtype=float) for key in ("H", "var", "rho", "W")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed parameter document: {exc}") from exc
+    return ModelParams(*arrays)
 
 
 def load_params(path) -> ModelParams:

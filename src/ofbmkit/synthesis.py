@@ -48,6 +48,9 @@ CLIP_TOL = 1e-6
 # Negative eigenvalues below this relative magnitude count as numerical dust
 # and do not trigger embedding doubling.
 PSD_DUST_RTOL = 1e-12
+# Spectral masses are summed with every |eigenvalue| below 2^_MASS_EXPONENT:
+# the weighted sum of fewer than 2^62 such values stays finite.
+_MASS_EXPONENT = 960
 # Hard cap on embedding growth: sizes beyond 2^16 * n are not attempted.
 MAX_SIZE_FACTOR = 2**16
 # Seeds are Philox keys: unsigned 64-bit integers.
@@ -90,8 +93,8 @@ def gaussian_variates(seed: int, shape) -> np.ndarray:
 def mfgn_covariance_matrices(p: ModelParams, lags) -> np.ndarray:
     """Stack of pre-mixing covariance matrices Gamma(k) for the given lags."""
     lags = np.atleast_1d(np.asarray(lags, dtype=int))
-    hsum = p.hurst.values[:, None] + p.hurst.values[None, :]
-    sig = p.sigma.sigma
+    hsum = p.hurst[:, None] + p.hurst[None, :]
+    sig = p.sigma
     ak = np.abs(lags)[:, None, None].astype(float)
     h = hsum[None, :, :]
     return 0.5 * sig[None, :, :] * (np.abs(ak - 1) ** h - 2.0 * ak**h + (ak + 1) ** h)
@@ -156,12 +159,15 @@ class CirculantEmbedding:
         while True:
             with np.errstate(over="ignore", invalid="ignore"):  # overflow raises EmbeddingFailed
                 factor, evals = self._factor_and_eigenvalues(params, size)
-            neg = np.abs(np.minimum(evals, 0.0))
+            # scaled by a power of two, which is exact, when the sums could overflow
+            mags = np.abs(evals)
+            mags = np.ldexp(mags, -max(0, int(np.frexp(mags.max())[1]) - _MASS_EXPONENT))
+            neg = np.where(evals < 0.0, mags, 0.0)
             # f = 0 and f = size/2 occur once in the full spectrum, others twice
             wts = np.full(evals.shape[0], 2.0)
             wts[0] = 1.0
             wts[-1] = 1.0
-            total = float(np.sum(wts[:, None] * np.abs(evals)))
+            total = float(np.sum(wts[:, None] * mags))
             clipped = float(np.sum(wts[:, None] * neg))
             mass = clipped / total if total > 0.0 else 0.0
             if mass <= PSD_DUST_RTOL or size * 2 > MAX_SIZE_FACTOR * self.n:
@@ -194,7 +200,7 @@ class CirculantEmbedding:
         past double range: below that, no draw's inverse FFT or cumulative sum
         can overflow.
         """
-        m, half, w = params.m, size // 2, params.mixing.entries
+        m, half, w = params.m, size // 2, params.mixing
         buf = np.empty((m, m, half + 1))
         step = max(1, _BLOCK_VALUES // (m * m))
         blocks = [slice(f, min(f + step, half + 1)) for f in range(0, half + 1, step)]

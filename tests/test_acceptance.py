@@ -85,7 +85,7 @@ def test_criterion_02_synthesis_fidelity():
     mean = stats.mean(axis=0)
     se = stats.std(axis=0, ddof=1) / np.sqrt(nreal)
     gam = mfgn_covariance_matrices(p, np.arange(max_lag + 1))
-    target = np.einsum("ij,fjk,lk->fil", p.mixing.entries, gam, p.mixing.entries)
+    target = np.einsum("ij,fjk,lk->fil", p.mixing, gam, p.mixing)
     z = np.abs(mean - target) / se
     elapsed = time.perf_counter() - t0
     ok = z.max() < 5.0 and elapsed < 120.0

@@ -897,30 +897,55 @@ def test_non_finite_mixing_exit_3(tmp_path, capsys, command, entry):
 
 
 _OVERFLOWING_MODELS = {
-    "var-1e308": {"var": (1e308, 1e308)},  # the spectral eigenvalues are NaN
+    "var-8e307": {"var": (8e307, 8e307)},  # Sigma is finite, the spectral eigenvalues are not
     "w-1e300": {"var": (1e10, 1.0), "w": "[[1e300, 0], [0, 1e300]]"},  # a draw's FFT overflows
 }
+
+
+def _synth_or_mc_argv(command, params, out):
+    if command == "mc":
+        return ["mc", "--params", params, "--n", "1024", "--n-mc", "2", "--seed", "1",
+                "--j1", "1", "--j2", "4", "--out-dir", out]
+    return ["synth", "--params", params, "--n", "1024", "--seed", "1", "--out", out,
+            "--format", command[-3:]]
 
 
 @pytest.mark.parametrize("model", sorted(_OVERFLOWING_MODELS))
 @pytest.mark.parametrize("command", ["synth-csv", "synth-bin", "mc"])
 def test_overflowing_embedding_exit_4_and_writes_nothing(tmp_path, capsys, monkeypatch, command, model):
     params = _model_file(tmp_path, **_OVERFLOWING_MODELS[model])
-    out = str(tmp_path / "o")
     if command == "mc":
         # the embedding fails before any realization is drawn
         monkeypatch.setattr(CirculantEmbedding, "sample", _no_embedding)
-        argv = ["mc", "--params", params, "--n", "1024", "--n-mc", "2", "--seed", "1",
-                "--j1", "1", "--j2", "4", "--out-dir", out]
-    else:
-        argv = ["synth", "--params", params, "--n", "1024", "--seed", "1", "--out", out,
-                "--format", command[-3:]]
-    assert main(argv) == 4
+    assert main(_synth_or_mc_argv(command, params, str(tmp_path / "o"))) == 4
     assert capsys.readouterr().err == (
         "estimation error: EmbeddingFailed: embedding of size 2048 overflows double precision: "
         "the model's scale is too large\n"
     )
     assert os.listdir(tmp_path) == ["model.json"]
+
+
+@pytest.mark.parametrize("command", ["synth-csv", "synth-bin", "mc"])
+def test_covariance_that_overflows_exit_3_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # each variance is finite; their sum, the trace of Sigma, is not
+    params = _model_file(tmp_path, var=(1e308, 1e308))
+    monkeypatch.setattr(CirculantEmbedding, "__init__", _no_embedding)
+    assert main(_synth_or_mc_argv(command, params, str(tmp_path / "o"))) == 3
+    assert capsys.readouterr().err == (
+        "model validation error: CovarianceNotPSD: assembled covariance overflows double "
+        "precision: the variances are too large\n"
+    )
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_spectral_mass_of_a_large_finite_model_is_finite(tmp_path, capsys):
+    # the weighted sum of |eigenvalues| would overflow; the mass is taken on a scaled copy
+    params = _model_file(tmp_path, var=(1e307, 1e307))
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--params", params, "--n", "1024", "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = _strict_json((tmp_path / "x.csv.embedding.json").read_text())
+    assert 0.0 <= report["clipped_mass"] < 1e-6
 
 
 @pytest.mark.parametrize("scale, error", [(1e200, "NonFiniteData"), (1e-200, "NonPositiveDiagonal")])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,16 +12,13 @@ from ofbmkit.errors import (
     SingularMixing,
 )
 from ofbmkit.model import (
-    HurstVector,
-    IntrinsicCovariance,
-    MixingMatrix,
+    ModelParams,
     make_params,
     ofbm_equivalent,
     params_from_json,
     params_to_dict,
     params_to_json,
     rho_max,
-    validate_params,
 )
 
 # High-precision evaluations of the feasibility bound (40-digit mpmath),
@@ -33,7 +32,7 @@ RHO_MAX_04_06 = 0.9634352531875437
 def test_univariate_identity_model_is_valid():
     p = make_params([0.5], [1.0])
     assert p.m == 1
-    assert p.hurst.values[0] == 0.5
+    assert p.hurst[0] == 0.5
 
 
 def test_rho_max_golden_values():
@@ -97,47 +96,73 @@ def test_unsorted_hurst_rejected():
 
 def test_hurst_out_of_range_rejected():
     with pytest.raises(HurstOutOfRange):
-        HurstVector(np.array([0.3, 1.2]))
+        make_params([0.3, 1.2], [1.0, 1.0])
     with pytest.raises(HurstOutOfRange):
-        HurstVector(np.array([-0.1]))
+        make_params([-0.1], [1.0])
 
 
 def test_singular_mixing_rejected():
     with pytest.raises(SingularMixing):
-        MixingMatrix(np.array([[1.0, 2.0], [0.5, 1.0]]) * np.array([[1.0], [0.5]]))
+        make_params([0.4, 0.6], [1.0, 1.0], mixing=np.array([[1.0, 2.0], [0.25, 0.5]]))
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_non_finite_mixing_rejected(entry):
     # checked before the SVD, which does not converge on NaN
     with pytest.raises(SingularMixing, match="mixing matrix entries must be finite"):
-        MixingMatrix(np.array([[1.0, entry], [0.0, 1.0]]))
+        make_params([0.4, 0.6], [1.0, 1.0], mixing=np.array([[1.0, entry], [0.0, 1.0]]))
 
 
 def test_covariance_not_psd_rejected():
     rho = np.array([[1.0, 0.8, -0.8], [0.8, 1.0, 0.8], [-0.8, 0.8, 1.0]])
     with pytest.raises(CovarianceNotPSD):
-        IntrinsicCovariance(np.ones(3), rho)
+        make_params([0.4, 0.5, 0.6], np.ones(3), rho)
 
 
 def test_dimension_mismatch_rejected():
-    s = IntrinsicCovariance(np.ones(2), np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        validate_params(np.array([0.3, 0.5, 0.7]), s, np.eye(3))
+    with pytest.raises(DimensionMismatch, match="H has 3, Sigma has 2, W has 3"):
+        ModelParams(np.array([0.3, 0.5, 0.7]), np.ones(2), np.eye(2), np.eye(3))
 
 
 def test_validation_idempotent():
     rho = np.array([[1.0, 0.4], [0.4, 1.0]])
     w = np.array([[1.0, 0.2], [-0.3, 0.9]])
     p1 = make_params([0.4, 0.7], [1.0, 2.0], rho, w)
-    p2 = validate_params(p1.hurst, p1.sigma, p1.mixing)
+    p2 = ModelParams(p1.hurst, p1.variances, p1.correlations, p1.mixing)
     assert params_to_dict(p1) == params_to_dict(p2)
 
 
 def test_params_immutable():
     p = make_params([0.4, 0.7], [1.0, 2.0])
     with pytest.raises(ValueError):
-        p.hurst.values[0] = 0.9
+        p.hurst[0] = 0.9
+    for name in ("hurst", "variances", "correlations", "mixing"):
+        assert not getattr(p, name).flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (([0.2, 0.8], [1.0, 1.0], [[1.0, 0.9], [0.9, 1.0]], np.eye(2)), CorrelationInfeasible),
+        (([0.3, 0.5], [1.0, 1.0], np.eye(2), np.eye(3)), DimensionMismatch),
+    ],
+    ids=["infeasible", "mixing-size"],
+)
+def test_direct_construction_runs_every_check(args, error):
+    with pytest.raises(error):
+        ModelParams(*args)
+
+
+def test_sigma_is_the_assembled_covariance():
+    rho = np.array([[1.0, 0.3], [0.3 + 1e-13, 1.0]])
+    p = make_params([0.4, 0.7], [2.0, 3.0], rho)
+    s = np.sqrt(np.array([2.0, 3.0]))
+    sym = 0.5 * (rho + rho.T)
+    assert np.array_equal(p.correlations, sym)
+    assert np.array_equal(p.sigma, s[:, None] * sym * s[None, :])
+
 
 
 def test_ofbm_g_matrix_half_exponents():

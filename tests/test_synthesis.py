@@ -61,11 +61,11 @@ def test_cross_covariance_even_in_lag():
 def test_covariance_matrices_match_scalar_entries():
     # closed form Gamma(k)[a, b] = sigma_ab / 2 * (|k-1|^h - 2|k|^h + |k+1|^h), h = H_a + H_b
     gam = mfgn_covariance_matrices(BIV, [0, 1, 5])
-    sigma = BIV.sigma.sigma
+    sigma = BIV.sigma
     for i, k in enumerate((0, 1, 5)):
         for a in range(2):
             for b in range(2):
-                h = BIV.hurst.values[a] + BIV.hurst.values[b]
+                h = BIV.hurst[a] + BIV.hurst[b]
                 ref = 0.5 * sigma[a, b] * (abs(k - 1) ** h - 2.0 * k**h + (k + 1) ** h)
                 assert gam[i, a, b] == pytest.approx(ref, abs=1e-15)
     assert mfgn_covariance_matrices(BIV, np.arange(6)).shape == (6, 2, 2)
@@ -155,7 +155,7 @@ def test_sampling_map_exact_covariance(params, n):
     units = np.eye(m * size).reshape(m * size, m, size)
     a = np.stack([emb._paths(e).ravel() for e in units], axis=1)  # (m*n, m*size)
     realized = (a @ a.T).reshape(m, n, m, n)
-    w = params.mixing.entries
+    w = params.mixing
     gam = np.einsum("ij,fjk,lk->fil", w, mfgn_covariance_matrices(params, np.arange(n)), w)
     lag = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     target = gam[lag].transpose(2, 0, 3, 1)  # [a, t, b, s]
@@ -190,7 +190,7 @@ def test_embedding_exact_covariance_closed_form():
         emb = CirculantEmbedding(params, n)
         assert emb.report.clipped_mass == 0.0
         realized = emb.realized_covariance(n - 1)
-        w = params.mixing.entries
+        w = params.mixing
         gam = mfgn_covariance_matrices(params, np.arange(n))
         target = np.einsum("ij,fjk,lk->fil", w, gam, w)
         assert np.abs(realized - target).max() < 1e-8
@@ -224,7 +224,7 @@ def _one_shot_embedding(params, n):
             break
         size *= 2
     b = (evecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]) @ np.swapaxes(evecs, 1, 2)
-    factor = np.moveaxis(params.mixing.entries @ b, 0, -1) * np.sqrt(size)
+    factor = np.moveaxis(params.mixing @ b, 0, -1) * np.sqrt(size)
     return np.ascontiguousarray(factor), EmbeddingReport(size, float(evals.min()), mass)
 
 
@@ -270,7 +270,7 @@ def test_blocked_build_equals_the_one_shot_build(params, n):
 
 
 def test_skew_sigma_model_is_asymmetric_in_the_last_bit():
-    sigma = SKEW3.sigma.sigma
+    sigma = SKEW3.sigma
     assert not np.array_equal(sigma, sigma.T)
     np.testing.assert_allclose(sigma, sigma.T, rtol=1e-15, atol=0)
 
@@ -280,7 +280,7 @@ def test_blocked_build_equals_the_one_shot_build_through_the_doubling_loop(monke
     # and is clean after one doubling, which must take the new size's blocks
     def gaussian_shaped(params, lags):
         k = np.abs(np.atleast_1d(np.asarray(lags, dtype=float)))
-        return np.exp(-((k / 2000.0) ** 2))[:, None, None] * params.sigma.sigma
+        return np.exp(-((k / 2000.0) ** 2))[:, None, None] * params.sigma
 
     monkeypatch.setattr(synthesis, "mfgn_covariance_matrices", gaussian_shaped)
     n = 2**13
@@ -348,7 +348,7 @@ def test_mixed_cross_covariance_matches_theory():
         for k in range(5):
             acc[k] += x[:, k:] @ x[:, : x.shape[1] - k].T / (x.shape[1] - k)
     acc /= nreal
-    w = BIV.mixing.entries
+    w = BIV.mixing
     gam = mfgn_covariance_matrices(BIV, np.arange(5))
     target = np.einsum("ij,fjk,lk->fil", w, gam, w)
     # five standard errors, SE ~ |target|/sqrt(n_eff); generous absolute floor
