@@ -61,9 +61,20 @@ def version_string() -> str:
     return f"ofbmkit {__version__} (filter db2 taps sha256/16={_taps_hash()}, rng {RNG_ID})"
 
 
+def _umask() -> int:
+    """The process umask, which can only be read by setting it."""
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def _atomic_open(path, mode="w"):
-    """Write to a sibling temp file then rename over the target."""
+    """Write to a sibling temp file then rename over the target.
+
+    The temp file is created 0600; the target gets the mode of a plain new
+    file, 0666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-ofbmkit-")
@@ -71,6 +82,7 @@ def _atomic_open(path, mode="w"):
         newline = "" if "b" not in mode else None
         with os.fdopen(fd, mode, newline=newline) as fh:
             yield fh
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:

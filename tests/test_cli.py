@@ -964,3 +964,29 @@ def test_finite_series_whose_spectra_leave_double_range_exit_4(tmp_path, capsys,
         octave = 1 if command == "sliding" else 6  # the first of the octave range
         assert f"the wavelet spectrum at octave {octave} overflows double precision" in err
     assert os.listdir(tmp_path) == ["x.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_outputs_get_the_mode_of_a_plain_new_file(params_file, tmp_path, umask):
+    series = _write_series(tmp_path / "in.csv", _walk_rows(3000))
+    labelled = _write_series(tmp_path / "inl.csv", _walk_rows(3000, label=True), ("t", "c1", "c2", "label"))
+    out = tmp_path / "out"
+    commands = [
+        ["synth", "--params", params_file, "--n", "600", "--seed", "7", "--out", str(out / "x.csv")],
+        ["synth", "--params", params_file, "--n", "600", "--seed", "7", "--format", "bin",
+         "--out", str(out / "x.bin")],
+        ["estimate", series, "--j1", "1", "--j2", "4", "--out-dir", str(out / "e")],
+        ["sliding", labelled, "--window", "1000", "--hop", "500", "--j1", "1", "--j2", "4",
+         "--label-column", "label", "--out-dir", str(out / "s")],
+        ["mc", "--params", params_file, "--n", "1024", "--n-mc", "4", "--seed", "1",
+         "--j1", "1", "--j2", "4", "--out-dir", str(out / "mc")],
+    ]
+    previous = os.umask(umask)
+    try:
+        for argv in commands:
+            assert main(argv) == 0
+    finally:
+        os.umask(previous)
+    modes = {p.relative_to(out).as_posix(): p.stat().st_mode & 0o777 for p in out.rglob("*") if p.is_file()}
+    assert len(modes) == 2 + 3 + 3 + 3 + 5
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
