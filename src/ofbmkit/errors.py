@@ -126,6 +126,10 @@ class NonPositiveEigenvalue(DataError):
     pass
 
 
+class RankDeficientSpectrum(NonPositiveEigenvalue):
+    """The channels are linearly dependent: a full-sample spectrum has numerical rank below M."""
+
+
 class SingularCovariance(DataError):
     pass
 

@@ -26,6 +26,7 @@ from .errors import (
     NonPositiveDiagonal,
     NonPositiveEigenvalue,
     NotSymmetric,
+    RankDeficientSpectrum,
     SampleTooSmall,
     ScaleUnavailable,
     ShapeMismatch,
@@ -144,6 +145,27 @@ def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (s + st))
 
 
+def _check_rank(lam: np.ndarray, j1: int) -> None:
+    """Raise RankDeficientSpectrum at the first octave whose spectrum, in any
+    window, has an eigenvalue at most M * eps * its largest one.
+
+    ``lam`` is (octaves, ..., M) ascending from octave j1.  The eigenvalues
+    of a singular spectrum are rounding noise of either sign, so this
+    catches linearly dependent channels whatever the noise's sign.
+    """
+    m = lam.shape[-1]
+    cutoff = m * np.finfo(float).eps * lam[..., -1:]
+    low = lam <= cutoff
+    deficient = low.any(axis=-1).reshape(len(lam), -1).any(axis=1)
+    if deficient.any():
+        row = int(np.argmax(deficient))
+        rank = m - int(low[row].sum(axis=-1).max())
+        raise RankDeficientSpectrum(
+            f"the wavelet spectrum at octave {j1 + row} has numerical rank {rank} < M = {m}: "
+            "the channels are linearly dependent; drop a channel or undo the common reference"
+        )
+
+
 def averaged_log_eigenvalues(windows: np.ndarray) -> np.ndarray:
     """Mean over windows of sorted log2 eigenvalues; windows is (..., T, M, M)."""
     lam = np.linalg.eigvalsh(windows)
@@ -230,13 +252,10 @@ def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> dict:
 
     # windows first: a window n_j2 below M raises WindowTooSmall there, and
     # would make the full-sample spectrum at j2 singular too
-    log_eig_bc = np.stack(
-        [averaged_log_eigenvalues(windowed_spectra(pyr, j, w.j2)) for j in range(w.j1, w.j2 + 1)],
-        axis=-2,
-    )
+    windows = [windowed_spectra(pyr, j, w.j2) for j in range(w.j1, w.j2 + 1)]
     lam = sorted_eigenvalues(spectra)
-    if (lam <= 0.0).any():
-        raise NonPositiveEigenvalue("a full-sample spectrum has a non-positive eigenvalue")
+    _check_rank(lam, w.j1)
+    log_eig_bc = np.stack([averaged_log_eigenvalues(s) for s in windows], axis=-2)
 
     # octaves next to the components, (..., octaves, M), in C order, so that
     # the regression sees the layout of a stack of per-octave rows

@@ -990,3 +990,41 @@ def test_outputs_get_the_mode_of_a_plain_new_file(params_file, tmp_path, umask):
     modes = {p.relative_to(out).as_posix(): p.stat().st_mode & 0o777 for p in out.rglob("*") if p.is_file()}
     assert len(modes) == 2 + 3 + 3 + 3 + 5
     assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+def _dependent_channels(kind, n=4096):
+    """Three channels of the H 0.4/0.6/0.8 mfBm: average-referenced, with c3 an
+    exact mixture 0.3 c1 + 0.7 c2, or that mixture plus 2e-6 of a fourth
+    independent channel (an eigenvalue ratio near 1e-12)."""
+    params = make_params([0.4, 0.6, 0.8], [1.0] * 3, np.eye(3).tolist(), np.eye(3).tolist())
+    x = CirculantEmbedding(params, n).sample(3, kind="mfBm").data
+    if kind == "average-reference":
+        return x - x.mean(axis=0)
+    c3 = 0.3 * x[0] + 0.7 * x[1]
+    if kind == "near-mixture":
+        c3 = c3 + 2e-6 * np.random.default_rng(4).normal(size=n).cumsum()
+    return np.vstack([x[:2], c3])
+
+
+@pytest.mark.parametrize("kind", ["average-reference", "mixture", "near-mixture"])
+@pytest.mark.parametrize("command", ["estimate", "sliding"])
+def test_linearly_dependent_channels_exit_4_naming_the_rank(tmp_path, capsys, command, kind):
+    x = _dependent_channels(kind)
+    rows = [[t, *map(repr, values)] for t, values in enumerate(zip(*x.tolist()))]
+    series = _write_series(tmp_path / "x.csv", rows, ("t", "c1", "c2", "c3"))
+    out = str(tmp_path / "o")
+    if command == "estimate":
+        extra, octave = ["--j1", "2", "--j2", "6"], 2
+    else:
+        extra, octave = ["--window", "2048", "--hop", "1024", "--j1", "1", "--j2", "4"], 1
+    rc = main([command, series, "--out-dir", out] + extra)
+    if kind == "near-mixture":
+        assert rc == 0
+        return
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        f"estimation error: RankDeficientSpectrum: the wavelet spectrum at octave {octave} "
+        "has numerical rank 2 < M = 3: the channels are linearly dependent; "
+        "drop a channel or undo the common reference\n"
+    )
+    assert os.listdir(tmp_path) == ["x.csv"]
