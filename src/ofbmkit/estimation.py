@@ -221,8 +221,9 @@ def estimate_windows(pyr: WaveletPyramid, w: RegressionWeights, t_starts) -> lis
 
     ``pyr`` holds the windows' coefficients as (T, M, n_j) stacks (views are
     fine).  Every window gets the same numbers, bit for bit, as
-    :func:`analyze` on that window alone: each spectrum is its own BLAS
-    product and each eigendecomposition its own LAPACK call.
+    :func:`analyze` on that window alone: each spectrum entry is one dot
+    product of two coefficient rows and each eigendecomposition its own
+    LAPACK call.
     """
     fields = _estimates(pyr, w)
     return [

@@ -12,6 +12,8 @@ The wavelet spectrum at octave j is the M x M average of coefficient outer
 products; windowed spectra split the coefficients at octave j <= j2 into
 2^(j2-j) non-overlapping windows of the coarsest-scale count n_j2 each, which
 equalizes the sample size entering eigenvalue estimation across scales.
+Each spectrum entry is one dot product of two coefficient rows, so spectra
+are exactly symmetric.
 """
 
 from __future__ import annotations
@@ -213,11 +215,22 @@ def check_finite(x: np.ndarray) -> None:
         raise NonFiniteData(f"component {m + 1} has a non-finite sample {x[m, t]} at t = {t}")
 
 
+# OpenBLAS splits a dot product of over 10,000 terms across its threads, and
+# the split changes the bits; longer rows are summed in chunks
+_DOT_CHUNK = 8192
+
+
+def _gram(d: np.ndarray) -> np.ndarray:
+    """Dot products of every pair of rows, (..., M, n) -> (..., M, M), exactly symmetric."""
+    a, b = d[..., :, None, :], d[..., None, :, :]
+    return sum(np.vecdot(a[..., k : k + _DOT_CHUNK], b[..., k : k + _DOT_CHUNK])
+               for k in range(0, d.shape[-1], _DOT_CHUNK))
+
+
 def wavelet_spectrum(p: WaveletPyramid, j: int) -> np.ndarray:
     """Average of coefficient outer products at octave j (symmetric (..., M, M))."""
     d = p.details(j)
-    s = d @ d.swapaxes(-1, -2) / d.shape[-1]
-    return 0.5 * (s + s.swapaxes(-1, -2))
+    return _gram(d) / d.shape[-1]
 
 
 def spectrum_set(p: WaveletPyramid, j1: int, j2: int) -> np.ndarray:
@@ -248,6 +261,5 @@ def windowed_spectra(p: WaveletPyramid, j: int, j2: int) -> np.ndarray:
             f"octave {j} has {d.shape[-1]} coefficients, need {n_windows * nw}"
         )
     blocks = d[..., : n_windows * nw].reshape(*d.shape[:-1], n_windows, nw)
-    s = np.einsum("...mbk,...nbk->...bmn", blocks, blocks) / nw
-    return 0.5 * (s + s.swapaxes(-1, -2))
+    return _gram(blocks.swapaxes(-3, -2)) / nw
 

@@ -1,5 +1,12 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofbmkit.errors import (
     BadFilter,
@@ -234,3 +241,73 @@ def test_spectra_of_a_window_stack_equal_per_window():
             assert np.array_equal(wavelet_spectrum(stack, j)[t], wavelet_spectrum(p, j))
             assert np.array_equal(windowed_spectra(stack, j, 4)[t], windowed_spectra(p, j, 4))
 
+
+
+def _assert_near_fsum(s, d):
+    """Each entry of s (..., M, M) lies within 2 n eps sum|d_mk d_nk| / n of the
+    math.fsum dot product of rows m and n of d (..., M, n), divided by n: the
+    classical bound on a computed dot product (Higham 2002, sec. 3.1)."""
+    n = d.shape[-1]
+    for *lead, m, mp in np.ndindex(s.shape):
+        products = d[(*lead, m)] * d[(*lead, mp)]
+        error = abs(s[(*lead, m, mp)] - math.fsum(products.tolist()) / n)
+        assert error <= 2 * n * np.finfo(float).eps * np.abs(products).sum() / n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 6),
+    name=st.sampled_from(["haar", "db2", "db3", "db4"]),
+    n=st.integers(40, 1500),
+    windows=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectra_are_symmetric_dot_products_and_one_window_is_the_spectrum(m, name, n, windows, seed):
+    rng = np.random.default_rng(seed)
+    f = filter_bank(name)
+    scales = 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    series = [rng.normal(size=(m, n)).cumsum(axis=1) * scales for _ in range(windows or 1)]
+    pyrs = [dwt(x, None, f) for x in series]
+    p = pyrs[0] if windows is None else WaveletPyramid(
+        coeffs=tuple(np.stack(c) for c in zip(*(q.coeffs for q in pyrs)))
+    )
+    deep = [j for j, c in enumerate(p.counts, 1) if c >= m]
+    for j in range(1, p.j_max + 1):
+        s = wavelet_spectrum(p, j)
+        assert np.array_equal(s, s.swapaxes(-1, -2))
+        _assert_near_fsum(s, p.details(j))
+    if not deep:
+        return
+    j2 = deep[-1]
+    nw = p.counts[j2 - 1]
+    assert np.array_equal(windowed_spectra(p, j2, j2)[..., 0, :, :], wavelet_spectrum(p, j2))
+    for j in range(1, j2 + 1):
+        s = windowed_spectra(p, j, j2)
+        assert np.array_equal(s, s.swapaxes(-1, -2))
+        d = p.details(j)[..., : s.shape[-3] * nw]
+        _assert_near_fsum(s, d.reshape(*d.shape[:-1], -1, nw).swapaxes(-3, -2))
+
+
+def test_spectra_of_long_rows_have_the_same_bits_at_any_blas_thread_count():
+    # OpenBLAS splits one dot product of more than 10,000 terms across its
+    # threads; 50,000 coefficients per row take the chunked path
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import numpy as np\n"
+        "from ofbmkit.wavelet import WaveletPyramid, wavelet_spectrum\n"
+        "d = np.random.default_rng(0).normal(size=(3, 50000))\n"
+        "print(wavelet_spectrum(WaveletPyramid(coeffs=(d,)), 1).tobytes().hex())\n"
+    )
+    hexes = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hexes.add(proc.stdout.strip())
+    d = np.random.default_rng(0).normal(size=(3, 50000))
+    s = wavelet_spectrum(WaveletPyramid(coeffs=(d,)), 1)
+    assert hexes == {s.tobytes().hex()}
+    assert np.array_equal(s, s.T)
+    _assert_near_fsum(s, d)
