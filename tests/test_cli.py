@@ -221,17 +221,18 @@ def test_mc_readme_smoke_command_writes_strict_json(params_file, tmp_path):
         assert np.isfinite(rep["estimators"][code]["estimates"]).all()
     # the one run whose tables hold non-finite floats (corr.csv is all nan)
     # and a table with no rows (qq.csv); digests captured before every CSV
-    # table went through one writer
+    # table went through one writer, and recaptured once each spectrum entry
+    # became one dot product
     got = {path.name: _sha256(path) for path in out_dir.iterdir()}
     assert got == SMOKE_GOLDEN
 
 
 SMOKE_GOLDEN = {
     "corr.csv": "44da0974e5bbc3e777ff7cb9b825d637aa45577f82bc5e4c886d88f9b664cdc0",
-    "estimates.csv": "6411a30f54c8a29eb46801826c17a8427b25038b61bfaeeeb74b3b83465ea14f",
-    "mc_report.json": "5ec56375893fe1c88a53bd2790a72d2b47455b5e0835bc52e3022d1041a77878",
+    "estimates.csv": "5422cd981721da389b6f5ff1edcc129d17a92a60ddc815d5970311a765e04bd2",
+    "mc_report.json": "80a2e4b39d58a07b0207fc4e6ed5d80b29bc21103607751dba4de8e7d7dee945",
     "qq.csv": "49605df8a52160ff9a87ed34ee32b6f29ad811edf5e409bdc616b81da0d45e9b",
-    "spectral_norms.csv": "97111d800a093b2bd33a3e55c31b0204499b8c0d0da1d5598046632ca45ebe61",
+    "spectral_norms.csv": "60e609ab77074da83031a1c86c6d4df2886a8747430f0072d0af95c03d095a22",
 }
 
 
@@ -679,24 +680,26 @@ def test_sliding_series_shorter_than_window_exit_4(tmp_path, capsys):
 
 # sha256 of CLI outputs for fixed inputs, captured before sliding windows were
 # batched; the series is `synth --n 4096 --seed 7` of the params_file model.
+# Every estimate-side digest was recaptured once each spectrum entry became
+# one dot product: values moved in their last bits only, paths not at all.
 GOLDEN = {
     "x.csv": "05f87416102ea3e6f253bc92c186ad2121cab78be712c127f52d46eb542396e8",
-    "estimate.json": "bea02365ec696a027c836460d118a9a44df6617d74565a661a6a544b50b52133",
-    "logeig.csv": "86507bab15f0c5b2d408bb692d225b6182e22d4f4a0145f7c8dde614af613534",
-    "spectra.csv": "dffe6ddbacc3bd1483b967e73efcdac471668978f0280fef2b546e8e020473cf",
-    "windows.csv": "57c7c7c2ce0b54119f6e6b9860fb76c5237677b4b6a2914d82ae56a71926d4df",
-    "windows_haar.csv": "6a091b955f24b45ee4c0cc33351e7084b7ff0fad8ce4c0cea3bef52b9b8f1566",
-    "mc_report.json": "4359aaa86566e070e31491e3debf547dfbc88e52e5acbadc5fb128f75fb94c85",
+    "estimate.json": "33f36d16facd5eb511d31b8f8aff4b72db1bc8515e4359f5ebcff83894e812d2",
+    "logeig.csv": "219f791a2a2f4a93431e06d96a331f84ea5d2ff4f0be612fceb78797e6634532",
+    "spectra.csv": "49ed4b25374cd9fb17f97a17ae8574abb8a3439dbec6f6ce5343fe1cec959f3f",
+    "windows.csv": "fb85b7f1a4331af10cb72a5f955bfe9d21394f64776f282a4e1499725c207571",
+    "windows_haar.csv": "0a0a695975c7b4a00ab399bab68b6481ef79bf1136e5db4c7b2fc9c8d71dbcbd",
+    "mc_report.json": "05b61e34bd42b942839f76ae4873d7a28464fd36ae5b0074591a0d1a9c5b0019",
     # captured later, once chi-square quantiles came from scipy.special.gammaincinv
-    "qq.csv": "84769a857f924687c12dbe81daea1411ab526c2eab56d76815ddfb8b39773be9",
+    "qq.csv": "1d86fc98d3c88b489d1aa8d49eef9e009947a039fab7910887371d5890aea1f0",
     # recaptured once the rank-sum p-values came from math.erfc: only their last
     # digits moved, and no BH decision changed
     "pvalues.csv": "0ce69454f15940410fcf21ee8bb72dc4ce3716fe49eed9e1cd1581fe2a2c296d",
     "groups.json": "c7770a557d5d8ee0afeee731ca5503a3387834468427d9d54d98fd6d40b7ffe6",
     # captured later, before every CSV table went through one writer
-    "estimates.csv": "21717b65f0018f8b10ee63bbaf209e0a735078d282a300af9e231bfade26260f",
-    "spectral_norms.csv": "8ba23e1f3a25c74c170d3281027ff2d015087feb3512808d29fe190f986f1720",
-    "corr.csv": "1090a8f9c4a8aa6a6c1868fd32a0c950c68eb85101e027a973ee5bfb7d6dbea1",
+    "estimates.csv": "6c10c9f2d68ab3436e67ab2a7cd8b828ac43711e066d3f47ede24018bc58e832",
+    "spectral_norms.csv": "d5dce30cb0b39c3cd9aa42a1c936b2817af94eeadf1c0993b4975e30f8cdc014",
+    "corr.csv": "28d05a953aa50974f826461230ef0e447013e486fb25ecc8707fbb11dc188d13",
 }
 
 
