@@ -602,6 +602,27 @@ def test_sliding_rejects_non_finite_series():
         sliding_window_estimates(x, window=514, hop=100, j1=1, j2=4)
 
 
+@pytest.mark.parametrize("hop", [1, 3, 64, 1040])
+def test_sliding_near_windows_transform_a_view_of_the_series(monkeypatch, hop):
+    # windows sharing a pyramid overlap or abut: their span is one slice of
+    # x, transformed without a copy
+    window, j2 = 1040, 4
+    x = np.random.default_rng(17).normal(size=(2, window + 40 * hop)).cumsum(axis=1)
+    transform = analysis.dwt
+    shared = []
+
+    def spy(y, j_max, f):
+        shared.append(np.shares_memory(y, x))
+        return transform(y, j_max, f)
+
+    monkeypatch.setattr(analysis, "dwt", spy)
+    with mock.patch.object(analysis, "_block_windows", lambda *args: 7):
+        recs = sliding_window_estimates(x, window, hop, 1, j2)
+    assert len(recs) == 41 and shared and all(shared)
+    ref = analyze(x[:, recs[-1].t_start :][:, :window], 1, j2, t_start=recs[-1].t_start)
+    assert np.array_equal(recs[-1].h_m_bc, ref.h_m_bc)
+
+
 def test_sliding_distant_windows_skip_the_gaps(monkeypatch):
     # odd hop: windows sharing a pyramid lie 2^j2 hops apart, far beyond a window
     window, hop, j2 = 1030, 1029, 4

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofbmkit.errors import (
     DegenerateRange,
@@ -23,7 +25,7 @@ from ofbmkit.estimation import (
 )
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
-from ofbmkit.wavelet import WaveletPyramid, dwt, spectrum_set, windowed_spectra
+from ofbmkit.wavelet import WaveletPyramid, dwt, filter_bank, spectrum_set, windowed_spectra
 
 
 def exact_pyramid(h, j1, j2, xi=None, n_j2=None):
@@ -152,6 +154,31 @@ def test_sorted_eigenvalues_rejects_asymmetric():
         sorted_eigenvalues(stack)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 5),
+    lead=st.sampled_from([(), (3,), (2, 4)]),
+    skew=st.sampled_from([0.0, 1e-12, 1e-10, 5e-9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sorted_eigenvalues_are_eigvalsh_of_the_symmetric_part(m, lead, skew, seed):
+    # exactly symmetric stacks, and stacks asymmetric within 1e-8 of each
+    # matrix's largest entry, give the bits of eigvalsh(0.5 (s + s^T));
+    # beyond that tolerance a stack is rejected
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(*lead, m, m + 3)) * 10.0 ** rng.uniform(-3, 3, size=(*lead, m, 1))
+    s = a @ a.swapaxes(-1, -2)
+    s = 0.5 * (s + s.swapaxes(-1, -2))
+    scale = np.abs(s).max(axis=(-2, -1), keepdims=True)
+    for t in (s, s + skew * np.triu(rng.uniform(-1.0, 1.0, size=s.shape), 1) * scale):
+        assert np.array_equal(sorted_eigenvalues(t), np.linalg.eigvalsh(0.5 * (t + t.swapaxes(-1, -2))))
+    if m > 1:
+        bad = s.copy()
+        bad[..., 0, 1] += 1e-7 * scale[..., 0, 0]
+        with pytest.raises(NotSymmetric):
+            sorted_eigenvalues(bad)
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_eigen_functions_on_stacks_equal_per_matrix(m):
     a = np.random.default_rng(22).normal(size=(5, 16, m, 9))
@@ -275,6 +302,32 @@ def test_analyze_matches_individual_operations():
     np.testing.assert_array_equal(rec.h_u, h_u)
     np.testing.assert_array_equal(rec.h_m, h_m)
     np.testing.assert_array_equal(rec.h_m_bc, h_m_bc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 5),
+    name=st.sampled_from(["haar", "db2", "db3", "db4"]),
+    n=st.integers(200, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_window_averaged_log_eigenvalues_are_the_windowed_spectra_at_every_octave(m, name, n, seed, data):
+    # at j2 the one window is the whole octave; analyze's table equals the
+    # windowed-spectra route there too, bit for bit
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    pyr = dwt(np.cumsum(rng.normal(size=(m, m)) @ rng.normal(size=(m, n)), axis=1) * scales,
+              None, filter_bank(name))
+    deep = [j for j, c in enumerate(pyr.counts, 1) if c >= 2 * m]
+    if len(deep) < 2:
+        return
+    j2 = data.draw(st.sampled_from(deep[1:]), label="j2")
+    j1 = data.draw(st.integers(1, j2 - 1), label="j1")
+    rec = analyze(pyr, j1, j2)
+    for row, j in enumerate(range(j1, j2 + 1)):
+        ref = averaged_log_eigenvalues(windowed_spectra(pyr, j, j2))
+        assert np.array_equal(rec.log_eig_bc[row], ref), j
 
 
 def test_univariate_fbm_recovery():
