@@ -69,7 +69,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_mc < 2:
             raise SampleTooSmall(f"need at least 2 realizations, got {self.n_mc}")
-        _check_seeds(self.seed0, self.n_mc)  # realization r uses seed0 + r
+        # realization r = 1..n_mc uses seed0 + r: the base seed and every one drawn
+        _check_seeds(self.seed0, self.n_mc + 1)
         octave_range(self.n, self.range_cfg, self.j1, self.j2)  # fails before any synthesis
 
 

@@ -382,8 +382,9 @@ def test_run_mc_rejects_tiny():
 
 
 def test_mc_config_checks_every_seed_it_will_use():
-    McConfig(params=SMALL_P, n=2**12, n_mc=4, seed0=2**64 - 4, j1=3, j2=6)
-    for seed0 in (-1, 2**64 - 3):
+    # realization r = 1..n_mc draws seed0 + r; seed0 itself is checked too
+    McConfig(params=SMALL_P, n=2**12, n_mc=4, seed0=2**64 - 5, j1=3, j2=6)
+    for seed0 in (-1, 2**64 - 4):
         with pytest.raises(SeedOutOfRange):
             McConfig(params=SMALL_P, n=2**12, n_mc=4, seed0=seed0, j1=3, j2=6)
 

@@ -586,12 +586,25 @@ def test_synth_seed_outside_64_bits_exit_2(params_file, tmp_path, capsys, monkey
 
 
 def test_mc_last_seed_outside_64_bits_exit_2(params_file, tmp_path, capsys):
-    # realizations use seed0 .. seed0 + n_mc - 1; the last one overflows here
+    # realization r = 1..n_mc uses seed0 + r; the last ones overflow here
     rc = main(["mc", "--params", params_file, "--n", "2048", "--n-mc", "4", "--seed", str(2**64 - 3),
                "--j1", "2", "--j2", "6", "--out-dir", str(tmp_path / "mc")])
     assert rc == 2
-    assert f"seeds {2**64 - 3}..{2**64} outside the valid range" in capsys.readouterr().err
+    assert f"seeds {2**64 - 3}..{2**64 + 1} outside the valid range" in capsys.readouterr().err
     assert not (tmp_path / "mc").exists()
+
+
+def test_mc_only_the_last_drawn_seed_outside_64_bits_exit_2_before_any_build(
+    params_file, tmp_path, capsys, monkeypatch
+):
+    # seed0 + n_mc = 2^64 is drawn by the last realization alone; it is
+    # rejected before the embedding is built or any realization drawn
+    monkeypatch.setattr(analysis, "CirculantEmbedding", _no_embedding)
+    rc = main(["mc", "--params", params_file, "--n", "2048", "--n-mc", "4", "--seed", str(2**64 - 4),
+               "--j1", "2", "--j2", "6", "--threads", "1", "--out-dir", str(tmp_path / "mc")])
+    assert rc == 2
+    assert f"seeds {2**64 - 4}..{2**64} outside the valid range" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["params.json"]
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-4"])
