@@ -17,8 +17,9 @@ times the path it returns.
 
 Reproducibility: all randomness flows through a counter-based Philox generator
 keyed by a 64-bit seed, and normal variates are produced by inverse-CDF from
-fixed-point uniforms, so identical (params, n, seed) inputs give bit-identical
-paths on any platform.  The map from normals to paths is named by ``RNG_ID``.
+the uniforms (k + 1/2) * 2^-53 on the top 53 bits k of each word, so
+identical (params, n, seed) inputs give bit-identical paths on any platform.
+The map from normals to paths is named by ``RNG_ID``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ _MASS_EXPONENT = 960
 MAX_SIZE_FACTOR = 2**16
 # Seeds are Philox keys: unsigned 64-bit integers.
 SEED_MAX = 2**64 - 1
-# Values per block of the embedding build, and per slice of the normals' cast
+# Values per block of the embedding build
 _BLOCK_VALUES = 2**16
 # Bound on a draw's inverse-FFT and cumulative sums per unit of the sum of |factor|
 # entries: 2 sqrt(2) times the largest |normal| (|ndtri(2^-54)| = 8.29) is 23.45
@@ -72,22 +73,19 @@ def _check_seeds(first: int, count: int = 1) -> None:
 def gaussian_variates(seed: int, shape) -> np.ndarray:
     """Deterministic standard-normal array for a 64-bit seed.
 
-    Philox raw 64-bit words are mapped to uniforms (k + 1/2) * 2^-53 and pushed
-    through the inverse normal CDF; the layout of ``shape`` is part of the
-    stream contract.  A seed outside 0 .. 2^64 - 1 raises SeedOutOfRange.
+    The top 53 bits k of each Philox 64-bit word give the uniform
+    (k + 1/2) * 2^-53, drawn as ``Generator.random``'s k * 2^-53 plus 2^-54
+    (scaling by a power of two commutes with rounding, so the bits are the
+    same), and are pushed through the inverse normal CDF in place; the layout
+    of ``shape`` is part of the stream contract.  A seed outside
+    0 .. 2^64 - 1 raises SeedOutOfRange.
     """
     from scipy.special import ndtri  # imported here: estimate and sliding never load scipy
 
     _check_seeds(seed)
-    # for the full uint64 range, Generator.integers returns these same words
-    raw = np.random.Philox(key=np.uint64(seed)).random_raw(shape)
-    raw >>= np.uint64(11)
-    words, u = raw.reshape(-1), raw.view(np.float64).reshape(-1)
-    # k + 1/2 written over k in slices: a ufunc copies a whole input that overlaps its output
-    for i in range(0, u.size, _BLOCK_VALUES):
-        np.add(words[i : i + _BLOCK_VALUES], 0.5, out=u[i : i + _BLOCK_VALUES])
-    u *= 2.0**-53
-    return ndtri(u, out=u).reshape(raw.shape)
+    u = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(shape)
+    u += 2.0**-54
+    return ndtri(u, out=u)
 
 
 def mfgn_covariance_matrices(p: ModelParams, lags) -> np.ndarray:
