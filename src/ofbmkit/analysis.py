@@ -470,17 +470,21 @@ def _window_pyramid(x, starts, window: int, spacing: int, j2: int, f, counts) ->
 
     The windows' samples are laid end to end ``step`` apart, where step is
     the spacing capped at the window length rounded up to a multiple of
-    2^j2: overlapping windows share their samples, and the gap between
-    distant ones is cut out.  One dwt of that span holds window i's octave-j
-    coefficients at offset i * step >> j, from the same dot products as a
-    dwt of the window alone.  The span has at most T window lengths, rounded
-    up, of samples.
+    2^j2.  Windows that overlap or abut (step == spacing) already lie so in
+    x, and their span is a slice of it, not a copy; between distant ones
+    the gap is cut out by a concatenation.  One dwt of that span holds window
+    i's octave-j coefficients at offset i * step >> j, from the same dot
+    products as a dwt of the window alone.  The span has at most T window
+    lengths, rounded up, of samples.
     """
     step = min(spacing, -(-window >> j2) << j2)
-    span = np.concatenate(
-        [x[:, s : s + step] for s in starts[:-1]] + [x[:, starts[-1] : starts[-1] + window]],
-        axis=1,
-    )
+    if step == spacing:
+        span = x[:, starts[0] : starts[-1] + window]
+    else:
+        span = np.concatenate(
+            [x[:, s : s + step] for s in starts[:-1]] + [x[:, starts[-1] : starts[-1] + window]],
+            axis=1,
+        )
     pyr = dwt(span, j2, f)
     t = len(starts)
     coeffs = tuple(

@@ -7,7 +7,8 @@ Three estimators share one weighted log2-regression across octaves j1..j2:
 * bias-corrected multivariate: eigenvalues are computed on fixed-size windows
   (the coarsest-scale count n_j2) at every octave and their logs averaged
   across windows before regression, so the finite-sample eigenvalue repulsion
-  is equally strong at all scales and cancels from the slope.
+  is equally strong at all scales and cancels from the slope (at j2 the one
+  window is the whole octave, so its eigenvalues are the full-sample ones).
 
 Each estimate is H_m = (sum_j w_j y_m(j) - 1) / 2 with weights satisfying
 sum w_j = 0 and sum j w_j = 1.
@@ -134,15 +135,24 @@ def _check_octaves(j1: int, j2: int) -> None:
 
 
 def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a symmetric matrix, or of each in a (..., M, M) stack."""
+    """Ascending real eigenvalues of a symmetric matrix, or of each in a (..., M, M) stack.
+
+    A stack that equals its transpose exactly, as wavelet spectra do, goes to
+    ``eigvalsh`` as it is.  Otherwise each matrix must be symmetric within
+    1e-8 of its largest entry (else NotSymmetric) and its symmetric part
+    0.5 (s + s^T) is decomposed; below overflow, that part of an exactly
+    symmetric matrix is the matrix itself, so both routes give the same bits.
+    """
     s = np.asarray(s, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix, got shape {s.shape}")
     st = s.swapaxes(-1, -2)
-    scale = np.abs(s).max(axis=(-2, -1))
-    if (np.abs(s - st).max(axis=(-2, -1)) > 1e-8 * scale).any():
-        raise NotSymmetric("matrix is asymmetric beyond tolerance")
-    return np.linalg.eigvalsh(0.5 * (s + st))
+    if not np.array_equal(s, st):
+        scale = np.abs(s).max(axis=(-2, -1))
+        if (np.abs(s - st).max(axis=(-2, -1)) > 1e-8 * scale).any():
+            raise NotSymmetric("matrix is asymmetric beyond tolerance")
+        s = 0.5 * (s + st)
+    return np.linalg.eigvalsh(s)
 
 
 def _check_rank(lam: np.ndarray, j1: int) -> None:
@@ -213,7 +223,8 @@ def analyze(
         raise ScaleUnavailable(f"pyramid reaches octave {pyr.j_max}, need {j2}")
     counts = [pyr.counts[j - 1] for j in range(j1, j2 + 1)]
     w = regression_weights(j1, j2, balance=balance, counts=counts)
-    return EstimateRecord(**_estimates(pyr, w), j1=j1, j2=j2, weights=w, t_start=t_start)
+    h_u, h_m, h_m_bc, log_eig, log_eig_bc, diag_logs = _estimates(pyr, w)
+    return EstimateRecord(h_u, h_m, h_m_bc, j1, j2, w, log_eig, log_eig_bc, diag_logs, t_start)
 
 
 def estimate_windows(pyr: WaveletPyramid, w: RegressionWeights, t_starts) -> list[EstimateRecord]:
@@ -223,23 +234,18 @@ def estimate_windows(pyr: WaveletPyramid, w: RegressionWeights, t_starts) -> lis
     fine).  Every window gets the same numbers, bit for bit, as
     :func:`analyze` on that window alone: each spectrum entry is one dot
     product of two coefficient rows and each eigendecomposition its own
-    LAPACK call.
+    LAPACK call.  Record i holds row i of each stacked table and estimate.
     """
-    fields = _estimates(pyr, w)
+    rows = zip(*_estimates(pyr, w), t_starts)
     return [
-        EstimateRecord(
-            **{name: v[i] for name, v in fields.items()},
-            j1=w.j1,
-            j2=w.j2,
-            weights=w,
-            t_start=t_start,
-        )
-        for i, t_start in enumerate(t_starts)
+        EstimateRecord(h_u, h_m, h_m_bc, w.j1, w.j2, w, log_eig, log_eig_bc, diag_logs, t_start)
+        for h_u, h_m, h_m_bc, log_eig, log_eig_bc, diag_logs, t_start in rows
     ]
 
 
-def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> dict:
-    """Estimates and log tables of a pyramid, keeping its leading window axes."""
+def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> tuple:
+    """(h_u, h_m, h_m_bc, log_eig, log_eig_bc, diag_logs) of a pyramid, keeping
+    its leading window axes."""
     # finite samples can still overflow in the coefficients' products
     with np.errstate(over="ignore", invalid="ignore"):
         spectra = spectrum_set(pyr, w.j1, w.j2)  # (octaves, ..., M, M)
@@ -253,23 +259,27 @@ def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> dict:
 
     # windows first: a window n_j2 below M raises WindowTooSmall there, and
     # would make the full-sample spectrum at j2 singular too
-    windows = [windowed_spectra(pyr, j, w.j2) for j in range(w.j1, w.j2 + 1)]
+    windows = [windowed_spectra(pyr, j, w.j2) for j in range(w.j1, w.j2)]
     lam = sorted_eigenvalues(spectra)
     _check_rank(lam, w.j1)
-    log_eig_bc = np.stack([averaged_log_eigenvalues(s) for s in windows], axis=-2)
 
     # octaves next to the components, (..., octaves, M), in C order, so that
     # the regression sees the layout of a stack of per-octave rows
     log_diag = np.log2(np.moveaxis(diags, 0, -2), order="C")
     log_eig = np.log2(np.moveaxis(lam, 0, -2), order="C")
-    return {
-        "h_u": 0.5 * (w.w @ log_diag - 1.0),
-        "h_m": 0.5 * (w.w @ log_eig - 1.0),
-        "h_m_bc": 0.5 * (w.w @ log_eig_bc - 1.0),
-        "log_eig": log_eig,
-        "log_eig_bc": log_eig_bc,
-        "diag_logs": log_diag,
-    }
+    # the one window at j2 is the whole octave: its spectrum is S(2^j2) bit
+    # for bit, and the mean of its log-eigenvalues is log_eig's last row
+    log_eig_bc = np.stack(
+        [averaged_log_eigenvalues(s) for s in windows] + [log_eig[..., -1, :]], axis=-2
+    )
+    return (
+        0.5 * (w.w @ log_diag - 1.0),
+        0.5 * (w.w @ log_eig - 1.0),
+        0.5 * (w.w @ log_eig_bc - 1.0),
+        log_eig,
+        log_eig_bc,
+        log_diag,
+    )
 
 
 def record_to_dict(r: EstimateRecord) -> dict:

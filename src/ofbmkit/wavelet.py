@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,8 +117,14 @@ class WaveletFilter:
         return self.lowpass.size
 
 
+@lru_cache
 def filter_bank(name: str = DEFAULT_FILTER) -> WaveletFilter:
-    """Look up a built-in orthonormal filter by name (haar/db1, db2/sym2, db3, db4)."""
+    """Look up a built-in orthonormal filter by name (haar/db1, db2/sym2, db3, db4).
+
+    Each name is built and checked once; later calls return the same frozen
+    filter, whose tap arrays are read-only.  An unknown name raises BadFilter
+    on every call.
+    """
     key = _ALIASES.get(name.lower(), name.lower())
     if key not in _SCALING_TAPS:
         raise BadFilter(f"unknown filter {name!r}; available: {sorted(_SCALING_TAPS)}")
