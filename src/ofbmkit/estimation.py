@@ -137,11 +137,9 @@ def _check_octaves(j1: int, j2: int) -> None:
 def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a symmetric matrix, or of each in a (..., M, M) stack.
 
-    A stack that equals its transpose exactly, as wavelet spectra do, goes to
-    ``eigvalsh`` as it is.  Otherwise each matrix must be symmetric within
-    1e-8 of its largest entry (else NotSymmetric) and its symmetric part
-    0.5 (s + s^T) is decomposed; below overflow, that part of an exactly
-    symmetric matrix is the matrix itself, so both routes give the same bits.
+    A stack that is not exactly symmetric must be symmetric within 1e-8 of
+    each matrix's largest entry (else NotSymmetric); its symmetric part is
+    decomposed, which for an exactly symmetric one is the stack itself.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:

@@ -121,9 +121,8 @@ class WaveletFilter:
 def filter_bank(name: str = DEFAULT_FILTER) -> WaveletFilter:
     """Look up a built-in orthonormal filter by name (haar/db1, db2/sym2, db3, db4).
 
-    Each name is built and checked once; later calls return the same frozen
-    filter, whose tap arrays are read-only.  An unknown name raises BadFilter
-    on every call.
+    Each filter is built and checked once and shared: it is frozen, with
+    read-only taps.
     """
     key = _ALIASES.get(name.lower(), name.lower())
     if key not in _SCALING_TAPS:

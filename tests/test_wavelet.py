@@ -39,6 +39,11 @@ def test_filter_invariants(name, nv, length):
     k = np.arange(length, dtype=float)
     for p in range(nv):
         assert np.dot(k**p, f.highpass) == pytest.approx(0.0, abs=1e-8)
+    # every caller gets this one filter, so no caller can change it
+    assert filter_bank(name) is f
+    for taps in (f.lowpass, f.highpass):
+        with pytest.raises(ValueError):
+            taps[0] = 0.0
 
 
 def test_sym2_alias_is_db2():
@@ -46,8 +51,9 @@ def test_sym2_alias_is_db2():
 
 
 def test_unknown_filter_rejected():
-    with pytest.raises(BadFilter):
-        filter_bank("meyer")
+    for _ in range(2):  # a failed lookup is not remembered
+        with pytest.raises(BadFilter):
+            filter_bank("meyer")
 
 
 def test_counts_follow_recursion():
