@@ -52,7 +52,6 @@ from .synthesis import (
     SamplePath,
 )
 from .wavelet import (
-    WaveletFilter,
     WaveletPyramid,
     dwt,
     filter_bank,

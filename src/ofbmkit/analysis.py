@@ -28,7 +28,6 @@ from .errors import (
     BadProbability,
     DataError,
     EmptySample,
-    NotSymmetric,
     SampleTooSmall,
     ShapeMismatch,
     SingularCovariance,
@@ -36,6 +35,7 @@ from .errors import (
     ZeroVariance,
 )
 from .estimation import (
+    DEFAULT_BALANCE,
     EstimateRecord,
     RegressionWeights,
     ScalingRangeConfig,
@@ -44,10 +44,13 @@ from .estimation import (
     estimate_windows,
     octave_range,
     regression_weights,
+    sorted_eigenvalues,
 )
 from .model import ModelParams
 from .synthesis import CirculantEmbedding, _check_seeds
-from .wavelet import WaveletFilter, WaveletPyramid, check_finite, dwt, filter_bank, pyramid_counts
+from .wavelet import (
+    DEFAULT_FILTER, WaveletFilter, WaveletPyramid, check_finite, dwt, filter_bank, pyramid_counts
+)
 
 ESTIMATORS = ("U", "M", "BC")
 
@@ -61,8 +64,8 @@ class McConfig:
     n_mc: int
     seed0: int
     range_cfg: ScalingRangeConfig = field(default_factory=ScalingRangeConfig)
-    filter_name: str = "db2"
-    balance: str = "by_count"
+    filter_name: str = DEFAULT_FILTER
+    balance: str = DEFAULT_BALANCE
     j1: int | None = None  # explicit override of the derived range
     j2: int | None = None
 
@@ -121,14 +124,8 @@ def performance_matrices(est: np.ndarray, h_true) -> tuple[np.ndarray, np.ndarra
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    mat = np.asarray(mat, dtype=float)
-    scale = np.abs(mat).max()
-    if scale > 0 and np.abs(mat - mat.T).max() > 1e-8 * scale:
-        raise NotSymmetric("matrix is asymmetric beyond tolerance")
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(0.5 * (mat + mat.T))).max())
+    """Largest absolute eigenvalue of a symmetric matrix, by the rule of sorted_eigenvalues."""
+    return float(np.abs(sorted_eigenvalues(mat)).max())
 
 
 def v_n_approx(w: RegressionWeights, counts) -> float:
@@ -204,13 +201,9 @@ def wilcoxon_ranksum(x, y) -> float:
 
     if n1 <= 8 and n2 <= 8:
         dev = abs(w_obs - mu)
-        hits = 0
-        total = 0
-        for idx in combinations(range(n), n1):
-            total += 1
-            if abs(ranks[list(idx)].sum() - mu) >= dev - 1e-9:
-                hits += 1
-        return hits / total
+        # the rank sum of every n1-subset of the pooled sample
+        sums = ranks[np.array(list(combinations(range(n), n1)))].sum(axis=1)
+        return float(np.mean(np.abs(sums - mu) >= dev - 1e-9))
 
     _, tie_counts = np.unique(ranks, return_counts=True)
     tie_term = ((tie_counts**3 - tie_counts).sum()) / ((n) * (n - 1.0))
@@ -297,12 +290,8 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
         except DataError as exc:
             raise type(exc)(f"realization {r}: {exc}") from exc
 
-    indices = range(1, cfg.n_mc + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, indices))
-    else:
-        records = [one(r) for r in indices]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        records = list(pool.map(one, range(1, cfg.n_mc + 1)))
 
     est = {
         "U": np.stack([rec.h_u for rec in records]),
@@ -412,7 +401,7 @@ def sliding_window_estimates(
     j1: int,
     j2: int,
     f: WaveletFilter | None = None,
-    balance: str = "by_count",
+    balance: str = DEFAULT_BALANCE,
 ) -> list[EstimateRecord]:
     """Per-window estimates over a long series; timestamps are window starts.
 
@@ -461,7 +450,7 @@ _BLOCK_VALUES = 2**21
 
 def _block_windows(m: int, window: int, j1: int, j2: int) -> int:
     """Windows per block: about _BLOCK_VALUES values of samples and spectra."""
-    matrices = (j2 - j1 + 1) + 2 ** (j2 - j1 + 1) - 1  # full-sample + windowed
+    matrices = (j2 - j1 + 1) + 2 ** (j2 - j1 + 1) - 2  # full-sample j1..j2 + windowed j1..j2-1
     return max(1, _BLOCK_VALUES // (m * window + matrices * m * m))
 
 

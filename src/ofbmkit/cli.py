@@ -34,7 +34,14 @@ from .analysis import (
     wilcoxon_ranksum,
 )
 from .errors import DataError, MalformedInput, OfbmkitError, SeriesTooShort
-from .estimation import ScalingRangeConfig, _check_octaves, octave_range, record_to_dict
+from .estimation import (
+    DEFAULT_BALANCE,
+    ScalingRangeConfig,
+    _check_octaves,
+    analyze,
+    octave_range,
+    record_to_dict,
+)
 from .model import load_params
 from .synthesis import (
     RNG_ID,
@@ -45,7 +52,7 @@ from .synthesis import (
     series_from_csv,
     table_to_csv,
 )
-from .wavelet import filter_bank
+from .wavelet import DEFAULT_FILTER, dwt, filter_bank, spectrum_set
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,7 +65,7 @@ def _taps_hash() -> str:
 
 
 def version_string() -> str:
-    return f"ofbmkit {__version__} (filter db2 taps sha256/16={_taps_hash()}, rng {RNG_ID})"
+    return f"ofbmkit {__version__} (filter {DEFAULT_FILTER} taps sha256/16={_taps_hash()}, rng {RNG_ID})"
 
 
 def _umask() -> int:
@@ -152,14 +159,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    from .estimation import analyze
-    from .wavelet import dwt, spectrum_set
-
     x, _ = _read_series(args.input)
     j1, j2 = octave_range(x.shape[1], _range_config(args), args.j1, args.j2)
-    f = filter_bank(args.filter)
-    pyr = dwt(x, j2, f)
-    rec = analyze(pyr, j1, j2, f=f, balance=_weights_mode(args))
+    pyr = dwt(x, j2, filter_bank(args.filter))
+    rec = analyze(pyr, j1, j2, balance=_weights_mode(args))
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "estimate.json"), record_to_dict(rec))
@@ -306,22 +309,24 @@ def cmd_sliding(args) -> int:
 def _add_range_flags(p: argparse.ArgumentParser):
     p.add_argument("--j1", type=int, default=None, help="first regression octave (overrides auto range)")
     p.add_argument("--j2", type=int, default=None, help="last regression octave")
-    p.add_argument("--beta", type=float, default=0.9, help="scaling-range exponent")
-    p.add_argument("--n0", type=int, default=2**13, help="reference sample size for the base range")
+    p.add_argument("--beta", type=float, default=ScalingRangeConfig.beta, help="scaling-range exponent")
+    p.add_argument(
+        "--n0", type=int, default=ScalingRangeConfig.n0, help="reference sample size for the base range"
+    )
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser):
-    p.add_argument("--filter", default="db2", help="wavelet filter name (haar, db2, db3, db4)")
+    p.add_argument("--filter", default=DEFAULT_FILTER, help="wavelet filter name (haar, db2, db3, db4)")
     p.add_argument(
         "--weights",
         choices=["uniform", "by-count"],
-        default="by-count",
+        default=DEFAULT_BALANCE.replace("_", "-"),
         help="regression weight balance",
     )
 
 
 def _thread_count(text: str) -> int:
-    """mc --threads, or OFBMKIT_THREADS in its place: an integer of at least 1."""
+    """mc --threads: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -364,9 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=_thread_count,
-        # a string default goes through the type only when mc parses its flags
-        default=os.environ.get("OFBMKIT_THREADS", "1"),
-        help="worker threads (OFBMKIT_THREADS as fallback); has no effect on output",
+        default=1,
+        help="worker threads; has no effect on output",
     )
     p.add_argument("--out-dir", required=True)
     _add_range_flags(p)

@@ -35,6 +35,7 @@ from .errors import (
 from .wavelet import WaveletPyramid, dwt, spectrum_set, windowed_spectra
 
 WEIGHT_MODES = ("uniform", "by_count")
+DEFAULT_BALANCE = "by_count"
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class RegressionWeights:
 
 
 def regression_weights(
-    j1: int, j2: int, balance: str = "by_count", counts=None
+    j1: int, j2: int, balance: str = DEFAULT_BALANCE, counts=None
 ) -> RegressionWeights:
     """Weighted-least-squares slope weights w_j = b_j (V0 j - V1) / (V0 V2 - V1^2).
 
@@ -208,7 +209,7 @@ def analyze(
     j1: int,
     j2: int,
     f=None,
-    balance: str = "by_count",
+    balance: str = DEFAULT_BALANCE,
     t_start: int | None = None,
 ) -> EstimateRecord:
     """Run the full estimation pipeline on a series (or prebuilt pyramid).

@@ -18,7 +18,9 @@ times the path it returns.
 Reproducibility: all randomness flows through a counter-based Philox generator
 keyed by a 64-bit seed, and normal variates are produced by inverse-CDF from
 the uniforms (k + 1/2) * 2^-53 on the top 53 bits k of each word, so
-identical (params, n, seed) inputs give bit-identical paths on any platform.
+identical (params, n, seed) inputs give bit-identical paths at any thread
+count on one machine and OpenBLAS kernel (the kernel picks the bits of the
+embedding's eigendecomposition and products).
 The map from normals to paths is named by ``RNG_ID``.
 """
 

@@ -1,3 +1,4 @@
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -38,7 +39,7 @@ from ofbmkit.errors import (
     WindowTooSmall,
     ZeroVariance,
 )
-from ofbmkit.estimation import analyze, regression_weights
+from ofbmkit.estimation import analyze, regression_weights, sorted_eigenvalues
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
 from ofbmkit.wavelet import dwt, filter_bank, pyramid_counts
@@ -78,6 +79,35 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.ones((3, 3))) == pytest.approx(3.0)
     with pytest.raises(NotSymmetric):
         spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 6),
+    shift=st.floats(0.0, 2.0),
+    skew=st.sampled_from([0.0, 1e-12, 1e-10, 5e-9, 1e-7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_norm_is_the_largest_eigenvalue_of_the_symmetric_part(m, shift, skew, seed):
+    # exactly symmetric matrices, indefinite ones too, and matrices asymmetric
+    # within 1e-8 of their largest entry give the bits of eigvalsh(0.5 (t + t^T));
+    # NotSymmetric is raised exactly when sorted_eigenvalues raises it
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, m + 2)) * 10.0 ** rng.uniform(-3, 3)
+    s = a @ a.T - shift * np.trace(a @ a.T) / m * np.eye(m)
+    t = s + skew * np.triu(rng.uniform(-1.0, 1.0, size=s.shape), 1) * np.abs(s).max()
+    try:
+        sorted_eigenvalues(t)
+    except NotSymmetric:
+        with pytest.raises(NotSymmetric):
+            spectral_norm(t)
+        return
+    assert spectral_norm(t) == float(np.abs(np.linalg.eigvalsh(0.5 * (t + t.T))).max())
+
+
+def test_spectral_norm_rejects_a_non_square_matrix():
+    with pytest.raises(ShapeMismatch):
+        spectral_norm(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +307,31 @@ def test_wilcoxon_midranks_match_scipy_rankdata(monkeypatch):
     assert got == [wilcoxon_ranksum(x, y) for x, y in cases]
 
 
+def _subset_count_pvalue(x, y) -> float:
+    """The exact two-sided p-value, counting the rank sum of every n1-subset in turn."""
+    n1, n = len(x), len(x) + len(y)
+    ranks = analysis._midranks(np.concatenate([x, y]).astype(float))
+    mu = n1 * (n + 1) / 2.0
+    dev = abs(ranks[:n1].sum() - mu)
+    hits = 0
+    total = 0
+    for idx in combinations(range(n), n1):
+        total += 1
+        if abs(ranks[list(idx)].sum() - mu) >= dev - 1e-9:
+            hits += 1
+    return hits / total
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    x=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+    y=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+)
+def test_wilcoxon_exact_branch_equals_the_subset_count(x, y):
+    # integer samples, so ties occur; both groups of at most 8 take the exact branch
+    assert wilcoxon_ranksum(x, y) == _subset_count_pvalue(x, y)
+
+
 def test_wilcoxon_empty_rejected():
     with pytest.raises(EmptySample):
         wilcoxon_ranksum([], [1.0])
@@ -392,9 +447,11 @@ def test_mc_config_checks_every_seed_it_will_use():
 def test_run_mc_attaches_realization_index():
     from ofbmkit.errors import DataError
 
+    # every realization fails; the lowest r is named at any thread count
     cfg = McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=9)
-    with pytest.raises(DataError, match="realization 1"):
-        run_mc(cfg)
+    for threads in (1, 2):
+        with pytest.raises(DataError, match="realization 1"):
+            run_mc(cfg, threads=threads)
 
 
 # ---------------------------------------------------------------------------

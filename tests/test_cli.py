@@ -622,36 +622,15 @@ def test_fewer_than_two_samples_exit_4(params_file, tmp_path, capsys, command, n
     assert os.listdir(tmp_path) == ["params.json"]
 
 
-def test_threads_env_that_is_not_an_integer_fails_only_mc(params_file, tmp_path, capsys, monkeypatch):
-    # OFBMKIT_THREADS is only the default of mc --threads, converted when mc parses its flags
-    series = _synth(params_file, tmp_path)
-    monkeypatch.setenv("OFBMKIT_THREADS", "abc")
-    assert main(["--version"]) == 0
-    assert main(["estimate", str(series), "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "e")]) == 0
-    capsys.readouterr()
-    rc = main(["mc", "--params", params_file, "--n", "2048", "--n-mc", "2", "--seed", "1",
-               "--j1", "2", "--j2", "6", "--out-dir", str(tmp_path / "mc")])
-    assert rc == 2
-    assert "--threads: invalid int value: 'abc'" in capsys.readouterr().err
-    assert not (tmp_path / "mc").exists()
-
-
-@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("source", ["flag"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2(params_file, tmp_path, capsys, monkeypatch, source, threads):
-    # mc --threads, or OFBMKIT_THREADS in its place, is checked when mc parses its
-    # flags; a large count is not run, since it would start that many threads
+    # mc --threads is checked when mc parses its flags; a large count is not
+    # run, since it would start that many threads
     monkeypatch.setattr(analysis, "CirculantEmbedding", _no_embedding)
-    flag = ["--threads", threads] if source == "flag" else []
-    if source == "env":
-        monkeypatch.setenv("OFBMKIT_THREADS", threads)
-        assert main(["--version"]) == 0
-        assert main(["synth", "--params", params_file, "--n", "64", "--seed", "1",
-                     "--out", str(tmp_path / "x.csv")]) == 0
-    capsys.readouterr()
     out = tmp_path / "mc"
     rc = main(["mc", "--params", params_file, "--n", "2048", "--n-mc", "2", "--seed", "1",
-               "--j1", "2", "--j2", "6", "--out-dir", str(out)] + flag)
+               "--j1", "2", "--j2", "6", "--out-dir", str(out), "--threads", threads])
     assert rc == 2
     assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
     assert not out.exists()
@@ -1044,3 +1023,20 @@ def test_linearly_dependent_channels_exit_4_naming_the_rank(tmp_path, capsys, co
         "drop a channel or undo the common reference\n"
     )
     assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_parser_defaults_are_the_library_defaults():
+    from ofbmkit.estimation import DEFAULT_BALANCE, ScalingRangeConfig
+    from ofbmkit.wavelet import DEFAULT_FILTER
+
+    parser = cli.build_parser()
+    for argv in (
+        ["estimate", "x.csv", "--out-dir", "o"],
+        ["mc", "--params", "p.json", "--n", "64", "--n-mc", "2", "--seed", "1", "--out-dir", "o"],
+        ["sliding", "x.csv", "--window", "64", "--hop", "8", "--j1", "1", "--j2", "2", "--out-dir", "o"],
+    ):
+        args = parser.parse_args(argv)
+        assert args.filter == DEFAULT_FILTER
+        assert cli._weights_mode(args) == DEFAULT_BALANCE
+        if argv[0] != "sliding":
+            assert cli._range_config(args) == ScalingRangeConfig()

@@ -181,14 +181,3 @@ def test_no_rejections_for_identical_groups():
         if not bh_reject(pvals, 0.05).rejected.any():
             clean += 1
     assert clean >= 0.9 * runs
-
-
-def test_threads_env_fallback(monkeypatch):
-    from ofbmkit.cli import build_parser
-
-    monkeypatch.setenv("OFBMKIT_THREADS", "5")
-    args = build_parser().parse_args(
-        ["mc", "--params", "x.json", "--n", "64", "--n-mc", "2", "--seed", "1",
-         "--out-dir", "out"]
-    )
-    assert args.threads == 5
