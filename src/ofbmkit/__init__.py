@@ -28,17 +28,14 @@ from .analysis import (
 from .errors import OfbmkitError
 from .estimation import (
     EstimateRecord,
-    RegressionWeights,
     ScalingRangeConfig,
     analyze,
-    octave_range,
     regression_weights,
     scaling_range,
     sorted_eigenvalues,
 )
 from .model import (
     ModelParams,
-    OfbmEquivalent,
     load_params,
     make_params,
     ofbm_equivalent,

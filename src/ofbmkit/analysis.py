@@ -28,6 +28,7 @@ from .errors import (
     BadProbability,
     DataError,
     EmptySample,
+    NonFiniteData,
     SampleTooSmall,
     ShapeMismatch,
     SingularCovariance,
@@ -42,14 +43,15 @@ from .estimation import (
     _check_octaves,
     analyze,
     estimate_windows,
-    octave_range,
     regression_weights,
+    scaling_range,
     sorted_eigenvalues,
 )
 from .model import ModelParams
 from .synthesis import CirculantEmbedding, _check_seeds
 from .wavelet import (
-    DEFAULT_FILTER, WaveletFilter, WaveletPyramid, check_finite, dwt, filter_bank, pyramid_counts
+    DEFAULT_FILTER, WaveletFilter, WaveletPyramid, as_components, check_finite, dwt, filter_bank,
+    pyramid_counts,
 )
 
 ESTIMATORS = ("U", "M", "BC")
@@ -74,7 +76,7 @@ class McConfig:
             raise SampleTooSmall(f"need at least 2 realizations, got {self.n_mc}")
         # realization r = 1..n_mc uses seed0 + r: the base seed and every one drawn
         _check_seeds(self.seed0, self.n_mc + 1)
-        octave_range(self.n, self.range_cfg, self.j1, self.j2)  # fails before any synthesis
+        scaling_range(self.n, self.range_cfg, self.j1, self.j2)  # fails before any synthesis
 
 
 @dataclass(frozen=True)
@@ -187,12 +189,14 @@ def wilcoxon_ranksum(x, y) -> float:
 
     Exact (conditional on observed midranks) when both samples have at most 8
     points; otherwise a normal approximation with tie and continuity
-    corrections.
+    corrections.  Raises NonFiniteData for a NaN or infinite sample.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     if x.size == 0 or y.size == 0:
         raise EmptySample("both samples must be nonempty")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteData("rank-sum samples must be finite")
     n1, n2 = x.size, y.size
     n = n1 + n2
     ranks = _midranks(np.concatenate([x, y]))
@@ -278,7 +282,7 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
     The next study of the same params object at the same n reuses this one's
     embedding, which holds M^2 * (size/2 + 1) doubles until another replaces it.
     """
-    j1, j2 = octave_range(cfg.n, cfg.range_cfg, cfg.j1, cfg.j2)
+    j1, j2 = scaling_range(cfg.n, cfg.range_cfg, cfg.j1, cfg.j2)
     f = filter_bank(cfg.filter_name)
     emb = _embedding(cfg.params, cfg.n)
     m = cfg.params.m
@@ -403,7 +407,8 @@ def sliding_window_estimates(
     f: WaveletFilter | None = None,
     balance: str = DEFAULT_BALANCE,
 ) -> list[EstimateRecord]:
-    """Per-window estimates over a long series; timestamps are window starts.
+    """Per-window estimates over a long M x N series (a 1-d one is M = 1);
+    timestamps are window starts.
 
     Windows whose starts agree mod 2^j2 share one wavelet pyramid: at every
     octave j <= j2 their coefficients are slices of it.  They are estimated
@@ -411,10 +416,10 @@ def sliding_window_estimates(
     memory grows neither with the number of windows nor with the hop.  Every
     record equals :func:`analyze` on its window bit for bit.  Returns an
     empty list when the series is shorter than one window.  Raises
-    WindowTooSmall unless 1 <= hop <= window and DegenerateRange unless
-    1 <= j1 < j2.
+    ShapeMismatch for more than two dimensions, WindowTooSmall unless
+    1 <= hop <= window and DegenerateRange unless 1 <= j1 < j2.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_components(x)
     _check_hop(window, hop)
     _check_octaves(j1, j2)
     if f is None:

@@ -39,8 +39,8 @@ from .estimation import (
     ScalingRangeConfig,
     _check_octaves,
     analyze,
-    octave_range,
     record_to_dict,
+    scaling_range,
 )
 from .model import load_params
 from .synthesis import (
@@ -160,11 +160,10 @@ def cmd_synth(args) -> int:
 
 def cmd_estimate(args) -> int:
     x, _ = _read_series(args.input)
-    j1, j2 = octave_range(x.shape[1], _range_config(args), args.j1, args.j2)
+    j1, j2 = scaling_range(x.shape[1], _range_config(args), args.j1, args.j2)
     pyr = dwt(x, j2, filter_bank(args.filter))
     rec = analyze(pyr, j1, j2, balance=_weights_mode(args))
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "estimate.json"), record_to_dict(rec))
     spectra = [
         (j, a + 1, b + 1, value, pyr.counts[j - 1])
@@ -198,7 +197,6 @@ def cmd_mc(args) -> int:
     )
     rep = run_mc(cfg, threads=args.threads)
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "mc_report.json"), report_to_dict(rep))
     estimates = [
         (r + 1, code, m + 1, value)
@@ -235,13 +233,12 @@ def cmd_mc(args) -> int:
 def _window_labels(labels: np.ndarray, window: int, hop: int) -> np.ndarray:
     """Majority label of each window; a tie goes to the label that sorts first.
 
-    The labels are coded once, so each window counts small integers.
+    The labels are coded once in sorted order, so each window counts small
+    integers and argmax, which returns the first maximum, takes the lowest code.
     """
     values, codes = np.unique(labels, return_inverse=True)
-    modes = []
-    for s in range(0, labels.size - window + 1, hop):
-        present, counts = np.unique(codes[s : s + window], return_counts=True)
-        modes.append(present[np.argmax(counts)])
+    starts = range(0, labels.size - window + 1, hop)
+    modes = [np.bincount(codes[s : s + window]).argmax() for s in starts]
     return values[np.asarray(modes, dtype=np.intp)]
 
 
@@ -256,7 +253,8 @@ def cmd_sliding(args) -> int:
         )
     if labels is not None:
         wlabels = _window_labels(labels, args.window, args.hop)
-        groups = np.unique(wlabels).tolist()
+        # a bare np.unique would import numpy.ma
+        groups = sorted(set(wlabels.tolist()))
         if len(groups) != 2:
             raise DataError(f"need exactly two window labels, got {groups}")
     records = sliding_window_estimates(
@@ -279,7 +277,6 @@ def cmd_sliding(args) -> int:
             tests[code] = bh_reject(pvals, args.alpha).to_dict()
 
     out = args.out_dir
-    os.makedirs(out, exist_ok=True)
     windows = [
         (rec.t_start, code, m + 1, value)
         for rec, vectors in zip(records, h.tolist())

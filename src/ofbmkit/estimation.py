@@ -40,18 +40,18 @@ DEFAULT_BALANCE = "by_count"
 
 @dataclass(frozen=True)
 class RegressionWeights:
-    """Slope weights over octaves j1..j2 with sum w = 0 and sum j*w = 1."""
+    """Slope weights over octaves j1..j2 with sum w = 0 and sum j*w = 1, built
+    by :func:`regression_weights` only, which makes ``w`` read-only."""
 
     j1: int
     j2: int
     w: np.ndarray
 
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).copy()
-        if w.size != self.j2 - self.j1 + 1:
-            raise ShapeMismatch("weight vector does not span j1..j2")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
+
+def _check_octaves(j1: int, j2: int) -> None:
+    """Raise DegenerateRange unless 1 <= j1 < j2."""
+    if not 1 <= j1 < j2:
+        raise DegenerateRange(f"need 1 <= j1 < j2, got ({j1}, {j2})")
 
 
 def regression_weights(
@@ -60,10 +60,10 @@ def regression_weights(
     """Weighted-least-squares slope weights w_j = b_j (V0 j - V1) / (V0 V2 - V1^2).
 
     ``balance`` picks b_j = 1 ("uniform") or b_j = n_j ("by_count", the
-    default, which requires ``counts`` aligned with j1..j2).
+    default, which requires ``counts`` aligned with j1..j2).  Raises
+    DegenerateRange unless 1 <= j1 < j2.
     """
-    if j2 <= j1:
-        raise DegenerateRange(f"need j2 > j1, got ({j1}, {j2})")
+    _check_octaves(j1, j2)
     if balance not in WEIGHT_MODES:
         raise ShapeMismatch(f"balance must be one of {WEIGHT_MODES}")
     j = np.arange(j1, j2 + 1, dtype=float)
@@ -79,6 +79,7 @@ def regression_weights(
     v1 = (b * j).sum()
     v2 = (b * j * j).sum()
     w = b * (v0 * j - v1) / (v0 * v2 - v1 * v1)
+    w.setflags(write=False)
     return RegressionWeights(j1=j1, j2=j2, w=w)
 
 
@@ -105,34 +106,24 @@ class ScalingRangeConfig:
             raise DegenerateRange(f"n0 = {self.n0} cannot support octave {J2_0}")
 
 
-def scaling_range(n: int, cfg: ScalingRangeConfig) -> tuple[int, int]:
-    """Octave range for sample size n: (J1_0, J2_0) shifted by floor(beta*log2(n/n0))."""
+def scaling_range(
+    n: int, cfg: ScalingRangeConfig, j1: int | None = None, j2: int | None = None
+) -> tuple[int, int]:
+    """The octave range: (j1, j2) when both are given, else, for sample size n,
+    (J1_0, J2_0) shifted by floor(beta*log2(n/n0)).
+
+    Raises DegenerateRange when only one of j1, j2 is given or unless
+    1 <= j1 < j2, and SampleTooSmall when n < n0 for a derived range.
+    """
+    if (j1 is None) != (j2 is None):
+        raise DegenerateRange("pass j1 and j2 together or neither")
+    if j1 is not None:
+        _check_octaves(j1, j2)
+        return j1, j2
     if n < cfg.n0:
         raise SampleTooSmall(f"sample size {n} below the reference size {cfg.n0}")
     shift = math.floor(cfg.beta * math.log2(n / cfg.n0))
     return J1_0 + shift, J2_0 + shift
-
-
-def octave_range(
-    n: int, cfg: ScalingRangeConfig, j1: int | None = None, j2: int | None = None
-) -> tuple[int, int]:
-    """The octave range (j1, j2) when both are given, else scaling_range(n, cfg).
-
-    Raises DegenerateRange when only one of j1, j2 is given or unless
-    1 <= j1 < j2.
-    """
-    if (j1 is None) != (j2 is None):
-        raise DegenerateRange("pass j1 and j2 together or neither")
-    if j1 is None:
-        return scaling_range(n, cfg)
-    _check_octaves(j1, j2)
-    return j1, j2
-
-
-def _check_octaves(j1: int, j2: int) -> None:
-    """Raise DegenerateRange unless 1 <= j1 < j2."""
-    if not 1 <= j1 < j2:
-        raise DegenerateRange(f"need 1 <= j1 < j2, got ({j1}, {j2})")
 
 
 def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:

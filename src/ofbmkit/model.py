@@ -34,12 +34,6 @@ PSD_RTOL = 1e-10
 FEAS_SLACK = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 def _assemble(var: np.ndarray, rho: np.ndarray) -> np.ndarray:
     s = np.sqrt(var)
     return s[:, None] * rho * s[None, :]
@@ -133,7 +127,9 @@ class ModelParams:
                     raise CorrelationInfeasible(a, b, float(rho[a, b]), bound)
 
         for name, value in (("hurst", h), ("variances", var), ("correlations", rho), ("mixing", w)):
-            object.__setattr__(self, name, _readonly(value))
+            value = np.array(value)  # the checked arrays can be views of the caller's
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -147,16 +143,12 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class OfbmEquivalent:
-    """Operator-selfsimilar reparameterization (A A*, Hurst matrix, gain matrix)."""
+    """Operator-selfsimilar reparameterization (A A*, Hurst matrix, gain matrix),
+    built by :func:`ofbm_equivalent` only, which makes the arrays read-only."""
 
     aastar: np.ndarray
     hurst_matrix: np.ndarray
     g_matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "aastar", _readonly(self.aastar))
-        object.__setattr__(self, "hurst_matrix", _readonly(self.hurst_matrix))
-        object.__setattr__(self, "g_matrix", _readonly(self.g_matrix))
 
 
 def rho_max(h1: float, h2: float) -> float:
@@ -210,6 +202,8 @@ def ofbm_equivalent(p: ModelParams) -> OfbmEquivalent:
     aastar = wmat @ (g * p.sigma) @ wmat.T
     aastar = 0.5 * (aastar + aastar.T)
     hurst_matrix = wmat @ np.diag(hvals) @ np.linalg.inv(wmat)
+    for arr in (aastar, hurst_matrix, g):
+        arr.setflags(write=False)
     return OfbmEquivalent(aastar=aastar, hurst_matrix=hurst_matrix, g_matrix=g)
 
 

@@ -235,8 +235,11 @@ class CirculantEmbedding:
         """Draw one mixed M x n realization for the given seed.
 
         The seed gives M * size normals, mapped by :meth:`_paths` through a
-        Hermitian half-spectrum; ``kind="mfBm"`` returns their cumulative sum.
+        Hermitian half-spectrum.  ``kind="mfGn"`` returns these increments and
+        ``kind="mfBm"`` their cumulative sum; any other kind raises ShapeMismatch.
         """
+        if kind not in ("mfGn", "mfBm"):
+            raise ShapeMismatch(f"kind must be 'mfGn' or 'mfBm', got {kind!r}")
         # no reference to the normals is kept here, so _paths can free them
         data = self._paths(gaussian_variates(seed, (self.params.m, self.size)))
         if kind == "mfBm":

@@ -73,19 +73,12 @@ DEFAULT_FILTER = "db2"
 
 @dataclass(frozen=True)
 class WaveletFilter:
-    """Orthonormal quadrature-mirror pair, built by :func:`filter_bank` only."""
+    """Orthonormal quadrature-mirror pair, built by :func:`filter_bank` only,
+    which makes the taps read-only."""
 
     name: str
     lowpass: np.ndarray
     highpass: np.ndarray
-
-    def __post_init__(self):
-        lp = np.array(self.lowpass, dtype=float)
-        hp = np.array(self.highpass, dtype=float)
-        lp.setflags(write=False)
-        hp.setflags(write=False)
-        object.__setattr__(self, "lowpass", lp)
-        object.__setattr__(self, "highpass", hp)
 
     @property
     def length(self) -> int:
@@ -102,8 +95,10 @@ def filter_bank(name: str = DEFAULT_FILTER) -> WaveletFilter:
     key = _ALIASES.get(name.lower(), name.lower())
     if key not in _SCALING_TAPS:
         raise BadFilter(f"unknown filter {name!r}; available: {sorted(_SCALING_TAPS)}")
-    lp = np.asarray(_SCALING_TAPS[key])
+    lp = np.array(_SCALING_TAPS[key])
     hp = np.array([(-1.0) ** k * lp[lp.size - 1 - k] for k in range(lp.size)])
+    lp.setflags(write=False)
+    hp.setflags(write=False)
     return WaveletFilter(name=key, lowpass=lp, highpass=hp)
 
 
@@ -160,11 +155,7 @@ def dwt(x: np.ndarray, j_max: int | None = None, f: WaveletFilter | None = None)
     """
     if f is None:
         f = filter_bank(DEFAULT_FILTER)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2:
-        raise ShapeMismatch("input must be 1-d or 2-d (components x time)")
+    x = as_components(x)
     check_finite(x)
     n = x.shape[1]
     counts = pyramid_counts(n, f.length, j_max)
@@ -186,6 +177,14 @@ def dwt(x: np.ndarray, j_max: int | None = None, f: WaveletFilter | None = None)
         coeffs.append(det)
         approx = app
     return WaveletPyramid(coeffs=tuple(coeffs))
+
+
+def as_components(x) -> np.ndarray:
+    """x as an M x N float array, a 1-d series being one component (M = 1)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ShapeMismatch("input must be 1-d or 2-d (components x time)")
+    return np.atleast_2d(x)
 
 
 def check_finite(x: np.ndarray) -> None:

@@ -337,6 +337,15 @@ def test_wilcoxon_empty_rejected():
         wilcoxon_ranksum([], [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wilcoxon_rejects_a_non_finite_sample(bad):
+    # a NaN has no rank: it would sort last and give a p-value of no meaning
+    with pytest.raises(NonFiniteData):
+        wilcoxon_ranksum([1.0, 2.0, bad] * 4, [3.0, 4.0, 5.0] * 4)
+    with pytest.raises(NonFiniteData):
+        wilcoxon_ranksum([1.0, 2.0], [3.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # Benjamini-Hochberg
 # ---------------------------------------------------------------------------
@@ -651,6 +660,23 @@ def test_sliding_long_series_runs_in_bounded_blocks(monkeypatch):
     assert [r.t_start for r in recs] == list(range(0, n - window + 1, hop))
     assert sum(blocks) == n_windows
     assert max(blocks) <= analysis._block_windows(2, window, 1, 4) < n_windows
+
+
+@pytest.mark.parametrize("hop", [1, 200])
+def test_sliding_reads_a_1d_series_as_one_component(hop):
+    x = np.random.default_rng(18).normal(size=1600).cumsum()
+    recs = sliding_window_estimates(x, window=700, hop=hop, j1=1, j2=4)
+    assert len(recs) == (1600 - 700) // hop + 1
+    for rec in recs[:: 100 // hop or 1]:
+        ref = analyze(x[rec.t_start : rec.t_start + 700], 1, 4, t_start=rec.t_start)
+        assert rec.h_m.shape == (1,)
+        for name in SLIDING_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+
+def test_sliding_rejects_more_than_two_dimensions():
+    with pytest.raises(ShapeMismatch, match=r"input must be 1-d or 2-d \(components x time\)"):
+        sliding_window_estimates(np.zeros((2, 2, 3000)), window=514, hop=100, j1=1, j2=4)
 
 
 def test_sliding_rejects_non_finite_series():

@@ -525,6 +525,7 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
             " '--window', '520', '--hop', '260', '--j1', '1', '--j2', '4']) == 0",
             f"assert ofbmkit.cli.main(['sliding', {labelled!r}, '--out-dir', {str(tmp_path / 'l')!r},"
             " '--window', '520', '--hop', '100', '--j1', '1', '--j2', '4', '--label-column', 'label']) == 0",
+            "assert 'numpy.ma' not in sys.modules",
             "print(loaded())",
         ]
     )
@@ -534,6 +535,24 @@ def test_cli_import_does_not_load_scipy_stats(tmp_path):
     assert proc.stdout.strip() == "[]"
     assert (tmp_path / "e" / "estimate.json").exists() and (tmp_path / "s" / "windows.csv").exists()
     assert (tmp_path / "l" / "pvalues.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "mc", "sliding"])
+def test_out_dir_that_is_a_file_exit_2_and_writes_nothing(params_file, tmp_path, capsys, command):
+    series = _write_series(tmp_path / "x.csv", _walk_rows(3000))
+    argv = {
+        "estimate": ["estimate", series, "--j1", "1", "--j2", "4"],
+        "mc": ["mc", "--params", params_file, "--n", "2048", "--n-mc", "3", "--seed", "5",
+               "--j1", "2", "--j2", "5"],
+        "sliding": ["sliding", series, "--window", "520", "--hop", "260", "--j1", "1", "--j2", "4"],
+    }[command]
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv + ["--out-dir", str(taken)]) == 2
+    assert f"File exists: '{taken}'" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before  # no .tmp-ofbmkit-* file is left
+    assert taken.read_text() == "not a directory\n"
 
 
 def _window_labels_per_window(labels, window, hop):

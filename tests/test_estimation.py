@@ -17,7 +17,6 @@ from ofbmkit.errors import (
 from ofbmkit.estimation import (
     ScalingRangeConfig,
     analyze,
-    octave_range,
     regression_weights,
     scaling_range,
     averaged_log_eigenvalues,
@@ -89,20 +88,34 @@ def test_by_count_requires_counts():
         regression_weights(1, 3, "by_count")
 
 
+@pytest.mark.parametrize("j1, j2", [(0, 3), (-2, 1), (4, 3)])
+def test_regression_weights_apply_the_octave_rule(j1, j2):
+    # no pyramid has an octave 0, so no weights are built for one
+    with pytest.raises(DegenerateRange, match="need 1 <= j1 < j2"):
+        regression_weights(j1, j2, "uniform")
+
+
+def test_regression_weights_are_read_only():
+    for w in (regression_weights(2, 5, "uniform"), regression_weights(1, 3, "by_count", [40, 20, 9])):
+        assert not w.w.flags.writeable
+        with pytest.raises(ValueError):
+            w.w[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # octave range
 # ---------------------------------------------------------------------------
 
 def test_octave_range_explicit_or_derived():
     cfg = ScalingRangeConfig()
-    assert octave_range(2**18, cfg) == scaling_range(2**18, cfg)
-    assert octave_range(100, cfg, 2, 5) == (2, 5)  # explicit: n is not checked
+    assert scaling_range(2**18, cfg, None, None) == scaling_range(2**18, cfg)
+    assert scaling_range(100, cfg, 2, 5) == (2, 5)  # explicit: n is not checked
 
 
 @pytest.mark.parametrize("j1, j2", [(3, None), (None, 5), (5, 5), (6, 5), (0, 5)])
 def test_octave_range_rejects_half_or_empty_ranges(j1, j2):
     with pytest.raises(DegenerateRange):
-        octave_range(2**18, ScalingRangeConfig(), j1, j2)
+        scaling_range(2**18, ScalingRangeConfig(), j1, j2)
 
 
 # ---------------------------------------------------------------------------

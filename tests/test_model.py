@@ -173,6 +173,15 @@ def test_ofbm_g_matrix_half_exponents():
     np.testing.assert_allclose(eq.hurst_matrix, 0.5 * np.eye(2), atol=1e-15)
 
 
+def test_ofbm_equivalent_arrays_are_read_only():
+    eq = ofbm_equivalent(make_params([0.4, 0.7], [1.0, 2.0], [[1.0, 0.3], [0.3, 1.0]]))
+    for name in ("aastar", "hurst_matrix", "g_matrix"):
+        a = getattr(eq, name)
+        assert a.shape == (2, 2) and not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
 def test_ofbm_equivalent_random_mixing_eigenvalues():
     rng = np.random.default_rng(11)
     for _ in range(100):

@@ -13,7 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofbmkit import synthesis
-from ofbmkit.errors import EmbeddingFailed, MalformedInput, SeedOutOfRange, SeriesTooShort
+from ofbmkit.errors import (
+    EmbeddingFailed,
+    MalformedInput,
+    SeedOutOfRange,
+    SeriesTooShort,
+    ShapeMismatch,
+)
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import (
     RNG_ID,
@@ -380,6 +386,13 @@ def test_mfbm_is_cumsum_of_mfgn():
     np.testing.assert_array_equal(path.data, np.cumsum(inc.data, axis=1))
     assert path.kind == "mfBm"
     assert path.n == 300
+
+
+@pytest.mark.parametrize("kind", ["mfbm", "mfgn", "fBm", ""])
+def test_sample_rejects_an_unknown_kind(kind):
+    # a misspelt kind would return increments labelled with it
+    with pytest.raises(ShapeMismatch, match="kind must be 'mfGn' or 'mfBm'"):
+        CirculantEmbedding(BIV, 64).sample(3, kind=kind)
 
 
 def test_mfbm_brownian_variance_growth():
