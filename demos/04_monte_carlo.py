@@ -30,7 +30,7 @@ print(f"N = 2^13, {cfg.n_mc} realizations, octaves {rep.j1}..{rep.j2}, equal H =
 print("spectral norms of the performance matrices:")
 print("  estimator |   bias^2   |    cov     |    mse")
 for code, label in (("U", "univariate"), ("M", "multivar"), ("BC", "corrected")):
-    sn = rep.spectral_norms[code]
+    sn = rep.stats[code]["spectral_norms"]
     print(f"  {label:9s} | {sn['bias2']:.3e} | {sn['cov']:.3e} | {sn['mse']:.3e}")
 
 print("\nrepulsion bias pushes the plain multivariate estimates apart:")

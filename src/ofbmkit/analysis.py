@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import combinations
 
@@ -30,6 +30,7 @@ from .errors import (
     EmptySample,
     NonFiniteData,
     SampleTooSmall,
+    SeriesTooShort,
     ShapeMismatch,
     SingularCovariance,
     WindowTooSmall,
@@ -48,13 +49,15 @@ from .estimation import (
     sorted_eigenvalues,
 )
 from .model import ModelParams
-from .synthesis import CirculantEmbedding, _check_seeds
+from .synthesis import CirculantEmbedding, _check_length, _check_seeds
 from .wavelet import (
     DEFAULT_FILTER, WaveletFilter, WaveletPyramid, as_components, check_finite, dwt, filter_bank,
     pyramid_counts,
 )
 
-ESTIMATORS = ("U", "M", "BC")
+# estimator code -> the EstimateRecord field that holds its estimates
+_RECORD_FIELDS = {"U": "h_u", "M": "h_m", "BC": "h_m_bc"}
+ESTIMATORS = tuple(_RECORD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -76,30 +79,28 @@ class McConfig:
             raise SampleTooSmall(f"need at least 2 realizations, got {self.n_mc}")
         # realization r = 1..n_mc uses seed0 + r: the base seed and every one drawn
         _check_seeds(self.seed0, self.n_mc + 1)
-        scaling_range(self.n, self.range_cfg, self.j1, self.j2)  # fails before any synthesis
+        # the range and its reach fail before any synthesis
+        j2 = scaling_range(self.n, self.range_cfg, self.j1, self.j2)[1]
+        f = filter_bank(self.filter_name)
+        _check_length(self.n)
+        _octave_counts(self.n, f, j2, self.params.m)
 
 
 @dataclass(frozen=True)
 class McReport:
-    """Aggregated Monte Carlo results, keyed by estimator code U / M / BC."""
+    """Aggregated Monte Carlo results, fields in mc_report.json order."""
 
-    config_n: int
+    n: int
     n_mc: int
     seed0: int
     j1: int
     j2: int
     h_true: np.ndarray
     weights: np.ndarray
-    counts: tuple
-    estimates: dict  # code -> (n_mc, M)
-    bias2: dict  # code -> (M, M)
-    cov: dict
-    mse: dict
-    spectral_norms: dict  # code -> {"bias2": .., "cov": .., "mse": ..}
-    corr: dict  # code -> (M, M)
-    mahalanobis: dict  # code -> (n_mc,)
+    counts: tuple  # n_j1 .. n_j2
     v_n: float
-    rel_var_diff: dict  # code -> (M,)
+    estimates: dict  # code (U / M / BC) -> (n_mc, M)
+    stats: dict  # code -> the statistics of _statistics, by name
 
 
 def performance_matrices(est: np.ndarray, h_true) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,9 +111,7 @@ def performance_matrices(est: np.ndarray, h_true) -> tuple[np.ndarray, np.ndarra
     est = np.asarray(est, dtype=float)
     h = np.asarray(h_true, dtype=float)
     if est.ndim != 2 or h.ndim != 1 or est.shape[1] != h.size:
-        raise ShapeMismatch(
-            f"estimates {est.shape} incompatible with true vector {h.shape}"
-        )
+        raise ShapeMismatch(f"estimates {est.shape} incompatible with true vector {h.shape}")
     if est.shape[0] < 2:
         raise ShapeMismatch("need at least two realizations")
     mean = est.mean(axis=0)
@@ -144,12 +143,9 @@ def mahalanobis_samples(est: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of each row from the sample mean."""
     est = np.asarray(est, dtype=float)
     if est.ndim != 2 or est.shape[0] <= est.shape[1]:
-        raise SingularCovariance(
-            f"need more realizations than components, got shape {est.shape}"
-        )
+        raise SingularCovariance(f"need more realizations than components, got shape {est.shape}")
     centered = est - est.mean(axis=0)
-    cov = np.cov(est, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    cov = np.atleast_2d(np.cov(est, rowvar=False, ddof=1))
     try:
         sol = np.linalg.solve(cov, centered.T)
     except np.linalg.LinAlgError as exc:
@@ -231,12 +227,7 @@ class GroupTestReport:
     rejected: np.ndarray  # aligned with the sorted order; a prefix
 
     def to_dict(self) -> dict:
-        return {
-            "pvalues": self.pvalues.tolist(),
-            "original_indices": self.original_indices.tolist(),
-            "bh_thresholds": self.bh_thresholds.tolist(),
-            "rejected": [bool(b) for b in self.rejected],
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
 def bh_reject(pvals, alpha: float) -> GroupTestReport:
@@ -276,16 +267,29 @@ def _embedding(params: ModelParams, n: int) -> CirculantEmbedding:
     return CirculantEmbedding(params, n)
 
 
+def _statistics(est: np.ndarray, h_true: np.ndarray, v_n: float) -> dict:
+    """One estimator's statistics from its (n_mc, M) estimates, in report order;
+    corr is all NaN below 3 realizations and mahalanobis at n_mc <= M (undefined)."""
+    n_mc, m = est.shape
+    stats = dict(zip(("bias2", "cov", "mse"), performance_matrices(est, h_true)))
+    stats["spectral_norms"] = {name: spectral_norm(mat) for name, mat in stats.items()}
+    stats["corr"] = estimate_correlation(est) if n_mc >= 3 else np.full((m, m), np.nan)
+    stats["mahalanobis"] = mahalanobis_samples(est) if n_mc > m else np.full(n_mc, np.nan)
+    stats["rel_var_diff"] = (est.var(axis=0, ddof=1) - v_n) / v_n
+    return stats
+
+
 def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
     """Synthesize-analyze-aggregate loop; deterministic given the config.
 
-    The next study of the same params object at the same n reuses this one's
+    Stacks each estimator's estimates and builds its statistics once.  The next
+    study of the same params object at the same n reuses this one's
     embedding, which holds M^2 * (size/2 + 1) doubles until another replaces it.
     """
     j1, j2 = scaling_range(cfg.n, cfg.range_cfg, cfg.j1, cfg.j2)
     f = filter_bank(cfg.filter_name)
+    counts = _octave_counts(cfg.n, f, j2, cfg.params.m)[j1 - 1 :]
     emb = _embedding(cfg.params, cfg.n)
-    m = cfg.params.m
 
     def one(r: int) -> EstimateRecord:
         try:
@@ -298,86 +302,35 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
         records = list(pool.map(one, range(1, cfg.n_mc + 1)))
 
     est = {
-        "U": np.stack([rec.h_u for rec in records]),
-        "M": np.stack([rec.h_m for rec in records]),
-        "BC": np.stack([rec.h_m_bc for rec in records]),
+        code: np.stack([getattr(rec, name) for rec in records])
+        for code, name in _RECORD_FIELDS.items()
     }
-    h_true = cfg.params.hurst
-    counts = pyramid_counts(cfg.n, f.length, j2)[j1 - 1 : j2]
     weights = records[0].weights
-    vn = v_n_approx(weights, counts)
-
-    bias2, cov, mse, norms, corr, mahal, relvar = {}, {}, {}, {}, {}, {}, {}
-    for code in ESTIMATORS:
-        b2, cv, ms = performance_matrices(est[code], h_true)
-        bias2[code], cov[code], mse[code] = b2, cv, ms
-        norms[code] = {
-            "bias2": spectral_norm(b2),
-            "cov": spectral_norm(cv),
-            "mse": spectral_norm(ms),
-        }
-        corr[code] = (
-            estimate_correlation(est[code])
-            if cfg.n_mc >= 3
-            else np.full((m, m), np.nan)
-        )
-        mahal[code] = (
-            mahalanobis_samples(est[code]) if cfg.n_mc > m else np.full(cfg.n_mc, np.nan)
-        )
-        var = est[code].var(axis=0, ddof=1)
-        relvar[code] = (var - vn) / vn
-
+    v_n = v_n_approx(weights, counts)
+    h_true = cfg.params.hurst
     return McReport(
-        config_n=cfg.n,
-        n_mc=cfg.n_mc,
-        seed0=cfg.seed0,
-        j1=j1,
-        j2=j2,
-        h_true=h_true,
-        weights=weights.w,
-        counts=counts,
-        estimates=est,
-        bias2=bias2,
-        cov=cov,
-        mse=mse,
-        spectral_norms=norms,
-        corr=corr,
-        mahalanobis=mahal,
-        v_n=vn,
-        rel_var_diff=relvar,
+        n=cfg.n, n_mc=cfg.n_mc, seed0=cfg.seed0, j1=j1, j2=j2, h_true=h_true,
+        weights=weights.w, counts=counts, v_n=v_n, estimates=est,
+        stats={code: _statistics(a, h_true, v_n) for code, a in est.items()},
     )
 
 
-def _defined(stat: np.ndarray):
-    """The statistic as a list, or None (JSON null) where undefined (all NaN)."""
-    return None if np.isnan(stat).all() else stat.tolist()
+def _json(value):
+    """An array as a list, or None (JSON null) where it is undefined (all NaN);
+    any other value as it is."""
+    if not isinstance(value, np.ndarray):
+        return value
+    return None if np.isnan(value).all() else value.tolist()
 
 
 def report_to_dict(rep: McReport) -> dict:
-    return {
-        "n": rep.config_n,
-        "n_mc": rep.n_mc,
-        "seed0": rep.seed0,
-        "j1": rep.j1,
-        "j2": rep.j2,
-        "h_true": rep.h_true.tolist(),
-        "weights": rep.weights.tolist(),
-        "counts": list(rep.counts),
-        "v_n": rep.v_n,
-        "estimators": {
-            code: {
-                "estimates": rep.estimates[code].tolist(),
-                "bias2": rep.bias2[code].tolist(),
-                "cov": rep.cov[code].tolist(),
-                "mse": rep.mse[code].tolist(),
-                "spectral_norms": rep.spectral_norms[code],
-                "corr": _defined(rep.corr[code]),
-                "mahalanobis": _defined(rep.mahalanobis[code]),
-                "rel_var_diff": rep.rel_var_diff[code].tolist(),
-            }
-            for code in ESTIMATORS
-        },
+    """mc_report.json: the head fields, then per code its estimates and statistics."""
+    out = {f.name: _json(getattr(rep, f.name)) for f in fields(rep)[:-2]}
+    out["estimators"] = {
+        code: {k: _json(v) for k, v in [("estimates", rep.estimates[code]), *rep.stats[code].items()]}
+        for code in ESTIMATORS
     }
+    return out
 
 
 def report_to_json(rep: McReport) -> str:
@@ -387,9 +340,23 @@ def report_to_json(rep: McReport) -> str:
 def qq_pairs(samples: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(probs, chi-square quantiles, empirical quantiles) for QQ plotting."""
     s = np.sort(np.asarray(samples, dtype=float))
-    nprobs = s.size
-    probs = (np.arange(1, nprobs + 1) - 0.5) / nprobs
+    probs = (np.arange(1, s.size + 1) - 0.5) / s.size
     return probs, chi2_quantiles(dof, probs), s
+
+
+def _octave_counts(n: int, f: WaveletFilter, j2: int, m: int) -> tuple:
+    """Coefficient counts n_1 .. n_j2 of n samples of M components under filter f.
+
+    Raises SeriesTooShort, as dwt would, unless n samples reach octave j2,
+    and WindowTooSmall, as windowed_spectra would, when n_j2 < M.
+    """
+    counts = pyramid_counts(n, f.length, j2)
+    if len(counts) < j2:
+        raise SeriesTooShort(f"series of length {n} reaches only octave {len(counts)}, requested {j2}")
+    if counts[-1] < m:
+        raise WindowTooSmall(f"window size n_j2 = {counts[-1]} is below the dimension M = {m}; "
+                             "spectra would be rank-deficient")
+    return counts
 
 
 def _check_hop(window: int, hop: int) -> None:
@@ -417,7 +384,8 @@ def sliding_window_estimates(
     record equals :func:`analyze` on its window bit for bit.  Returns an
     empty list when the series is shorter than one window.  Raises
     ShapeMismatch for more than two dimensions, WindowTooSmall unless
-    1 <= hop <= window and DegenerateRange unless 1 <= j1 < j2.
+    1 <= hop <= window, DegenerateRange unless 1 <= j1 < j2, and the errors of
+    :func:`_octave_counts` when a window cannot reach j2 with n_j2 >= M.
     """
     x = as_components(x)
     _check_hop(window, hop)
@@ -425,11 +393,7 @@ def sliding_window_estimates(
     if f is None:
         f = filter_bank()
     m, n = x.shape
-    counts = pyramid_counts(window, f.length, j2)
-    if len(counts) < j2 or counts[-1] < m:
-        raise WindowTooSmall(
-            f"window of {window} samples cannot support octave {j2} with M = {m}"
-        )
+    counts = _octave_counts(window, f, j2, m)
     check_finite(x)
     octave_counts = [counts[j - 1] for j in range(j1, j2 + 1)]
     w = regression_weights(j1, j2, balance=balance, counts=octave_counts)

@@ -183,17 +183,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    params = _read_params(args.params)
     cfg = McConfig(
-        params=params,
-        n=args.n,
-        n_mc=args.n_mc,
-        seed0=args.seed,
-        range_cfg=_range_config(args),
-        filter_name=args.filter,
-        balance=_weights_mode(args),
-        j1=args.j1,
-        j2=args.j2,
+        params=_read_params(args.params), n=args.n, n_mc=args.n_mc, seed0=args.seed,
+        range_cfg=_range_config(args), filter_name=args.filter, balance=_weights_mode(args),
+        j1=args.j1, j2=args.j2,
     )
     rep = run_mc(cfg, threads=args.threads)
     out = args.out_dir
@@ -207,23 +200,23 @@ def cmd_mc(args) -> int:
     _write_csv(os.path.join(out, "estimates.csv"), ["r", "estimator", "m", "value"], estimates)
     qq = [
         (code, *values)
-        for code in ESTIMATORS
-        if not np.any(np.isnan(rep.mahalanobis[code]))
-        for values in zip(*(a.tolist() for a in qq_pairs(rep.mahalanobis[code], rep.h_true.size)))
+        for code, stats in rep.stats.items()
+        if not np.isnan(stats["mahalanobis"]).any()
+        for values in zip(*(a.tolist() for a in qq_pairs(stats["mahalanobis"], rep.h_true.size)))
     ]
     header = ["estimator", "p", "chi2_quantile", "mahalanobis_quantile"]
     _write_csv(os.path.join(out, "qq.csv"), header, qq)
     norms = [
-        (rep.config_n, float(np.log2(rep.config_n)), code, name, float(value))
-        for code in ESTIMATORS
-        for name, value in rep.spectral_norms[code].items()
+        (rep.n, float(np.log2(rep.n)), code, name, float(value))
+        for code, stats in rep.stats.items()
+        for name, value in stats["spectral_norms"].items()
     ]
     header = ["n", "log2_n", "estimator", "matrix", "spectral_norm"]
     _write_csv(os.path.join(out, "spectral_norms.csv"), header, norms)
     corr = [
         (code, a + 1, b + 1, value)
-        for code in ESTIMATORS
-        for a, row in enumerate(rep.corr[code].tolist())
+        for code, stats in rep.stats.items()
+        for a, row in enumerate(stats["corr"].tolist())
         for b, value in enumerate(row)
     ]
     _write_csv(os.path.join(out, "corr.csv"), ["estimator", "m", "mp", "corr"], corr)
@@ -333,6 +326,13 @@ def _thread_count(text: str) -> int:
     return value
 
 
+def _output_path(text: str) -> str:
+    """--out, --out-dir: a path that is not empty, which would name the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ofbmkit",
@@ -348,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="64-bit seed")
     p.add_argument("--kind", choices=["mfgn", "mfbm"], default="mfbm")
     p.add_argument("--format", choices=["csv", "bin"], default="csv")
-    p.add_argument("--out", required=True, help="output file")
+    p.add_argument("--out", type=_output_path, required=True, help="output file")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("estimate", help="estimate selfsimilarity exponents of a series")
     p.add_argument("input", help="input series CSV (t, c1..cM)")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=_output_path, required=True)
     _add_range_flags(p)
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_estimate)
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker threads; has no effect on output",
     )
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=_output_path, required=True)
     _add_range_flags(p)
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_mc)
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j2", type=int, required=True)
     p.add_argument("--label-column", default=None, help="CSV column holding group labels")
     p.add_argument("--alpha", type=float, default=0.05, help="false discovery rate")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=_output_path, required=True)
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_sliding)
 

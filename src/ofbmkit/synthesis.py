@@ -72,6 +72,12 @@ def _check_seeds(first: int, count: int = 1) -> None:
         raise SeedOutOfRange(f"{seeds} outside the valid range 0..{SEED_MAX} (2^64 - 1)")
 
 
+def _check_length(n: int) -> None:
+    """Raise SeriesTooShort for fewer than two samples."""
+    if n < 2:
+        raise SeriesTooShort(f"need at least 2 samples, got {n}")
+
+
 def gaussian_variates(seed: int, shape) -> np.ndarray:
     """Deterministic standard-normal array for a 64-bit seed.
 
@@ -146,8 +152,7 @@ class CirculantEmbedding:
     """
 
     def __init__(self, params: ModelParams, n: int):
-        if n < 2:
-            raise SeriesTooShort(f"need at least 2 samples, got {n}")
+        _check_length(n)
         self.params = params
         self.n = int(n)
 

@@ -117,8 +117,8 @@ def test_criterion_04_univariate_bias_under_mixing():
     p = make_params([0.4, 0.8], [1.0, 1.0], [[1.0, 0.3], [0.3, 1.0]], W2)
     cfg = McConfig(params=p, n=2**15, n_mc=200, seed0=4100)
     rep = run_mc(cfg, threads=8)
-    bias_u = rep.spectral_norms["U"]["bias2"]
-    bias_bc = rep.spectral_norms["BC"]["bias2"]
+    bias_u = rep.stats["U"]["spectral_norms"]["bias2"]
+    bias_bc = rep.stats["BC"]["spectral_norms"]["bias2"]
     elapsed = time.perf_counter() - t0
     # pilot seed 4100 gave a ratio near 2.8e3; the contract is >= 3x
     ok = bias_u >= 3.0 * bias_bc and elapsed < 300.0
@@ -132,17 +132,18 @@ def test_criterion_05_repulsion_bias_correction():
     cfg = McConfig(params=p, n=2**14, n_mc=500, seed0=41_000)
     rep = run_mc(cfg, threads=8)
     elapsed = time.perf_counter() - t0
+    norms_m, norms_bc = rep.stats["M"]["spectral_norms"], rep.stats["BC"]["spectral_norms"]
     ok = (
-        rep.spectral_norms["BC"]["bias2"] < rep.spectral_norms["M"]["bias2"]
-        and rep.spectral_norms["BC"]["mse"] < rep.spectral_norms["M"]["mse"]
+        norms_bc["bias2"] < norms_m["bias2"]
+        and norms_bc["mse"] < norms_m["mse"]
         and elapsed < 600.0
     )
     report(
         5,
         "equal exponents: windowing reduces bias and MSE of eigenvalue regression",
         ok,
-        f"bias {rep.spectral_norms['M']['bias2']:.2e}->{rep.spectral_norms['BC']['bias2']:.2e}, "
-        f"mse {rep.spectral_norms['M']['mse']:.2e}->{rep.spectral_norms['BC']['mse']:.2e}, "
+        f"bias {norms_m['bias2']:.2e}->{norms_bc['bias2']:.2e}, "
+        f"mse {norms_m['mse']:.2e}->{norms_bc['mse']:.2e}, "
         f"{elapsed:.1f}s",
     )
 
@@ -151,7 +152,7 @@ def test_criterion_06_mahalanobis_normality():
     p = make_params([0.7] * 4, np.ones(4), toeplitz_rho(4), W4)
     cfg = McConfig(params=p, n=2**13, n_mc=500, seed0=61_000)
     rep = run_mc(cfg, threads=8)
-    corr = qq_correlation(rep.mahalanobis["BC"], 4)
+    corr = qq_correlation(rep.stats["BC"]["mahalanobis"], 4)
     ok = corr >= 0.99
     report(6, "Mahalanobis distances follow chi-square(4) in QQ",
            ok, f"qq corr {corr:.4f}")
@@ -182,9 +183,9 @@ def test_criterion_08_estimate_decorrelation():
     cfg = McConfig(params=p, n=2**14, n_mc=500, seed0=81_000)
     rep = run_mc(cfg, threads=8)
     off = ~np.eye(4, dtype=bool)
-    max_u = np.abs(rep.corr["U"][off]).max()
-    max_m = np.abs(rep.corr["M"][off]).max()
-    max_bc = np.abs(rep.corr["BC"][off]).max()
+    max_u = np.abs(rep.stats["U"]["corr"][off]).max()
+    max_m = np.abs(rep.stats["M"]["corr"][off]).max()
+    max_bc = np.abs(rep.stats["BC"]["corr"][off]).max()
     ok = max_m < max_u and max_bc < max_u
     report(8, "multivariate estimates less correlated than univariate",
            ok, f"U {max_u:.3f}, M {max_m:.3f}, BC {max_bc:.3f}")

@@ -424,10 +424,9 @@ def test_run_mc_small_smoke():
     rep = run_mc(cfg)
     for code in ("U", "M", "BC"):
         assert rep.estimates[code].shape == (2, 2)
-        np.testing.assert_allclose(
-            rep.mse[code], rep.bias2[code] + rep.cov[code], atol=1e-10
-        )
-        assert rep.spectral_norms[code]["mse"] >= 0.0
+        stats = rep.stats[code]
+        np.testing.assert_allclose(stats["mse"], stats["bias2"] + stats["cov"], atol=1e-10)
+        assert stats["spectral_norms"]["mse"] >= 0.0
     assert rep.v_n > 0.0
 
 
@@ -437,7 +436,7 @@ def test_run_mc_deterministic_across_threads():
     r8 = run_mc(cfg, threads=8)
     for code in ("U", "M", "BC"):
         np.testing.assert_array_equal(r1.estimates[code], r8.estimates[code])
-        np.testing.assert_array_equal(r1.mahalanobis[code], r8.mahalanobis[code])
+        np.testing.assert_array_equal(r1.stats[code]["mahalanobis"], r8.stats[code]["mahalanobis"])
 
 
 def test_run_mc_rejects_tiny():
@@ -453,14 +452,55 @@ def test_mc_config_checks_every_seed_it_will_use():
             McConfig(params=SMALL_P, n=2**12, n_mc=4, seed0=seed0, j1=3, j2=6)
 
 
-def test_run_mc_attaches_realization_index():
+def test_run_mc_attaches_realization_index(monkeypatch):
     from ofbmkit.errors import DataError
 
+    def failing(*args, **kwargs):
+        raise DataError("no estimate")
+
     # every realization fails; the lowest r is named at any thread count
-    cfg = McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=9)
+    monkeypatch.setattr(analysis, "analyze", failing)
+    cfg = McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=5)
     for threads in (1, 2):
-        with pytest.raises(DataError, match="realization 1"):
+        with pytest.raises(DataError, match="realization 1: no estimate"):
             run_mc(cfg, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "n, j1, j2, error",
+    [
+        (256, 3, 9, SeriesTooShort),  # 256 db2 samples reach octave 6
+        (2**18, 17, 18, SeriesTooShort),
+        (8192, 3, 11, WindowTooSmall),  # n_11 = 1 < M = 2
+    ],
+)
+def test_mc_config_rejects_an_unreachable_range_before_any_embedding(n, j1, j2, error):
+    misses = analysis._embedding.cache_info().misses
+    with pytest.raises(error) as info:
+        McConfig(params=SMALL_P, n=n, n_mc=2, seed0=3, j1=j1, j2=j2)
+    assert "realization" not in str(info.value)
+    assert analysis._embedding.cache_info().misses == misses
+
+
+def test_mc_config_applies_the_octave_rule_of_its_filter():
+    # at 256 samples haar leaves n_6 = 3 coefficients, and db4 reaches only octave 5
+    McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=6, filter_name="haar")
+    with pytest.raises(SeriesTooShort):
+        McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=6, filter_name="db4")
+
+
+@pytest.mark.parametrize("n_mc", [2, 3])
+def test_report_dict_writes_each_estimator_as_estimates_then_its_stats(n_mc):
+    # n_mc = 2 leaves corr and mahalanobis undefined; n_mc = 3 > M defines both
+    rep = run_mc(McConfig(params=SMALL_P, n=2**12, n_mc=n_mc, seed0=77, j1=3, j2=6))
+    d = analysis.report_to_dict(rep)
+    assert list(d) == ["n", "n_mc", "seed0", "j1", "j2", "h_true", "weights", "counts", "v_n",
+                       "estimators"]
+    assert list(d["estimators"]) == list(analysis.ESTIMATORS)
+    for code in analysis.ESTIMATORS:
+        assert list(d["estimators"][code]) == ["estimates", *rep.stats[code]]
+        assert (d["estimators"][code]["mahalanobis"] is None) == (n_mc == 2)
+        assert (d["estimators"][code]["corr"] is None) == (n_mc == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +573,8 @@ def test_run_mc_does_not_keep_a_failed_build(builds, monkeypatch):
         out[:, 0, 0] = out[:, 1, 1] = -1.0  # uniformly negative spectrum
         return out
 
-    # n = 4 keeps the doubling loop short before the build gives up
-    tiny = McConfig(params=SMALL_P, n=4, n_mc=4, seed0=11, j1=1, j2=2)
+    # n = 17, the fewest db2 samples with n_2 >= M, keeps the doubling loop short
+    tiny = McConfig(params=SMALL_P, n=17, n_mc=4, seed0=11, j1=1, j2=2)
     covariance = synthesis.mfgn_covariance_matrices
     monkeypatch.setattr(synthesis, "mfgn_covariance_matrices", negative_cov)
     for _ in range(2):
@@ -542,9 +582,9 @@ def test_run_mc_does_not_keep_a_failed_build(builds, monkeypatch):
             run_mc(tiny)
     monkeypatch.setattr(synthesis, "mfgn_covariance_matrices", covariance)
     assert report_to_json(run_mc(cfg)) == good
-    assert [n for _, n in builds] == [2**10, 1, 1, 4, 4]  # the memo still held n = 2^10
-    assert analysis._embedding(SMALL_P, 4).n == 4
-    assert [n for _, n in builds[5:]] == [4]  # built, not a remembered failure
+    assert [n for _, n in builds] == [2**10, 1, 1, 17, 17]  # the memo still held n = 2^10
+    assert analysis._embedding(SMALL_P, 17).n == 17
+    assert [n for _, n in builds[5:]] == [17]  # built, not a remembered failure
 
 
 def test_pyramid_counts_match_dwt():

@@ -555,6 +555,29 @@ def test_out_dir_that_is_a_file_exit_2_and_writes_nothing(params_file, tmp_path,
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command", ["synth", "estimate", "mc", "sliding"])
+def test_empty_output_path_exit_2_and_writes_nothing(params_file, tmp_path, capsys, monkeypatch,
+                                                     command):
+    series = _write_series(tmp_path / "x.csv", _walk_rows(3000))
+    argv = {
+        "synth": ["synth", "--params", params_file, "--n", "1024", "--seed", "1", "--out", ""],
+        "estimate": ["estimate", series, "--j1", "1", "--j2", "4", "--out-dir", ""],
+        "mc": ["mc", "--params", params_file, "--n", "2048", "--n-mc", "3", "--seed", "5",
+               "--j1", "2", "--j2", "5", "--out-dir", ""],
+        "sliding": ["sliding", series, "--window", "520", "--hop", "260", "--j1", "1", "--j2", "4",
+                    "--out-dir", ""],
+    }[command]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv) == 2
+    flag = "--out" if command == "synth" else "--out-dir"
+    assert f"{flag}: must not be empty" in capsys.readouterr().err
+    assert os.listdir(cwd) == []
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def _window_labels_per_window(labels, window, hop):
     """The majority rule window by window: np.unique sorts, argmax takes the first tie."""
     out = []

@@ -141,7 +141,7 @@ def test_nonmixing_mse_of_all_estimators_comparable():
     p = make_params([0.4, 0.8], [1.0, 1.0], [[1.0, 0.7], [0.7, 1.0]])
     cfg = McConfig(params=p, n=2**15, n_mc=200, seed0=150_000)
     rep = run_mc(cfg, threads=8)
-    norms = [rep.spectral_norms[code]["mse"] for code in ("U", "M", "BC")]
+    norms = [rep.stats[code]["spectral_norms"]["mse"] for code in ("U", "M", "BC")]
     assert max(norms) / min(norms) < 2.0, norms
 
 
