@@ -30,7 +30,6 @@ from .errors import (
     EmptySample,
     NonFiniteData,
     SampleTooSmall,
-    SeriesTooShort,
     ShapeMismatch,
     SingularCovariance,
     WindowTooSmall,
@@ -52,7 +51,7 @@ from .model import ModelParams
 from .synthesis import CirculantEmbedding, _check_length, _check_seeds
 from .wavelet import (
     DEFAULT_FILTER, WaveletFilter, WaveletPyramid, as_components, check_finite, dwt, filter_bank,
-    pyramid_counts,
+    octave_counts,
 )
 
 # estimator code -> the EstimateRecord field that holds its estimates
@@ -83,7 +82,7 @@ class McConfig:
         j2 = scaling_range(self.n, self.range_cfg, self.j1, self.j2)[1]
         f = filter_bank(self.filter_name)
         _check_length(self.n)
-        _octave_counts(self.n, f, j2, self.params.m)
+        octave_counts(self.n, f, j2, self.params.m)
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,7 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
     """
     j1, j2 = scaling_range(cfg.n, cfg.range_cfg, cfg.j1, cfg.j2)
     f = filter_bank(cfg.filter_name)
-    counts = _octave_counts(cfg.n, f, j2, cfg.params.m)[j1 - 1 :]
+    counts = octave_counts(cfg.n, f, j2, cfg.params.m)[j1 - 1 :]
     emb = _embedding(cfg.params, cfg.n)
 
     def one(r: int) -> EstimateRecord:
@@ -344,21 +343,6 @@ def qq_pairs(samples: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray, np.
     return probs, chi2_quantiles(dof, probs), s
 
 
-def _octave_counts(n: int, f: WaveletFilter, j2: int, m: int) -> tuple:
-    """Coefficient counts n_1 .. n_j2 of n samples of M components under filter f.
-
-    Raises SeriesTooShort, as dwt would, unless n samples reach octave j2,
-    and WindowTooSmall, as windowed_spectra would, when n_j2 < M.
-    """
-    counts = pyramid_counts(n, f.length, j2)
-    if len(counts) < j2:
-        raise SeriesTooShort(f"series of length {n} reaches only octave {len(counts)}, requested {j2}")
-    if counts[-1] < m:
-        raise WindowTooSmall(f"window size n_j2 = {counts[-1]} is below the dimension M = {m}; "
-                             "spectra would be rank-deficient")
-    return counts
-
-
 def _check_hop(window: int, hop: int) -> None:
     """Raise WindowTooSmall unless 1 <= hop <= window."""
     if not 1 <= hop <= window:
@@ -385,7 +369,8 @@ def sliding_window_estimates(
     empty list when the series is shorter than one window.  Raises
     ShapeMismatch for more than two dimensions, WindowTooSmall unless
     1 <= hop <= window, DegenerateRange unless 1 <= j1 < j2, and the errors of
-    :func:`_octave_counts` when a window cannot reach j2 with n_j2 >= M.
+    :func:`~ofbmkit.wavelet.octave_counts` when a window cannot reach j2
+    with n_j2 >= M.
     """
     x = as_components(x)
     _check_hop(window, hop)
@@ -393,10 +378,9 @@ def sliding_window_estimates(
     if f is None:
         f = filter_bank()
     m, n = x.shape
-    counts = _octave_counts(window, f, j2, m)
+    counts = octave_counts(window, f, j2, m)
     check_finite(x)
-    octave_counts = [counts[j - 1] for j in range(j1, j2 + 1)]
-    w = regression_weights(j1, j2, balance=balance, counts=octave_counts)
+    w = regression_weights(j1, j2, balance=balance, counts=counts[j1 - 1 :])
     starts = range(0, n - window + 1, hop)
     # windows i and i + phases are the nearest pair whose starts agree mod 2^j2
     phases = 2**j2 // math.gcd(hop, 2**j2)

@@ -133,7 +133,7 @@ def _read_params(path):
 
 
 def _read_series(path, label_column: str | None = None):
-    with _decoding("series", path), open(path, "r", encoding="utf-8", newline="") as fh:
+    with _decoding("series", path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return series_from_csv(fh, label_column)
 
 

@@ -29,7 +29,6 @@ from .errors import (
     NotSymmetric,
     RankDeficientSpectrum,
     SampleTooSmall,
-    ScaleUnavailable,
     ShapeMismatch,
 )
 from .wavelet import WaveletPyramid, dwt, spectrum_set, windowed_spectra
@@ -205,13 +204,12 @@ def analyze(
 ) -> EstimateRecord:
     """Run the full estimation pipeline on a series (or prebuilt pyramid).
 
-    Raises DegenerateRange unless 1 <= j1 < j2.
+    Raises DegenerateRange unless 1 <= j1 < j2, and ScaleUnavailable when a
+    pyramid stops short of j2.
     """
     _check_octaves(j1, j2)
     pyr = x if isinstance(x, WaveletPyramid) else dwt(np.asarray(x, dtype=float), j2, f)
-    if pyr.j_max < j2:
-        raise ScaleUnavailable(f"pyramid reaches octave {pyr.j_max}, need {j2}")
-    counts = [pyr.counts[j - 1] for j in range(j1, j2 + 1)]
+    counts = [pyr.details(j).shape[-1] for j in range(j1, j2 + 1)]
     w = regression_weights(j1, j2, balance=balance, counts=counts)
     h_u, h_m, h_m_bc, log_eig, log_eig_bc, diag_logs = _estimates(pyr, w)
     return EstimateRecord(h_u, h_m, h_m_bc, j1, j2, w, log_eig, log_eig_bc, diag_logs, t_start)

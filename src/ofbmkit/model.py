@@ -234,5 +234,5 @@ def params_from_json(text: str) -> ModelParams:
 
 
 def load_params(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return params_from_json(fh.read())

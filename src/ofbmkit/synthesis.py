@@ -117,20 +117,14 @@ class EmbeddingReport:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """An M x N realization plus the metadata needed to regenerate it."""
+    """An M x N realization plus the metadata needed to regenerate it, built
+    by :meth:`CirculantEmbedding.sample` only, which hands over ``data`` as
+    an owned, C-contiguous, read-only array."""
 
     data: np.ndarray
     params: ModelParams
     seed: int
     kind: str  # "mfGn" or "mfBm"
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        if d.ndim != 2:
-            raise ShapeMismatch("sample path data must be a 2-d array")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
 
     @property
     def m(self) -> int:
@@ -242,13 +236,14 @@ class CirculantEmbedding:
         The seed gives M * size normals, mapped by :meth:`_paths` through a
         Hermitian half-spectrum.  ``kind="mfGn"`` returns these increments and
         ``kind="mfBm"`` their cumulative sum; any other kind raises ShapeMismatch.
+        The path's array is written once, owned by the path and read-only.
         """
         if kind not in ("mfGn", "mfBm"):
             raise ShapeMismatch(f"kind must be 'mfGn' or 'mfBm', got {kind!r}")
         # no reference to the normals is kept here, so _paths can free them
-        data = self._paths(gaussian_variates(seed, (self.params.m, self.size)))
-        if kind == "mfBm":
-            np.cumsum(data, axis=1, out=data)
+        x = self._paths(gaussian_variates(seed, (self.params.m, self.size)))
+        data = np.cumsum(x, axis=1) if kind == "mfBm" else x.copy()
+        data.setflags(write=False)
         return SamplePath(data=data, params=self.params, seed=int(seed), kind=kind)
 
     def _paths(self, z: np.ndarray) -> np.ndarray:

@@ -146,25 +146,39 @@ def pyramid_counts(n: int, length: int, j_max: int | None = None) -> tuple:
     return tuple(counts)
 
 
+def octave_counts(n: int, f: WaveletFilter, j2: int, m: int = 1) -> tuple:
+    """Coefficient counts n_1 .. n_j2 of n samples of M components under filter f;
+    raises SeriesTooShort unless they reach octave j2 >= 1, and WindowTooSmall when n_j2 < M."""
+    counts = pyramid_counts(n, f.length, j2)
+    if not 1 <= j2 <= len(counts):
+        raise SeriesTooShort(f"series of length {n} reaches only octave {len(counts)}, requested {j2}")
+    _check_window(counts[-1], m)
+    return counts
+
+
+def _check_window(nw: int, m: int) -> None:
+    """Raise WindowTooSmall when a window of nw coefficients is shorter than M."""
+    if nw < m:
+        raise WindowTooSmall(f"window size n_j2 = {nw} is below the dimension M = {m}; "
+                             "spectra would be rank-deficient")
+
+
 def dwt(x: np.ndarray, j_max: int | None = None, f: WaveletFilter | None = None) -> WaveletPyramid:
     """Pyramid transform of an M x N array (a 1-d array is treated as M=1).
 
     Stops at octave ``j_max`` when given, otherwise at the deepest octave with
     at least one coefficient.  Raises SeriesTooShort when ``j_max`` cannot be
-    reached and NonFiniteData when a sample is NaN or infinite.
+    reached (:func:`octave_counts`) or, without ``j_max``, when no octave can,
+    and NonFiniteData when a sample is NaN or infinite.
     """
     if f is None:
         f = filter_bank(DEFAULT_FILTER)
     x = as_components(x)
     check_finite(x)
     n = x.shape[1]
-    counts = pyramid_counts(n, f.length, j_max)
+    counts = pyramid_counts(n, f.length) if j_max is None else octave_counts(n, f, j_max)
     if not counts:
         raise SeriesTooShort(f"series of length {n} supports no octave with filter length {f.length}")
-    if j_max is not None and len(counts) < j_max:
-        raise SeriesTooShort(
-            f"series of length {n} reaches only octave {len(counts)}, requested {j_max}"
-        )
 
     coeffs = []
     approx = x
@@ -227,12 +241,7 @@ def windowed_spectra(p: WaveletPyramid, j: int, j2: int) -> np.ndarray:
     if not (1 <= j <= j2 <= p.j_max):
         raise ScaleUnavailable(f"need 1 <= j <= j2 <= {p.j_max}, got ({j}, {j2})")
     nw = p.counts[j2 - 1]
-    m = p.m
-    if nw < m:
-        raise WindowTooSmall(
-            f"window size n_j2 = {nw} is below the dimension M = {m}; "
-            "spectra would be rank-deficient"
-        )
+    _check_window(nw, p.m)
     n_windows = 2 ** (j2 - j)
     d = p.details(j)
     if d.shape[-1] < n_windows * nw:

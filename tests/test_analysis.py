@@ -42,7 +42,7 @@ from ofbmkit.errors import (
 from ofbmkit.estimation import analyze, regression_weights, sorted_eigenvalues
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
-from ofbmkit.wavelet import dwt, filter_bank, pyramid_counts
+from ofbmkit.wavelet import dwt, filter_bank, pyramid_counts, windowed_spectra
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +482,50 @@ def test_mc_config_rejects_an_unreachable_range_before_any_embedding(n, j1, j2, 
     assert analysis._embedding.cache_info().misses == misses
 
 
+def test_rank_sum_is_exact_only_when_both_groups_are_small():
+    # 3 against 20 points takes the normal approximation (the exact test reads 0.5726)
+    rng = np.random.default_rng(21)
+    x, y = rng.normal(size=3), rng.normal(size=20) + 0.5
+    ref = stats.mannwhitneyu(x, y, method="asymptotic").pvalue
+    assert wilcoxon_ranksum(x, y) == pytest.approx(ref, rel=1e-9)
+    assert wilcoxon_ranksum(y, x) == pytest.approx(ref, rel=1e-9)
+    assert abs(ref - stats.mannwhitneyu(x, y, method="exact").pvalue) > 0.01
+
+
+@pytest.mark.parametrize("n1, n2", [(3, 20), (9, 9)])
+def test_rank_sum_of_all_tied_samples_is_one_on_the_normal_branch(n1, n2):
+    # the tie correction takes the variance to exactly 0
+    assert wilcoxon_ranksum(np.ones(n1), np.ones(n2)) == 1.0
+
+
 def test_mc_config_applies_the_octave_rule_of_its_filter():
     # at 256 samples haar leaves n_6 = 3 coefficients, and db4 reaches only octave 5
     McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=6, filter_name="haar")
     with pytest.raises(SeriesTooShort):
         McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=6, filter_name="db4")
+
+
+@pytest.mark.parametrize(
+    "n, j2, error, direct",
+    [
+        (256, 9, SeriesTooShort, lambda x, j2: dwt(x, j2)),
+        (8192, 11, WindowTooSmall, lambda x, j2: windowed_spectra(dwt(x, j2), 10, j2)),
+    ],
+    ids=["unreached", "window-below-m"],
+)
+def test_mc_sliding_and_the_transform_state_the_reach_rule_alike(n, j2, error, direct):
+    x = np.random.default_rng(16).normal(size=(2, n)).cumsum(axis=1)
+    calls = [
+        lambda: McConfig(params=SMALL_P, n=n, n_mc=2, seed0=3, j1=3, j2=j2),
+        lambda: sliding_window_estimates(x, n, n, 3, j2),
+        lambda: direct(x, j2),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(error) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
 
 
 @pytest.mark.parametrize("n_mc", [2, 3])

@@ -236,6 +236,38 @@ SMOKE_GOLDEN = {
 }
 
 
+@pytest.mark.parametrize("command", ["estimate", "sliding", "synth", "mc"])
+def test_input_with_a_utf8_byte_order_mark_reads_as_without_it(params_file, tmp_path, command):
+    # a BOM (as spreadsheet exports write) is neither part of the first header
+    # name, which would make a t column a channel, nor a JSON syntax error
+    if command in ("synth", "mc"):
+        plain = tmp_path / "params.json"
+    else:
+        labelled = command == "sliding"
+        plain = tmp_path / "series.csv"
+        _write_series(plain, _walk_rows(3000, label=labelled), ("t", "c1", "c2") + ("label",) * labelled)
+    bom = tmp_path / "bom" / plain.name
+    bom.parent.mkdir()
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for source in (plain, bom):
+        out = source.parent / "out"
+        if command == "synth":
+            out.mkdir()
+            argv = ["synth", "--params", str(source), "--n", "64", "--seed", "1", "--out", str(out / "x.csv")]
+        elif command == "mc":
+            argv = ["mc", "--params", str(source), "--n", "2048", "--n-mc", "2", "--seed", "1",
+                    "--j1", "2", "--j2", "6", "--out-dir", str(out)]
+        else:
+            argv = [command, str(source), "--j1", "1", "--j2", "4", "--out-dir", str(out)]
+            argv += ["--window", "520", "--hop", "260", "--label-column", "label"] if labelled else []
+        assert main(argv) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    if command == "estimate":
+        assert len(json.loads(outputs[0]["estimate.json"])["H_U"]) == 2
+
+
 def test_sliding_row_count_and_labels(tmp_path):
     rng = np.random.default_rng(3)
     n = 4200
@@ -700,6 +732,17 @@ def test_sliding_alpha_outside_unit_interval_exit_4(tmp_path, capsys, alpha):
     assert rc == 4
     assert f"BadProbability: alpha must be in (0, 1), got {float(alpha)}" in capsys.readouterr().err
     assert not out_dir.exists()  # the tests run before windows.csv is written
+
+
+def test_sliding_series_exactly_one_window_long_gives_one_window(tmp_path):
+    path = _write_series(tmp_path / "x.csv", _walk_rows(600))
+    out_dir = tmp_path / "sl"
+    rc = main(["sliding", path, "--window", "600", "--hop", "300", "--j1", "1", "--j2", "4",
+               "--out-dir", str(out_dir)])
+    assert rc == 0
+    with open(out_dir / "windows.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 3 * 2 and {row[0] for row in rows} == {"0"}  # three estimators, M = 2
 
 
 def test_sliding_series_shorter_than_window_exit_4(tmp_path, capsys):

@@ -106,6 +106,23 @@ def test_singular_mixing_rejected():
         make_params([0.4, 0.6], [1.0, 1.0], mixing=np.array([[1.0, 2.0], [0.25, 0.5]]))
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_singular_mixing_rule_is_scale_invariant(scale):
+    # sigma_min is compared with DET_RTOL * sigma_max, so scaling W changes no verdict
+    w = np.array([[1.0, 0.3], [-0.2, 1.0]])
+    make_params([0.4, 0.7], [1.0, 1.0], mixing=scale * w)
+    with pytest.raises(SingularMixing):
+        make_params([0.4, 0.7], [1.0, 1.0], mixing=scale * np.diag([1.0, 1e-11]))
+
+
+def test_correlation_at_the_feasibility_bound_is_accepted():
+    # FEAS_SLACK keeps a set at its bound, or a relative 1e-13 past it, feasible
+    bound = rho_max(0.3, 0.9)
+    for rho in (bound, bound * (1.0 + 1e-13)):
+        p = make_params([0.3, 0.9], [1.0, 1.0], [[1.0, rho], [rho, 1.0]])
+        assert params_from_json(params_to_json(p)).correlations[0, 1] == rho
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_non_finite_mixing_rejected(entry):
     # checked before the SVD, which does not converge on NaN

@@ -168,6 +168,16 @@ def test_sampling_map_exact_covariance(params, n):
     assert np.abs(realized - target).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_shortest_embeddings_have_four_slots_and_are_exact(n):
+    # the embedding size is a power of two, at least 4, even below 2 (n - 1)
+    emb = CirculantEmbedding(BIV, n)
+    assert emb.size == 4
+    w = BIV.mixing
+    target = np.einsum("ij,fjk,lk->fil", w, mfgn_covariance_matrices(BIV, np.arange(n)), w)
+    assert np.abs(emb.realized_covariance(n - 1) - target).max() < 1e-12
+
+
 def test_sample_draws_one_normal_per_embedding_slot(monkeypatch):
     shapes = []
     real = synthesis.gaussian_variates
@@ -386,6 +396,14 @@ def test_mfbm_is_cumsum_of_mfgn():
     np.testing.assert_array_equal(path.data, np.cumsum(inc.data, axis=1))
     assert path.kind == "mfBm"
     assert path.n == 300
+
+
+@pytest.mark.parametrize("kind", ["mfGn", "mfBm"])
+def test_sample_hands_over_an_owned_read_only_array(kind):
+    data = CirculantEmbedding(BIV, 300).sample(5, kind=kind).data
+    assert data.flags.owndata and data.flags.c_contiguous
+    assert not data.flags.writeable
+    assert data.shape == (2, 300)
 
 
 @pytest.mark.parametrize("kind", ["mfbm", "mfgn", "fBm", ""])

@@ -84,6 +84,13 @@ def test_series_too_short():
         dwt(np.zeros((1, 64)), 8)
 
 
+@pytest.mark.parametrize("j_max", [0, -1])
+def test_dwt_to_no_octave_is_too_short_a_series(j_max):
+    # a requested reach below octave 1 is a SeriesTooShort (exit 4), not an IndexError
+    with pytest.raises(SeriesTooShort):
+        dwt(np.zeros((1, 512)), j_max)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_sample_rejected(bad):
     x = np.random.default_rng(1).normal(size=(3, 500))
