@@ -30,6 +30,7 @@ from .errors import (
     EmptySample,
     NonFiniteData,
     SampleTooSmall,
+    SeriesTooShort,
     ShapeMismatch,
     SingularCovariance,
     WindowTooSmall,
@@ -170,13 +171,9 @@ def chi2_quantiles(dof: int, probs) -> np.ndarray:
 
 def _midranks(a: np.ndarray) -> np.ndarray:
     """1-based ranks of ``a``, ties sharing the mean of the ranks they span."""
-    order = np.argsort(a, kind="stable")
-    s = a[order]
-    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # start of each tie group
-    ends = np.r_[first[1:], a.size]
-    ranks = np.empty(a.size)
-    ranks[order] = np.repeat(0.5 * (first + ends + 1), ends - first)
-    return ranks
+    # a tie group of `size` values ending at rank c spans c - size + 1 .. c
+    _, group, size = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(size) - 0.5 * (size - 1))[group]
 
 
 def wilcoxon_ranksum(x, y) -> float:
@@ -343,10 +340,17 @@ def qq_pairs(samples: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray, np.
     return probs, chi2_quantiles(dof, probs), s
 
 
-def _check_hop(window: int, hop: int) -> None:
-    """Raise WindowTooSmall unless 1 <= hop <= window."""
+def _window_starts(n: int, window: int, hop: int) -> range:
+    """Starts of the windows of an n-sample series, one every ``hop`` samples.
+
+    Raises WindowTooSmall unless 1 <= hop <= window, and SeriesTooShort when
+    the series is shorter than one window.
+    """
     if not 1 <= hop <= window:
         raise WindowTooSmall(f"need window >= hop >= 1, got ({window}, {hop})")
+    if n < window:
+        raise SeriesTooShort(f"series of {n} samples is shorter than one window of {window}")
+    return range(0, n - window + 1, hop)
 
 
 def sliding_window_estimates(
@@ -365,23 +369,22 @@ def sliding_window_estimates(
     octave j <= j2 their coefficients are slices of it.  They are estimated
     in blocks, sized from M, the window and the octave range, so working
     memory grows neither with the number of windows nor with the hop.  Every
-    record equals :func:`analyze` on its window bit for bit.  Returns an
-    empty list when the series is shorter than one window.  Raises
-    ShapeMismatch for more than two dimensions, WindowTooSmall unless
-    1 <= hop <= window, DegenerateRange unless 1 <= j1 < j2, and the errors of
+    record equals :func:`analyze` on its window bit for bit.  Raises
+    ShapeMismatch for more than two dimensions, the errors of
+    :func:`_window_starts` (a hop outside 1..window, a series shorter than
+    one window), DegenerateRange unless 1 <= j1 < j2, and the errors of
     :func:`~ofbmkit.wavelet.octave_counts` when a window cannot reach j2
     with n_j2 >= M.
     """
     x = as_components(x)
-    _check_hop(window, hop)
+    starts = _window_starts(x.shape[1], window, hop)
     _check_octaves(j1, j2)
     if f is None:
         f = filter_bank()
-    m, n = x.shape
+    m = x.shape[0]
     counts = octave_counts(window, f, j2, m)
     check_finite(x)
     w = regression_weights(j1, j2, balance=balance, counts=counts[j1 - 1 :])
-    starts = range(0, n - window + 1, hop)
     # windows i and i + phases are the nearest pair whose starts agree mod 2^j2
     phases = 2**j2 // math.gcd(hop, 2**j2)
     per_block = _block_windows(m, window, j1, j2)

@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import (
     ESTIMATORS,
     McConfig,
-    _check_hop,
+    _window_starts,
     bh_reject,
     qq_pairs,
     report_to_dict,
@@ -33,11 +33,10 @@ from .analysis import (
     sliding_window_estimates,
     wilcoxon_ranksum,
 )
-from .errors import DataError, MalformedInput, OfbmkitError, SeriesTooShort
+from .errors import DataError, MalformedInput, OfbmkitError
 from .estimation import (
     DEFAULT_BALANCE,
     ScalingRangeConfig,
-    _check_octaves,
     analyze,
     record_to_dict,
     scaling_range,
@@ -224,26 +223,20 @@ def cmd_mc(args) -> int:
 
 
 def _window_labels(labels: np.ndarray, window: int, hop: int) -> np.ndarray:
-    """Majority label of each window; a tie goes to the label that sorts first.
+    """Majority label of each window of :func:`~ofbmkit.analysis._window_starts`'s
+    grid, which checks the hop and length; a tie goes to the label that sorts first.
 
     The labels are coded once in sorted order, so each window counts small
     integers and argmax, which returns the first maximum, takes the lowest code.
     """
+    starts = _window_starts(labels.size, window, hop)
     values, codes = np.unique(labels, return_inverse=True)
-    starts = range(0, labels.size - window + 1, hop)
     modes = [np.bincount(codes[s : s + window]).argmax() for s in starts]
     return values[np.asarray(modes, dtype=np.intp)]
 
 
 def cmd_sliding(args) -> int:
     x, labels = _read_series(args.input, args.label_column)
-
-    _check_hop(args.window, args.hop)
-    _check_octaves(args.j1, args.j2)
-    if x.shape[1] < args.window:
-        raise SeriesTooShort(
-            f"series of {x.shape[1]} samples is shorter than one window of {args.window}"
-        )
     if labels is not None:
         wlabels = _window_labels(labels, args.window, args.hop)
         # a bare np.unique would import numpy.ma

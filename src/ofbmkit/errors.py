@@ -123,11 +123,12 @@ class NonPositiveDiagonal(DataError):
 
 
 class NonPositiveEigenvalue(DataError):
-    pass
+    """Raised only as :class:`RankDeficientSpectrum`, which it catches."""
 
 
 class RankDeficientSpectrum(NonPositiveEigenvalue):
-    """The channels are linearly dependent: a full-sample spectrum has numerical rank below M."""
+    """The channels are linearly dependent: a spectrum, full-sample or windowed,
+    has numerical rank below M."""
 
 
 class SingularCovariance(DataError):

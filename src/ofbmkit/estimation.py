@@ -25,7 +25,6 @@ from .errors import (
     DegenerateRange,
     NonFiniteData,
     NonPositiveDiagonal,
-    NonPositiveEigenvalue,
     NotSymmetric,
     RankDeficientSpectrum,
     SampleTooSmall,
@@ -144,35 +143,37 @@ def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(s)
 
 
+def _ranks(lam: np.ndarray) -> np.ndarray:
+    """Numerical ranks of spectra from their ascending eigenvalues (..., M): the
+    count above M * eps * the largest.  A singular spectrum's eigenvalues are
+    rounding noise of either sign, so the rule holds whatever the noise's sign."""
+    return (lam > lam.shape[-1] * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1)
+
+
+def _rank_deficient(spectrum: str, rank, m: int) -> RankDeficientSpectrum:
+    return RankDeficientSpectrum(
+        f"{spectrum} has numerical rank {rank} < M = {m}: "
+        "the channels are linearly dependent; drop a channel or undo the common reference"
+    )
+
+
 def _check_rank(lam: np.ndarray, j1: int) -> None:
     """Raise RankDeficientSpectrum at the first octave whose spectrum, in any
-    window, has an eigenvalue at most M * eps * its largest one.
-
-    ``lam`` is (octaves, ..., M) ascending from octave j1.  The eigenvalues
-    of a singular spectrum are rounding noise of either sign, so this
-    catches linearly dependent channels whatever the noise's sign.
-    """
+    window, has numerical rank below M; ``lam`` is (octaves, ..., M) from octave j1."""
     m = lam.shape[-1]
-    cutoff = m * np.finfo(float).eps * lam[..., -1:]
-    low = lam <= cutoff
-    deficient = low.any(axis=-1).reshape(len(lam), -1).any(axis=1)
-    if deficient.any():
-        row = int(np.argmax(deficient))
-        rank = m - int(low[row].sum(axis=-1).max())
-        raise RankDeficientSpectrum(
-            f"the wavelet spectrum at octave {j1 + row} has numerical rank {rank} < M = {m}: "
-            "the channels are linearly dependent; drop a channel or undo the common reference"
-        )
+    rank = _ranks(lam).reshape(len(lam), -1).min(axis=1)
+    if (rank < m).any():
+        row = int(np.argmax(rank < m))
+        raise _rank_deficient(f"the wavelet spectrum at octave {j1 + row}", rank[row], m)
 
 
 def averaged_log_eigenvalues(windows: np.ndarray) -> np.ndarray:
-    """Mean over windows of sorted log2 eigenvalues; windows is (..., T, M, M)."""
+    """Mean over windows of sorted log2 eigenvalues; windows is (..., T, M, M).
+    Raises RankDeficientSpectrum when a window's numerical rank is below M."""
     lam = np.linalg.eigvalsh(windows)
-    if np.any(lam <= 0.0):
-        raise NonPositiveEigenvalue(
-            "a windowed spectrum has a non-positive eigenvalue; "
-            "increase the window size n_j2 relative to M"
-        )
+    rank = _ranks(lam).min()
+    if rank < lam.shape[-1]:
+        raise _rank_deficient("a windowed wavelet spectrum", rank, lam.shape[-1])
     # C order, so that the mean adds the windows in the same order whatever
     # the layout of a stack of windows
     return np.log2(lam, order="C").mean(axis=-2)

@@ -149,11 +149,11 @@ def pyramid_counts(n: int, length: int, j_max: int | None = None) -> tuple:
 def octave_counts(n: int, f: WaveletFilter, j2: int, m: int = 1) -> tuple:
     """Coefficient counts n_1 .. n_j2 of n samples of M components under filter f;
     raises SeriesTooShort unless they reach octave j2 >= 1, and WindowTooSmall when n_j2 < M."""
-    counts = pyramid_counts(n, f.length, j2)
+    counts = pyramid_counts(n, f.length)
     if not 1 <= j2 <= len(counts):
         raise SeriesTooShort(f"series of length {n} reaches only octave {len(counts)}, requested {j2}")
-    _check_window(counts[-1], m)
-    return counts
+    _check_window(counts[j2 - 1], m)
+    return counts[:j2]
 
 
 def _check_window(nw: int, m: int) -> None:

@@ -649,9 +649,10 @@ def test_sliding_window_counts():
     assert [r.t_start for r in recs[:3]] == [0, 200, 400]
 
 
-def test_sliding_window_empty_when_short():
+def test_sliding_window_refuses_a_series_shorter_than_one_window():
     x = np.zeros((1, 300))
-    assert sliding_window_estimates(x, window=514, hop=100, j1=1, j2=4) == []
+    with pytest.raises(SeriesTooShort, match="series of 300 samples is shorter than one window of 514"):
+        sliding_window_estimates(x, window=514, hop=100, j1=1, j2=4)
 
 
 def test_sliding_window_validates_hop():

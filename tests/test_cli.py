@@ -587,6 +587,23 @@ def test_out_dir_that_is_a_file_exit_2_and_writes_nothing(params_file, tmp_path,
     assert taken.read_text() == "not a directory\n"
 
 
+def test_a_write_that_fails_partway_keeps_the_target_and_leaves_no_temp_file(tmp_path):
+    # outputs are written atomically: a failure while rows are produced
+    # leaves an existing target as it was, and removes the temp file
+    target = tmp_path / "windows.csv"
+    target.write_bytes(b"t_start,estimator,m,value\r\n0,U,1,0.5\r\n")
+
+    def rows():
+        # past two of table_to_csv's chunks, so part of the table is on disk
+        yield from ((t, "U", 1, 0.25) for t in range(10_000))
+        raise ZeroDivisionError("a row failed")
+
+    with pytest.raises(ZeroDivisionError, match="a row failed"):
+        cli._write_csv(str(target), ["t_start", "estimator", "m", "value"], rows())
+    assert target.read_bytes() == b"t_start,estimator,m,value\r\n0,U,1,0.5\r\n"
+    assert os.listdir(tmp_path) == ["windows.csv"]
+
+
 @pytest.mark.parametrize("command", ["synth", "estimate", "mc", "sliding"])
 def test_empty_output_path_exit_2_and_writes_nothing(params_file, tmp_path, capsys, monkeypatch,
                                                      command):
@@ -696,9 +713,14 @@ def test_fewer_than_two_samples_exit_4(params_file, tmp_path, capsys, command, n
     assert os.listdir(tmp_path) == ["params.json"]
 
 
-@pytest.mark.parametrize("source", ["flag"])
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_exit_2(params_file, tmp_path, capsys, monkeypatch, source, threads):
+@pytest.mark.parametrize(
+    "threads, message",
+    [("0", "must be at least 1, got 0"), ("-3", "must be at least 1, got -3"),
+     ("abc", "invalid int value: 'abc'"), ("1.5", "invalid int value: '1.5'")],
+    ids=["0", "-3", "abc", "1.5"],
+)
+def test_threads_not_an_integer_of_at_least_one_exit_2(params_file, tmp_path, capsys, monkeypatch,
+                                                       threads, message):
     # mc --threads is checked when mc parses its flags; a large count is not
     # run, since it would start that many threads
     monkeypatch.setattr(analysis, "CirculantEmbedding", _no_embedding)
@@ -706,7 +728,7 @@ def test_threads_below_one_exit_2(params_file, tmp_path, capsys, monkeypatch, so
     rc = main(["mc", "--params", params_file, "--n", "2048", "--n-mc", "2", "--seed", "1",
                "--j1", "2", "--j2", "6", "--out-dir", str(out), "--threads", threads])
     assert rc == 2
-    assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    assert f"argument --threads: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1106,6 +1128,24 @@ def test_linearly_dependent_channels_exit_4_naming_the_rank(tmp_path, capsys, co
         f"estimation error: RankDeficientSpectrum: the wavelet spectrum at octave {octave} "
         "has numerical rank 2 < M = 3: the channels are linearly dependent; "
         "drop a channel or undo the common reference\n"
+    )
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_a_window_with_dependent_channels_exit_4_and_writes_nothing(tmp_path, capsys):
+    # c3 mixes c1 and c2 over the first quarter only: the full spectra have
+    # rank 3 and every eigenvalue of the windows there is positive rounding
+    # noise, yet the windows are refused by the full spectra's rank rule
+    x = np.random.default_rng(12).normal(size=(3, 4096)).cumsum(axis=1)
+    x[2, :1024] = 0.7 * x[0, :1024] - 0.37 * x[1, :1024]
+    rows = [[t, *map(repr, values)] for t, values in enumerate(zip(*x.tolist()))]
+    series = _write_series(tmp_path / "x.csv", rows, ("t", "c1", "c2", "c3"))
+    rc = main(["estimate", series, "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "o")])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "estimation error: RankDeficientSpectrum: a windowed wavelet spectrum has numerical "
+        "rank 2 < M = 3: the channels are linearly dependent; drop a channel or undo the "
+        "common reference\n"
     )
     assert os.listdir(tmp_path) == ["x.csv"]
 

@@ -10,6 +10,7 @@ from ofbmkit.errors import (
     NonPositiveDiagonal,
     NonPositiveEigenvalue,
     NotSymmetric,
+    RankDeficientSpectrum,
     SampleTooSmall,
     ShapeMismatch,
     WindowTooSmall,
@@ -277,6 +278,31 @@ def test_nonpositive_eigenvalue_error():
         analyze(with_coeffs(pyr, coeffs), 3, 5, balance="uniform")
 
 
+def _dependent_in_a_quarter(seed):
+    """A 3-channel walk whose third channel mixes the other two over its first quarter."""
+    x = np.random.default_rng(seed).normal(size=(3, 4096)).cumsum(axis=1)
+    x[2, :1024] = 0.7 * x[0, :1024] - 0.37 * x[1, :1024]
+    return x
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12, 57, 199])
+def test_a_window_singular_within_a_nonsingular_series_is_rank_deficient(seed):
+    # the full spectra have rank 3, but the windows over the first quarter
+    # do not: the rounding noise in their smallest eigenvalue is negative for
+    # some seeds (0) and positive in every window for others (12), and the
+    # windows are refused by the full spectra's rule whatever its sign
+    x = _dependent_in_a_quarter(seed)
+    pyr = dwt(x, 4)
+    assert (sorted_eigenvalues(spectrum_set(pyr, 1, 4))[:, 0] > 0).all()
+    if seed == 12:
+        assert all((np.linalg.eigvalsh(windowed_spectra(pyr, j, 4)) > 0).all() for j in (1, 2, 3))
+    with pytest.raises(RankDeficientSpectrum, match=(
+        r"^a windowed wavelet spectrum has numerical rank 2 < M = 3: "
+        "the channels are linearly dependent"
+    )):
+        analyze(x, 1, 4)
+
+
 def test_rank_deficient_error():
     # 40 samples: n_3 = 2 coefficients at octave 3, fewer than M = 3 components;
     # the window size is named, though the full-sample spectrum at octave 3
@@ -317,6 +343,32 @@ def test_analyze_matches_individual_operations():
     np.testing.assert_array_equal(rec.h_m_bc, h_m_bc)
 
 
+def _scaled_walk_pyramid(m, name, n, seed):
+    """Full pyramid of M mixed random walks with channel scales 1e-3 .. 1e3."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    return dwt(np.cumsum(rng.normal(size=(m, m)) @ rng.normal(size=(m, n)), axis=1) * scales,
+               None, filter_bank(name))
+
+
+def _assert_routes_agree(pyr, j1, j2):
+    """analyze's window-averaged table is the windowed-spectra route at every
+    octave, or both routes refuse a numerically singular spectrum."""
+    refs = []
+    for j in range(j1, j2 + 1):
+        try:
+            refs.append(averaged_log_eigenvalues(windowed_spectra(pyr, j, j2)))
+        except RankDeficientSpectrum:
+            refs.append(None)
+    try:
+        rec = analyze(pyr, j1, j2)
+    except RankDeficientSpectrum:
+        assert any(ref is None for ref in refs)
+        return
+    for row, (j, ref) in enumerate(zip(range(j1, j2 + 1), refs)):
+        assert ref is not None and np.array_equal(rec.log_eig_bc[row], ref), j
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     m=st.integers(1, 5),
@@ -328,19 +380,25 @@ def test_analyze_matches_individual_operations():
 def test_window_averaged_log_eigenvalues_are_the_windowed_spectra_at_every_octave(m, name, n, seed, data):
     # at j2 the one window is the whole octave; analyze's table equals the
     # windowed-spectra route there too, bit for bit
-    rng = np.random.default_rng(seed)
-    scales = 10.0 ** rng.uniform(-3, 3, size=(m, 1))
-    pyr = dwt(np.cumsum(rng.normal(size=(m, m)) @ rng.normal(size=(m, n)), axis=1) * scales,
-              None, filter_bank(name))
+    pyr = _scaled_walk_pyramid(m, name, n, seed)
     deep = [j for j, c in enumerate(pyr.counts, 1) if c >= 2 * m]
     if len(deep) < 2:
         return
     j2 = data.draw(st.sampled_from(deep[1:]), label="j2")
     j1 = data.draw(st.integers(1, j2 - 1), label="j1")
-    rec = analyze(pyr, j1, j2)
-    for row, j in enumerate(range(j1, j2 + 1)):
-        ref = averaged_log_eigenvalues(windowed_spectra(pyr, j, j2))
-        assert np.array_equal(rec.log_eig_bc[row], ref), j
+    _assert_routes_agree(pyr, j1, j2)
+
+
+def test_both_routes_refuse_a_numerically_singular_window():
+    # channel scales 1.2e-3 .. 649: a haar window at octave 1 has numerical
+    # rank 3 of 4, though its eigenvalues are positive and the full spectra
+    # have rank 4
+    pyr = _scaled_walk_pyramid(4, "haar", 329, 843)
+    assert (sorted_eigenvalues(spectrum_set(pyr, 1, 2))[:, 0] > 0).all()
+    assert (np.linalg.eigvalsh(windowed_spectra(pyr, 1, 2)) > 0).all()
+    with pytest.raises(RankDeficientSpectrum, match="^a windowed wavelet spectrum has numerical rank 3 < M = 4:"):
+        analyze(pyr, 1, 2)
+    _assert_routes_agree(pyr, 1, 2)
 
 
 def test_univariate_fbm_recovery():

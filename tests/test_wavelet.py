@@ -86,8 +86,10 @@ def test_series_too_short():
 
 @pytest.mark.parametrize("j_max", [0, -1])
 def test_dwt_to_no_octave_is_too_short_a_series(j_max):
-    # a requested reach below octave 1 is a SeriesTooShort (exit 4), not an IndexError
-    with pytest.raises(SeriesTooShort):
+    # a requested reach below octave 1 is a SeriesTooShort (exit 4), not an
+    # IndexError, and names the octave 512 db2 samples do reach
+    message = f"^series of length 512 reaches only octave 7, requested {j_max}$"
+    with pytest.raises(SeriesTooShort, match=message):
         dwt(np.zeros((1, 512)), j_max)
 
 
