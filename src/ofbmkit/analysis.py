@@ -134,7 +134,7 @@ def v_n_approx(w: RegressionWeights, counts) -> float:
     counts = np.asarray(counts, dtype=float)
     if counts.size != w.w.size:
         raise ShapeMismatch("counts do not align with the weights")
-    if np.any(counts <= 0):
+    if not (np.isfinite(counts) & (counts > 0)).all():
         raise ShapeMismatch("counts must be positive")
     return float(0.5 * math.log2(math.e) ** 2 * np.sum(w.w**2 / counts))
 

@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     except OfbmkitError as exc:
         print(exc.line(), file=sys.stderr)
         return exc.exit_code
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

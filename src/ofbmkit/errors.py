@@ -4,8 +4,10 @@
 its ``exit_code``: 2 for :class:`MalformedInput` (an input file that cannot be
 parsed) and :class:`SeedOutOfRange` (a seed outside 0 .. 2^64 - 1), 3 for
 :class:`ModelValidationError` (a model parameter problem), 4 for
-:class:`DataError` (anything raised while crunching data) and 4 for any other
-:class:`OfbmkitError`.
+:class:`DataError` (anything raised while crunching data: a
+:class:`SeriesTooShort` names the octave a series reaches, and a
+:class:`RankDeficientSpectrum` the octave of the singular spectrum) and 4 for
+any other :class:`OfbmkitError`.
 """
 
 
@@ -122,13 +124,9 @@ class NonPositiveDiagonal(DataError):
     pass
 
 
-class NonPositiveEigenvalue(DataError):
-    """Raised only as :class:`RankDeficientSpectrum`, which it catches."""
-
-
-class RankDeficientSpectrum(NonPositiveEigenvalue):
+class RankDeficientSpectrum(DataError):
     """The channels are linearly dependent: a spectrum, full-sample or windowed,
-    has numerical rank below M."""
+    has numerical rank below M at the octave the message names."""
 
 
 class SingularCovariance(DataError):

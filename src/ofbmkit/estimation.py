@@ -71,7 +71,7 @@ def regression_weights(
         if counts is None:
             raise ShapeMismatch("by_count weights require per-octave counts")
         b = np.asarray(counts, dtype=float)
-        if b.size != j.size or np.any(b <= 0):
+        if b.size != j.size or not (np.isfinite(b) & (b > 0)).all():
             raise ShapeMismatch("counts must be positive and span j1..j2")
     v0 = b.sum()
     v1 = (b * j).sum()
@@ -150,30 +150,26 @@ def _ranks(lam: np.ndarray) -> np.ndarray:
     return (lam > lam.shape[-1] * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1)
 
 
-def _rank_deficient(spectrum: str, rank, m: int) -> RankDeficientSpectrum:
-    return RankDeficientSpectrum(
-        f"{spectrum} has numerical rank {rank} < M = {m}: "
-        "the channels are linearly dependent; drop a channel or undo the common reference"
-    )
-
-
-def _check_rank(lam: np.ndarray, j1: int) -> None:
-    """Raise RankDeficientSpectrum at the first octave whose spectrum, in any
-    window, has numerical rank below M; ``lam`` is (octaves, ..., M) from octave j1."""
+def _check_rank(lam: np.ndarray, j1: int, spectrum: str = "the wavelet spectrum") -> None:
+    """Raise RankDeficientSpectrum, the one place that does, at the first octave
+    whose spectrum, in any window, has numerical rank below M; ``lam`` is
+    (octaves, ..., M) from octave j1 and ``spectrum`` opens the message."""
     m = lam.shape[-1]
     rank = _ranks(lam).reshape(len(lam), -1).min(axis=1)
     if (rank < m).any():
         row = int(np.argmax(rank < m))
-        raise _rank_deficient(f"the wavelet spectrum at octave {j1 + row}", rank[row], m)
+        raise RankDeficientSpectrum(
+            f"{spectrum} at octave {j1 + row} has numerical rank {rank[row]} < M = {m}: "
+            "the channels are linearly dependent; drop a channel or undo the common reference"
+        )
 
 
-def averaged_log_eigenvalues(windows: np.ndarray) -> np.ndarray:
-    """Mean over windows of sorted log2 eigenvalues; windows is (..., T, M, M).
-    Raises RankDeficientSpectrum when a window's numerical rank is below M."""
+def averaged_log_eigenvalues(windows: np.ndarray, j: int) -> np.ndarray:
+    """Mean over windows of sorted log2 eigenvalues; windows is (..., T, M, M),
+    the windowed spectra at octave j.  Raises RankDeficientSpectrum naming
+    octave j when a window's numerical rank is below M."""
     lam = np.linalg.eigvalsh(windows)
-    rank = _ranks(lam).min()
-    if rank < lam.shape[-1]:
-        raise _rank_deficient("a windowed wavelet spectrum", rank, lam.shape[-1])
+    _check_rank(lam[None], j, "a windowed wavelet spectrum")
     # C order, so that the mean adds the windows in the same order whatever
     # the layout of a stack of windows
     return np.log2(lam, order="C").mean(axis=-2)
@@ -258,9 +254,8 @@ def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> tuple:
     log_eig = np.log2(np.moveaxis(lam, 0, -2), order="C")
     # the one window at j2 is the whole octave: its spectrum is S(2^j2) bit
     # for bit, and the mean of its log-eigenvalues is log_eig's last row
-    log_eig_bc = np.stack(
-        [averaged_log_eigenvalues(s) for s in windows] + [log_eig[..., -1, :]], axis=-2
-    )
+    bc = [averaged_log_eigenvalues(s, j) for j, s in enumerate(windows, w.j1)]
+    log_eig_bc = np.stack(bc + [log_eig[..., -1, :]], axis=-2)
     return (
         0.5 * (w.w @ log_diag - 1.0),
         0.5 * (w.w @ log_eig - 1.0),

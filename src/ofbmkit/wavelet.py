@@ -131,16 +131,13 @@ class WaveletPyramid:
         return self.coeffs[j - 1]
 
 
-def pyramid_counts(n: int, length: int, j_max: int | None = None) -> tuple:
+def pyramid_counts(n: int, length: int) -> tuple:
     """Coefficient counts n_1, n_2, ... of an n-sample series for a filter of
-    ``length`` taps, via n_j = floor((n_{j-1} - L + 1) / 2).
-
-    Stops after octave ``j_max``, or earlier at the last octave with at least
-    one coefficient.
-    """
+    ``length`` taps, via n_j = floor((n_{j-1} - L + 1) / 2), down to the last
+    octave with at least one coefficient."""
     counts = []
     n = (n - length + 1) // 2
-    while n >= 1 and (j_max is None or len(counts) < j_max):
+    while n >= 1:
         counts.append(n)
         n = (n - length + 1) // 2
     return tuple(counts)
@@ -163,26 +160,20 @@ def _check_window(nw: int, m: int) -> None:
                              "spectra would be rank-deficient")
 
 
-def dwt(x: np.ndarray, j_max: int | None = None, f: WaveletFilter | None = None) -> WaveletPyramid:
-    """Pyramid transform of an M x N array (a 1-d array is treated as M=1).
+def dwt(x: np.ndarray, j_max: int, f: WaveletFilter | None = None) -> WaveletPyramid:
+    """Pyramid transform of an M x N array (a 1-d array is treated as M=1) to
+    octave ``j_max``.
 
-    Stops at octave ``j_max`` when given, otherwise at the deepest octave with
-    at least one coefficient.  Raises SeriesTooShort when ``j_max`` cannot be
-    reached (:func:`octave_counts`) or, without ``j_max``, when no octave can,
-    and NonFiniteData when a sample is NaN or infinite.
+    Raises SeriesTooShort when the series does not reach ``j_max``
+    (:func:`octave_counts`), and NonFiniteData when a sample is NaN or infinite.
     """
     if f is None:
         f = filter_bank(DEFAULT_FILTER)
     x = as_components(x)
     check_finite(x)
-    n = x.shape[1]
-    counts = pyramid_counts(n, f.length) if j_max is None else octave_counts(n, f, j_max)
-    if not counts:
-        raise SeriesTooShort(f"series of length {n} supports no octave with filter length {f.length}")
-
     coeffs = []
     approx = x
-    for nj in counts:
+    for nj in octave_counts(x.shape[1], f, j_max):
         det = np.empty((x.shape[0], nj))
         app = np.empty((x.shape[0], nj))
         for row in range(x.shape[0]):

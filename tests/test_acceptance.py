@@ -193,8 +193,8 @@ def test_criterion_08_estimate_decorrelation():
 
 def test_criterion_09_log_eigenvalue_moments():
     # pick the sample size whose octave-7 coefficient count is exactly 64
-    n = next(n for n in range(2**13, 2**13 + 2**10) if pyramid_counts(n, 4, 7)[6] == 64)
-    assert pyramid_counts(n, 4, 7)[6] == 64
+    n = next(n for n in range(2**13, 2**13 + 2**10) if pyramid_counts(n, 4)[6] == 64)
+    assert pyramid_counts(n, 4)[6] == 64
     p = make_params([0.4, 0.8], [1.0, 1.0], [[1.0, 0.5], [0.5, 1.0]])
     emb = CirculantEmbedding(p, n)
     nreal = 2000

@@ -73,6 +73,13 @@ def test_mse_decomposition_identity():
     np.testing.assert_allclose(mse, b2 + cov, atol=1e-10)
 
 
+def test_performance_matrices_refuse_mismatched_shapes_and_one_realization():
+    with pytest.raises(ShapeMismatch, match="incompatible with true vector"):
+        performance_matrices(np.zeros((5, 3)), [0.4, 0.7])
+    with pytest.raises(ShapeMismatch, match="^need at least two realizations$"):
+        performance_matrices(np.zeros((1, 2)), [0.4, 0.7])
+
+
 def test_spectral_norm_examples():
     assert spectral_norm(np.diag([0.1, -0.2])) == pytest.approx(0.2)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
@@ -130,6 +137,13 @@ def test_v_n_dimension_checked():
     w = regression_weights(1, 3, "uniform")
     with pytest.raises(ShapeMismatch):
         v_n_approx(w, [100, 200])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_v_n_refuses_counts_that_are_not_finite_and_positive(bad):
+    w = regression_weights(1, 3, "uniform")
+    with pytest.raises(ShapeMismatch, match="^counts must be positive$"):
+        v_n_approx(w, [bad, 2, 1])
 
 
 def test_v_n_tracks_univariate_variance_nonmixing():
@@ -197,6 +211,14 @@ def test_mahalanobis_rejects_degenerate():
         mahalanobis_samples(est[:, :1] @ np.ones((1, 2)))
     with pytest.raises(SingularCovariance):
         mahalanobis_samples(est[:2])
+
+
+def test_mahalanobis_rejects_a_numerically_singular_covariance():
+    # finite samples whose covariance underflows into the subnormals: the
+    # solve succeeds, but its solution overflows
+    est = np.random.default_rng(0).normal(size=(6, 2)) * 1e-160
+    with pytest.raises(SingularCovariance, match="^estimate covariance is numerically singular$"):
+        mahalanobis_samples(est)
 
 
 def test_chi2_quantile_values():
@@ -377,6 +399,11 @@ def test_bh_edge_cases():
         bh_reject([0.5], 0.0)
 
 
+def test_bh_rejects_an_empty_sample():
+    with pytest.raises(EmptySample, match="^no p-values supplied$"):
+        bh_reject([], 0.05)
+
+
 def test_bh_step_up_jump():
     # p_(2) fails its threshold but p_(3) passes: step-up rejects the first three
     rep = bh_reject([0.01, 0.06, 0.07, 0.9], 0.1)
@@ -408,6 +435,11 @@ def test_estimate_correlation_zero_variance():
     est[:, 1] = np.arange(10)
     with pytest.raises(ZeroVariance):
         estimate_correlation(est)
+
+
+def test_estimate_correlation_needs_three_realizations():
+    with pytest.raises(ShapeMismatch, match="n_mc >= 3"):
+        estimate_correlation(np.arange(4.0).reshape(2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +660,9 @@ def test_run_mc_does_not_keep_a_failed_build(builds, monkeypatch):
 
 def test_pyramid_counts_match_dwt():
     pyr = dwt(np.zeros((1, 5000)) + np.random.default_rng(1).normal(size=5000), 6)
-    assert pyramid_counts(5000, 4, 6) == pyr.counts[:6]
-    deepest = dwt(np.random.default_rng(1).normal(size=(1, 5000)), None)
-    assert pyramid_counts(5000, 4) == deepest.counts
-    assert pyramid_counts(5000, 4, 99) == deepest.counts  # stops at the last octave
+    assert pyramid_counts(5000, 4)[:6] == pyr.counts
+    deepest = dwt(np.random.default_rng(1).normal(size=(1, 5000)), len(pyramid_counts(5000, 4)))
+    assert pyramid_counts(5000, 4) == deepest.counts  # stops at the last octave
     assert pyramid_counts(4, 4) == ()
 
 
@@ -680,7 +711,7 @@ def test_sliding_window_stationary_fluctuation():
     vals = np.array([r.h_m_bc[0] for r in recs])
     full = np.median(vals)
     w = recs[0].weights
-    counts = pyramid_counts(window, 4, 5)[1:5]
+    counts = pyramid_counts(window, 4)[1:5]
     vn = v_n_approx(w, counts)
     # per-window scatter is on the V_N scale (within 3 sd bands for most)
     inside = np.abs(vals - full) < 3.0 * np.sqrt(vn) * 1.5

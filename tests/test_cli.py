@@ -881,6 +881,17 @@ def test_every_error_exits_with_its_branch_code_and_line(tmp_path, capsys, monke
     assert os.listdir(tmp_path) == []
 
 
+def test_an_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("not an ofbmkit error")
+
+    monkeypatch.setattr(cli, "cmd_estimate", fail)
+    rc = main(["estimate", "x.csv", "--out-dir", str(tmp_path / "o")])
+    assert rc == 5
+    assert capsys.readouterr().err == "internal error: RuntimeError: not an ofbmkit error\n"
+    assert os.listdir(tmp_path) == []
+
+
 def _model_file(tmp_path, var=(1.0, 1.0), w="[[1, 0], [0, 1]]"):
     # written by hand: the W of a repro may hold NaN or Infinity
     path = tmp_path / "model.json"
@@ -1143,9 +1154,9 @@ def test_a_window_with_dependent_channels_exit_4_and_writes_nothing(tmp_path, ca
     rc = main(["estimate", series, "--j1", "1", "--j2", "4", "--out-dir", str(tmp_path / "o")])
     assert rc == 4
     assert capsys.readouterr().err == (
-        "estimation error: RankDeficientSpectrum: a windowed wavelet spectrum has numerical "
-        "rank 2 < M = 3: the channels are linearly dependent; drop a channel or undo the "
-        "common reference\n"
+        "estimation error: RankDeficientSpectrum: a windowed wavelet spectrum at octave 1 has "
+        "numerical rank 2 < M = 3: the channels are linearly dependent; drop a channel or "
+        "undo the common reference\n"
     )
     assert os.listdir(tmp_path) == ["x.csv"]
 

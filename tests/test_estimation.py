@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ofbmkit.errors import (
     DegenerateRange,
     NonPositiveDiagonal,
-    NonPositiveEigenvalue,
     NotSymmetric,
     RankDeficientSpectrum,
     SampleTooSmall,
@@ -25,7 +24,14 @@ from ofbmkit.estimation import (
 )
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
-from ofbmkit.wavelet import WaveletPyramid, dwt, filter_bank, spectrum_set, windowed_spectra
+from ofbmkit.wavelet import (
+    WaveletPyramid,
+    dwt,
+    filter_bank,
+    pyramid_counts,
+    spectrum_set,
+    windowed_spectra,
+)
 
 
 def exact_pyramid(h, j1, j2, xi=None, n_j2=None):
@@ -87,6 +93,17 @@ def test_degenerate_range_rejected():
 def test_by_count_requires_counts():
     with pytest.raises(ShapeMismatch):
         regression_weights(1, 3, "by_count")
+
+
+def test_unknown_balance_rejected():
+    with pytest.raises(ShapeMismatch, match="^balance must be one of"):
+        regression_weights(1, 3, "by_variance")
+
+
+@pytest.mark.parametrize("counts", [[0, 2, 1], [-1, 2, 1], [np.nan, 2, 1], [np.inf, 2, 1], [2, 1]])
+def test_by_count_refuses_counts_that_are_not_finite_positive_and_aligned(counts):
+    with pytest.raises(ShapeMismatch, match="^counts must be positive and span j1..j2$"):
+        regression_weights(1, 3, "by_count", counts)
 
 
 @pytest.mark.parametrize("j1, j2", [(0, 3), (-2, 1), (4, 3)])
@@ -204,10 +221,10 @@ def test_eigen_functions_on_stacks_equal_per_matrix(m):
             assert np.array_equal(lam[t, b], sorted_eigenvalues(s[t, b]))
     # a stack laid out window-major, as a batched einsum returns it
     swapped = np.ascontiguousarray(np.swapaxes(s, 0, 1)).swapaxes(0, 1)
-    avg = averaged_log_eigenvalues(swapped)
+    avg = averaged_log_eigenvalues(swapped, 1)
     assert avg.shape == (5, m)
     for t in range(5):
-        assert np.array_equal(avg[t], averaged_log_eigenvalues(s[t]))
+        assert np.array_equal(avg[t], averaged_log_eigenvalues(s[t], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +291,7 @@ def test_nonpositive_eigenvalue_error():
     pyr = exact_pyramid(np.array([0.4, 0.6]), 3, 5)
     coeffs = list(pyr.coeffs)
     coeffs[3] = coeffs[3][[0, 0]]  # component 1 repeated at octave 4: a singular spectrum
-    with pytest.raises(NonPositiveEigenvalue):
+    with pytest.raises(RankDeficientSpectrum):
         analyze(with_coeffs(pyr, coeffs), 3, 5, balance="uniform")
 
 
@@ -297,7 +314,7 @@ def test_a_window_singular_within_a_nonsingular_series_is_rank_deficient(seed):
     if seed == 12:
         assert all((np.linalg.eigvalsh(windowed_spectra(pyr, j, 4)) > 0).all() for j in (1, 2, 3))
     with pytest.raises(RankDeficientSpectrum, match=(
-        r"^a windowed wavelet spectrum has numerical rank 2 < M = 3: "
+        r"^a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "
         "the channels are linearly dependent"
     )):
         analyze(x, 1, 4)
@@ -323,7 +340,7 @@ def per_octave_estimates(pyr, w):
     log_diag = np.log2(np.stack([np.diag(s) for s in spectra]))
     log_eig = np.log2(np.stack([sorted_eigenvalues(s) for s in spectra]))
     log_eig_bc = np.stack(
-        [averaged_log_eigenvalues(windowed_spectra(pyr, j, w.j2)) for j in range(w.j1, w.j2 + 1)]
+        [averaged_log_eigenvalues(windowed_spectra(pyr, j, w.j2), j) for j in range(w.j1, w.j2 + 1)]
     )
     return [0.5 * (w.w @ y - 1.0) for y in (log_diag, log_eig, log_eig_bc)]
 
@@ -347,8 +364,9 @@ def _scaled_walk_pyramid(m, name, n, seed):
     """Full pyramid of M mixed random walks with channel scales 1e-3 .. 1e3."""
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(-3, 3, size=(m, 1))
-    return dwt(np.cumsum(rng.normal(size=(m, m)) @ rng.normal(size=(m, n)), axis=1) * scales,
-               None, filter_bank(name))
+    x = np.cumsum(rng.normal(size=(m, m)) @ rng.normal(size=(m, n)), axis=1) * scales
+    f = filter_bank(name)
+    return dwt(x, len(pyramid_counts(n, f.length)), f)
 
 
 def _assert_routes_agree(pyr, j1, j2):
@@ -357,7 +375,7 @@ def _assert_routes_agree(pyr, j1, j2):
     refs = []
     for j in range(j1, j2 + 1):
         try:
-            refs.append(averaged_log_eigenvalues(windowed_spectra(pyr, j, j2)))
+            refs.append(averaged_log_eigenvalues(windowed_spectra(pyr, j, j2), j))
         except RankDeficientSpectrum:
             refs.append(None)
     try:
@@ -396,7 +414,7 @@ def test_both_routes_refuse_a_numerically_singular_window():
     pyr = _scaled_walk_pyramid(4, "haar", 329, 843)
     assert (sorted_eigenvalues(spectrum_set(pyr, 1, 2))[:, 0] > 0).all()
     assert (np.linalg.eigvalsh(windowed_spectra(pyr, 1, 2)) > 0).all()
-    with pytest.raises(RankDeficientSpectrum, match="^a windowed wavelet spectrum has numerical rank 3 < M = 4:"):
+    with pytest.raises(RankDeficientSpectrum, match="^a windowed wavelet spectrum at octave 1 has numerical rank 3 < M = 4:"):
         analyze(pyr, 1, 2)
     _assert_routes_agree(pyr, 1, 2)
 

@@ -35,6 +35,11 @@ def test_univariate_identity_model_is_valid():
     assert p.hurst[0] == 0.5
 
 
+def test_a_single_variance_is_repeated_for_every_component():
+    p = make_params([0.3, 0.6, 0.8], [2.0])
+    assert p.variances.tolist() == [2.0, 2.0, 2.0]
+
+
 def test_rho_max_golden_values():
     assert rho_max(0.4, 0.8) == pytest.approx(RHO_MAX_04_08, abs=1e-13)
     assert rho_max(0.2, 0.8) == pytest.approx(RHO_MAX_02_08, abs=1e-13)

@@ -22,6 +22,7 @@ from ofbmkit.wavelet import (
     WaveletPyramid,
     dwt,
     filter_bank,
+    pyramid_counts,
     spectrum_set,
     wavelet_spectrum,
     windowed_spectra,
@@ -64,7 +65,6 @@ def test_counts_follow_recursion():
 def test_counts_general_recursion():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 777))
-    pyr = dwt(x, None)
     length = 4
     expected = []
     n = 777
@@ -73,6 +73,7 @@ def test_counts_general_recursion():
         if n < 1:
             break
         expected.append(n)
+    pyr = dwt(x, len(expected))
     assert pyr.counts == tuple(expected)
     assert all(a > b for a, b in zip(pyr.counts, pyr.counts[1:]))
 
@@ -198,7 +199,7 @@ def test_windowed_mean_equals_prefix_spectrum():
 def test_windowed_errors():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 1200))
-    pyr = dwt(x, None)
+    pyr = dwt(x, len(pyramid_counts(1200, 4)))
     deep = pyr.j_max
     if pyr.counts[deep - 1] < 6:
         with pytest.raises(WindowTooSmall):
@@ -209,6 +210,13 @@ def test_windowed_errors():
     bad = WaveletPyramid(coeffs=(rng.normal(size=(2, 30)), rng.normal(size=(2, 20))))
     with pytest.raises(InsufficientCoefficients):
         windowed_spectra(bad, 1, 2)
+
+
+@pytest.mark.parametrize("j, j2", [(0, 2), (3, 2), (1, 4)])
+def test_windowed_spectra_refuse_octaves_outside_the_pyramid(j, j2):
+    pyr = dwt(np.random.default_rng(5).normal(size=(2, 200)), 3)
+    with pytest.raises(ScaleUnavailable, match=rf"^need 1 <= j <= j2 <= 3, got \({j}, {j2}\)$"):
+        windowed_spectra(pyr, j, j2)
 
 
 def test_fbm_coefficient_decorrelation_beyond_lag_one():
@@ -281,7 +289,7 @@ def test_spectra_are_symmetric_dot_products_and_one_window_is_the_spectrum(m, na
     f = filter_bank(name)
     scales = 10.0 ** rng.uniform(-3, 3, size=(m, 1))
     series = [rng.normal(size=(m, n)).cumsum(axis=1) * scales for _ in range(windows or 1)]
-    pyrs = [dwt(x, None, f) for x in series]
+    pyrs = [dwt(x, len(pyramid_counts(n, f.length)), f) for x in series]
     p = pyrs[0] if windows is None else WaveletPyramid(
         coeffs=tuple(np.stack(c) for c in zip(*(q.coeffs for q in pyrs)))
     )
