@@ -53,6 +53,5 @@ from .wavelet import (
     dwt,
     filter_bank,
     spectrum_set,
-    wavelet_spectrum,
     windowed_spectra,
 )

@@ -62,7 +62,9 @@ ESTIMATORS = tuple(_RECORD_FIELDS)
 
 @dataclass(frozen=True)
 class McConfig:
-    """One Monte Carlo study: model, sample size, realization count, seeds."""
+    """One Monte Carlo study: model, sample size, realization count, seeds.  Every
+    check runs when the config is made, before any synthesis, which also sets the
+    read-only ``counts`` (n_j1 .. n_j2) and ``weights`` (RegressionWeights of j1..j2)."""
 
     params: ModelParams
     n: int
@@ -73,17 +75,20 @@ class McConfig:
     balance: str = DEFAULT_BALANCE
     j1: int | None = None  # explicit override of the derived range
     j2: int | None = None
+    counts: tuple = field(init=False, repr=False, compare=False)
+    weights: RegressionWeights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_mc < 2:
             raise SampleTooSmall(f"need at least 2 realizations, got {self.n_mc}")
         # realization r = 1..n_mc uses seed0 + r: the base seed and every one drawn
         _check_seeds(self.seed0, self.n_mc + 1)
-        # the range and its reach fail before any synthesis
-        j2 = scaling_range(self.n, self.range_cfg, self.j1, self.j2)[1]
+        j1, j2 = scaling_range(self.n, self.range_cfg, self.j1, self.j2)
         f = filter_bank(self.filter_name)
         _check_length(self.n)
-        octave_counts(self.n, f, j2, self.params.m)
+        counts = octave_counts(self.n, f, j2, self.params.m)[j1 - 1 :]
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "weights", regression_weights(j1, j2, self.balance, counts))
 
 
 @dataclass(frozen=True)
@@ -139,11 +144,22 @@ def v_n_approx(w: RegressionWeights, counts) -> float:
     return float(0.5 * math.log2(math.e) ** 2 * np.sum(w.w**2 / counts))
 
 
+def _in_band(est: np.ndarray) -> np.ndarray:
+    """est with each component whose largest |value| lies outside [2^-200, 2^200]
+    scaled into it by a power of two, which is exact; inside it nothing moves.
+    Covariances of the scaled values neither overflow nor underflow."""
+    top = np.abs(est).max(axis=0)
+    e = np.frexp(top)[1]
+    return np.ldexp(est, np.where((top < 2.0**-200) | (top > 2.0**200), -e, 0))
+
+
 def mahalanobis_samples(est: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance of each row from the sample mean."""
+    """Squared Mahalanobis distance of each row from the sample mean, the same
+    whatever the units of each component."""
     est = np.asarray(est, dtype=float)
     if est.ndim != 2 or est.shape[0] <= est.shape[1]:
         raise SingularCovariance(f"need more realizations than components, got shape {est.shape}")
+    est = _in_band(est)
     centered = est - est.mean(axis=0)
     cov = np.atleast_2d(np.cov(est, rowvar=False, ddof=1))
     try:
@@ -248,10 +264,12 @@ def bh_reject(pvals, alpha: float) -> GroupTestReport:
 
 
 def estimate_correlation(est: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrix of the estimate components."""
+    """Pearson correlation matrix of the estimate components, the same whatever
+    the units of each component."""
     est = np.asarray(est, dtype=float)
     if est.ndim != 2 or est.shape[0] < 3:
         raise ShapeMismatch("need an (n_mc >= 3, M) estimate array")
+    est = _in_band(est)
     if np.any(est.std(axis=0) == 0.0):
         raise ZeroVariance("an estimate component has zero variance")
     return np.corrcoef(est, rowvar=False).reshape(est.shape[1], est.shape[1])
@@ -282,9 +300,8 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
     study of the same params object at the same n reuses this one's
     embedding, which holds M^2 * (size/2 + 1) doubles until another replaces it.
     """
-    j1, j2 = scaling_range(cfg.n, cfg.range_cfg, cfg.j1, cfg.j2)
+    j1, j2 = cfg.weights.j1, cfg.weights.j2
     f = filter_bank(cfg.filter_name)
-    counts = octave_counts(cfg.n, f, j2, cfg.params.m)[j1 - 1 :]
     emb = _embedding(cfg.params, cfg.n)
 
     def one(r: int) -> EstimateRecord:
@@ -301,12 +318,11 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
         code: np.stack([getattr(rec, name) for rec in records])
         for code, name in _RECORD_FIELDS.items()
     }
-    weights = records[0].weights
-    v_n = v_n_approx(weights, counts)
+    v_n = v_n_approx(cfg.weights, cfg.counts)
     h_true = cfg.params.hurst
     return McReport(
         n=cfg.n, n_mc=cfg.n_mc, seed0=cfg.seed0, j1=j1, j2=j2, h_true=h_true,
-        weights=weights.w, counts=counts, v_n=v_n, estimates=est,
+        weights=cfg.weights.w, counts=cfg.counts, v_n=v_n, estimates=est,
         stats={code: _statistics(a, h_true, v_n) for code, a in est.items()},
     )
 
@@ -331,13 +347,6 @@ def report_to_dict(rep: McReport) -> dict:
 
 def report_to_json(rep: McReport) -> str:
     return json.dumps(report_to_dict(rep), indent=2, allow_nan=False)
-
-
-def qq_pairs(samples: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(probs, chi-square quantiles, empirical quantiles) for QQ plotting."""
-    s = np.sort(np.asarray(samples, dtype=float))
-    probs = (np.arange(1, s.size + 1) - 0.5) / s.size
-    return probs, chi2_quantiles(dof, probs), s
 
 
 def _window_starts(n: int, window: int, hop: int) -> range:

@@ -27,7 +27,7 @@ from .analysis import (
     McConfig,
     _window_starts,
     bh_reject,
-    qq_pairs,
+    chi2_quantiles,
     report_to_dict,
     run_mc,
     sliding_window_estimates,
@@ -197,11 +197,14 @@ def cmd_mc(args) -> int:
         for m, value in enumerate(row)
     ]
     _write_csv(os.path.join(out, "estimates.csv"), ["r", "estimator", "m", "value"], estimates)
+    # one plotting position and chi-square quantile per realization, shared by the estimators
+    probs = (np.arange(1, rep.n_mc + 1) - 0.5) / rep.n_mc
+    chi2 = chi2_quantiles(rep.h_true.size, probs).tolist()
     qq = [
         (code, *values)
         for code, stats in rep.stats.items()
         if not np.isnan(stats["mahalanobis"]).any()
-        for values in zip(*(a.tolist() for a in qq_pairs(stats["mahalanobis"], rep.h_true.size)))
+        for values in zip(probs.tolist(), chi2, np.sort(stats["mahalanobis"]).tolist())
     ]
     header = ["estimator", "p", "chi2_quantile", "mahalanobis_quantile"]
     _write_csv(os.path.join(out, "qq.csv"), header, qq)

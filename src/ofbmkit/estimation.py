@@ -143,19 +143,14 @@ def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(s)
 
 
-def _ranks(lam: np.ndarray) -> np.ndarray:
-    """Numerical ranks of spectra from their ascending eigenvalues (..., M): the
-    count above M * eps * the largest.  A singular spectrum's eigenvalues are
-    rounding noise of either sign, so the rule holds whatever the noise's sign."""
-    return (lam > lam.shape[-1] * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1)
-
-
 def _check_rank(lam: np.ndarray, j1: int, spectrum: str = "the wavelet spectrum") -> None:
     """Raise RankDeficientSpectrum, the one place that does, at the first octave
-    whose spectrum, in any window, has numerical rank below M; ``lam`` is
-    (octaves, ..., M) from octave j1 and ``spectrum`` opens the message."""
+    whose spectrum, in any window, has numerical rank below M: fewer than M of
+    its ascending eigenvalues ``lam`` (octaves, ..., M, from octave j1) exceed
+    M * eps * the largest, a cutoff that holds whatever the sign of a singular
+    spectrum's rounding noise.  ``spectrum`` opens the message."""
     m = lam.shape[-1]
-    rank = _ranks(lam).reshape(len(lam), -1).min(axis=1)
+    rank = (lam > m * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1).reshape(len(lam), -1).min(axis=1)
     if (rank < m).any():
         row = int(np.argmax(rank < m))
         raise RankDeficientSpectrum(

@@ -409,22 +409,14 @@ def series_from_csv(fh, label_column: str | None = None):
     return data, None if label is None else rows[fields[label]].astype(str)
 
 
-def path_sidecar(path: SamplePath) -> dict:
-    return {
-        "M": path.m,
-        "N": path.n,
-        "seed": path.seed,
-        "kind": path.kind,
-        "params": params_to_dict(path.params),
-        "rng": RNG_ID,
-    }
-
-
 def path_to_binary(path: SamplePath, data_file, sidecar_file) -> None:
-    """Raw little-endian float64, component-contiguous, plus a JSON sidecar."""
+    """Raw little-endian float64, component-contiguous, plus a JSON sidecar
+    holding M, N, the seed, the kind, the model parameters and the RNG id."""
     arr = np.ascontiguousarray(path.data, dtype="<f8")
     data_file.write(arr.tobytes())
-    sidecar_file.write(json.dumps(path_sidecar(path), indent=2, allow_nan=False))
+    sidecar = {"M": path.m, "N": path.n, "seed": path.seed, "kind": path.kind,
+               "params": params_to_dict(path.params), "rng": RNG_ID}
+    sidecar_file.write(json.dumps(sidecar, indent=2, allow_nan=False))
     sidecar_file.write("\n")
 
 

@@ -211,15 +211,11 @@ def _gram(d: np.ndarray) -> np.ndarray:
                for k in range(0, d.shape[-1], _DOT_CHUNK))
 
 
-def wavelet_spectrum(p: WaveletPyramid, j: int) -> np.ndarray:
-    """Average of coefficient outer products at octave j (symmetric (..., M, M))."""
-    d = p.details(j)
-    return _gram(d) / d.shape[-1]
-
-
 def spectrum_set(p: WaveletPyramid, j1: int, j2: int) -> np.ndarray:
-    """Spectra for octaves j1..j2, stacked as (octaves, ..., M, M)."""
-    return np.stack([wavelet_spectrum(p, j) for j in range(j1, j2 + 1)])
+    """Wavelet spectra S(2^j), octaves j1..j2, stacked as (octaves, ..., M, M): S(2^j)
+    is the exactly symmetric average of the outer products of the octave-j
+    coefficients, and S(2^j) alone is ``spectrum_set(p, j, j)[0]``."""
+    return np.stack([_gram(d) / d.shape[-1] for d in map(p.details, range(j1, j2 + 1))])
 
 
 def windowed_spectra(p: WaveletPyramid, j: int, j2: int) -> np.ndarray:

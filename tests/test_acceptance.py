@@ -26,7 +26,7 @@ from ofbmkit.estimation import (
 )
 from ofbmkit.model import make_params, params_to_json
 from ofbmkit.synthesis import CirculantEmbedding, mfgn_covariance_matrices
-from ofbmkit.wavelet import dwt, pyramid_counts, wavelet_spectrum
+from ofbmkit.wavelet import dwt, pyramid_counts, spectrum_set
 
 from test_analysis import qq_correlation
 from test_estimation import exact_pyramid
@@ -103,7 +103,7 @@ def test_criterion_03_spectrum_slope_law():
         for r in range(nreal):
             path = emb.sample(seed + r, kind="mfBm")
             pyr = dwt(path.data, 8)
-            logs[r] = [np.log2(wavelet_spectrum(pyr, j)[0, 0]) for j in range(4, 9)]
+            logs[r] = [np.log2(spectrum_set(pyr, j, j)[0][0, 0]) for j in range(4, 9)]
         w = regression_weights(4, 8, "uniform")
         slope = float(w.w @ logs.mean(axis=0))
         results.append((h, slope))
@@ -202,7 +202,7 @@ def test_criterion_09_log_eigenvalue_moments():
     for r in range(nreal):
         path = emb.sample(90_000 + r, kind="mfBm")
         pyr = dwt(path.data, 7)
-        logs[r] = np.log2(sorted_eigenvalues(wavelet_spectrum(pyr, 7)))
+        logs[r] = np.log2(sorted_eigenvalues(spectrum_set(pyr, 7, 7)[0]))
     corr = np.corrcoef(logs[:, 0], logs[:, 1])[0, 1]
     c2 = 2.0 * np.log2(np.e) ** 2
     ratios = 64 * logs.var(axis=0, ddof=1) / c2

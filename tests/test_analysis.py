@@ -16,7 +16,6 @@ from ofbmkit.analysis import (
     estimate_correlation,
     mahalanobis_samples,
     performance_matrices,
-    qq_pairs,
     report_to_json,
     run_mc,
     sliding_window_estimates,
@@ -192,8 +191,9 @@ def test_mahalanobis_affine_invariance():
 
 def qq_correlation(samples, dof):
     """Pearson correlation between empirical and theoretical QQ quantiles."""
-    _, theo, emp = qq_pairs(samples, dof)
-    return float(np.corrcoef(theo, emp)[0, 1])
+    emp = np.sort(samples)
+    probs = (np.arange(1, emp.size + 1) - 0.5) / emp.size
+    return float(np.corrcoef(chi2_quantiles(dof, probs), emp)[0, 1])
 
 
 def test_mahalanobis_chi2_qq():
@@ -213,12 +213,31 @@ def test_mahalanobis_rejects_degenerate():
         mahalanobis_samples(est[:2])
 
 
-def test_mahalanobis_rejects_a_numerically_singular_covariance():
-    # finite samples whose covariance underflows into the subnormals: the
-    # solve succeeds, but its solution overflows
-    est = np.random.default_rng(0).normal(size=(6, 2)) * 1e-160
+def test_mahalanobis_rejects_a_numerically_singular_covariance(monkeypatch):
+    # a covariance that is singular in fact, whose solve LAPACK completes with
+    # a non-finite solution; no finite sample was found that makes it do so
+    # once each component is scaled into range, so the solve is stood in for
+    a = np.random.default_rng(0).normal(size=(6, 1))
+    est = np.hstack([a, 3.0 * a])
+    monkeypatch.setattr(np.linalg, "solve", lambda cov, b: np.full(b.shape, np.inf))
     with pytest.raises(SingularCovariance, match="^estimate covariance is numerically singular$"):
         mahalanobis_samples(est)
+
+
+@pytest.mark.parametrize(
+    "c", [1e155, 1e160, 1e-160, 1e-170, 2.0**600, 2.0**-600],
+    ids=["1e155", "1e160", "1e-160", "1e-170", "2^600", "2^-600"],
+)
+def test_mahalanobis_and_correlation_do_not_depend_on_the_estimates_units(c):
+    # each component whose largest |value| is outside [2^-200, 2^200] is moved
+    # into it by a power of two, before the covariance can overflow or underflow
+    est = np.random.default_rng(0).normal(size=(50, 3))
+    d, corr = mahalanobis_samples(est * c), estimate_correlation(est * c)
+    if np.frexp(c)[0] == 0.5:  # a power of two scales exactly
+        assert np.array_equal(d, mahalanobis_samples(est))
+        assert np.array_equal(corr, estimate_correlation(est))
+    np.testing.assert_allclose(d, mahalanobis_samples(est), rtol=1e-14)
+    np.testing.assert_allclose(corr, estimate_correlation(est), rtol=1e-14, atol=1e-15)
 
 
 def test_chi2_quantile_values():
@@ -512,6 +531,22 @@ def test_mc_config_rejects_an_unreachable_range_before_any_embedding(n, j1, j2, 
         McConfig(params=SMALL_P, n=n, n_mc=2, seed0=3, j1=j1, j2=j2)
     assert "realization" not in str(info.value)
     assert analysis._embedding.cache_info().misses == misses
+
+
+def test_mc_config_rejects_an_unknown_balance_before_any_embedding():
+    misses = analysis._embedding.cache_info().misses
+    with pytest.raises(ShapeMismatch, match="balance must be one of") as info:
+        McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=5, balance="bogus")
+    assert "realization" not in str(info.value)
+    assert analysis._embedding.cache_info().misses == misses
+
+
+def test_mc_config_weights_are_every_realizations_weights():
+    cfg = McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=5)
+    rep = run_mc(cfg)
+    assert cfg.counts == rep.counts == (29, 13, 5)
+    path = analysis._embedding(SMALL_P, 256).sample(4, kind="mfBm")
+    assert np.array_equal(cfg.weights.w, analysis.analyze(path.data, 3, 5).weights.w)
 
 
 def test_rank_sum_is_exact_only_when_both_groups_are_small():

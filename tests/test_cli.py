@@ -205,6 +205,26 @@ def test_mc_report_contents(params_file, tmp_path):
         np.testing.assert_allclose(mse, b2 + cov, atol=1e-10)
 
 
+def test_mc_computes_the_chi2_quantiles_once_for_every_estimator(params_file, tmp_path, monkeypatch):
+    # n_mc = 8 > M = 2: all three estimators have Mahalanobis distances and QQ rows
+    calls, original = [], analysis.chi2_quantiles
+
+    def counted(dof, probs):
+        calls.append(dof)
+        return original(dof, probs)
+
+    # the command's own name, and the library's for a helper that would call it
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "chi2_quantiles", counted, raising=False)
+    rc = main(["mc", "--params", params_file, "--n", "4096", "--n-mc", "8", "--seed", "5",
+               "--j1", "3", "--j2", "6", "--out-dir", str(tmp_path / "mc")])
+    assert rc == 0
+    assert calls == [2]
+    with open(tmp_path / "mc" / "qq.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[0] for r in rows] == ["U"] * 8 + ["M"] * 8 + ["BC"] * 8
+
+
 def test_mc_readme_smoke_command_writes_strict_json(params_file, tmp_path):
     # the README smoke benchmark: corr (n_mc < 3) and mahalanobis (n_mc <= M)
     # are undefined and written as null, never as NaN

@@ -11,7 +11,7 @@ from ofbmkit.errors import EmbeddingFailed, SeriesTooShort
 from ofbmkit.estimation import analyze, regression_weights, sorted_eigenvalues
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
-from ofbmkit.wavelet import dwt, filter_bank, pyramid_counts, wavelet_spectrum
+from ofbmkit.wavelet import dwt, filter_bank, pyramid_counts, spectrum_set
 
 W2 = np.array([[1.0, 0.6], [-0.5, 1.0]])
 RHO2 = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -29,7 +29,7 @@ def test_mean_spectrum_eigenvalue_slopes_follow_exponents():
         path = emb.sample(110_000 + r, kind="mfBm")
         pyr = dwt(path.data, j2)
         for i, j in enumerate(range(j1, j2 + 1)):
-            acc[i] += wavelet_spectrum(pyr, j)
+            acc[i] += spectrum_set(pyr, j, j)[0]
     acc /= nreal
     log_eig = np.stack([np.log2(sorted_eigenvalues(acc[i])) for i in range(acc.shape[0])])
     slopes = np.diff(log_eig, axis=0).mean(axis=0)

@@ -30,7 +30,6 @@ from ofbmkit.synthesis import (
     mfgn_covariance_matrices,
     path_from_binary,
     path_from_csv,
-    path_sidecar,
     path_to_binary,
     path_to_csv,
     series_from_csv,
@@ -725,7 +724,6 @@ def test_binary_round_trip_and_sidecar():
     assert meta["M"] == 2 and meta["N"] == 32 and meta["seed"] == 4
     assert meta["kind"] == "mfBm"
     assert meta["rng"] == RNG_ID
-    assert json.dumps(path_sidecar(path))  # serializable
 
 
 def _binary_pair(path):
