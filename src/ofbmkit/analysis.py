@@ -299,7 +299,10 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
     Stacks each estimator's estimates and builds its statistics once.  The next
     study of the same params object at the same n reuses this one's
     embedding, which holds M^2 * (size/2 + 1) doubles until another replaces it.
+    Raises ShapeMismatch for ``threads`` below 1, before any embedding is built.
     """
+    if threads < 1:
+        raise ShapeMismatch(f"threads must be at least 1, got {threads}")
     j1, j2 = cfg.weights.j1, cfg.weights.j2
     f = filter_bank(cfg.filter_name)
     emb = _embedding(cfg.params, cfg.n)

@@ -12,8 +12,10 @@ The wavelet spectrum at octave j is the M x M average of coefficient outer
 products; windowed spectra split the coefficients at octave j <= j2 into
 2^(j2-j) non-overlapping windows of the coarsest-scale count n_j2 each, which
 equalizes the sample size entering eigenvalue estimation across scales.
-Each spectrum entry is one dot product of two coefficient rows, so spectra
-are exactly symmetric.
+Each spectrum entry on or above the diagonal is one dot product of two
+coefficient rows, mirrored below it, so spectra are exactly symmetric on every
+BLAS kernel.  Computing both (i, k) and (k, i) would not be: under OpenBLAS's
+Prescott kernel the two dot products can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -205,10 +207,20 @@ _DOT_CHUNK = 8192
 
 
 def _gram(d: np.ndarray) -> np.ndarray:
-    """Dot products of every pair of rows, (..., M, n) -> (..., M, M), exactly symmetric."""
-    a, b = d[..., :, None, :], d[..., None, :, :]
-    return sum(np.vecdot(a[..., k : k + _DOT_CHUNK], b[..., k : k + _DOT_CHUNK])
-               for k in range(0, d.shape[-1], _DOT_CHUNK))
+    """Dot products of every pair of rows, (..., M, n) -> (..., M, M), exactly
+    symmetric on every BLAS kernel: superdiagonal k is one vecdot of two views
+    of d, rows i and i + k, copying no row, and is mirrored below the diagonal
+    (all M^2 dot products were not symmetric under OpenBLAS's Prescott kernel)."""
+    m, n = d.shape[-2:]
+    out = np.empty(d.shape[:-1] + (m,))
+    flat = out.reshape(d.shape[:-2] + (m * m,))
+    for k in range(m):
+        a, b = d[..., : m - k, :], d[..., k:, :]
+        v = sum(np.vecdot(a[..., c : c + _DOT_CHUNK], b[..., c : c + _DOT_CHUNK])
+                for c in range(0, n, _DOT_CHUNK))
+        flat[..., k :: m + 1][..., : m - k] = v
+        flat[..., k * m :: m + 1][..., : m - k] = v
+    return out
 
 
 def spectrum_set(p: WaveletPyramid, j1: int, j2: int) -> np.ndarray:

@@ -541,6 +541,16 @@ def test_mc_config_rejects_an_unknown_balance_before_any_embedding():
     assert analysis._embedding.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_mc_rejects_fewer_than_one_thread_before_any_embedding(threads):
+    # n = 300 is drawn by no other test, so an embedding built here would be a miss
+    cfg = McConfig(params=SMALL_P, n=300, n_mc=2, seed0=3, j1=3, j2=5)
+    misses = analysis._embedding.cache_info().misses
+    with pytest.raises(ShapeMismatch, match=f"threads must be at least 1, got {threads}"):
+        run_mc(cfg, threads=threads)
+    assert analysis._embedding.cache_info().misses == misses
+
+
 def test_mc_config_weights_are_every_realizations_weights():
     cfg = McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=5)
     rep = run_mc(cfg)

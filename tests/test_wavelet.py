@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ofbmkit.errors import (
     BadFilter,
@@ -19,7 +21,9 @@ from ofbmkit.errors import (
 from ofbmkit.model import make_params
 from ofbmkit.synthesis import CirculantEmbedding
 from ofbmkit.wavelet import (
+    _DOT_CHUNK,
     WaveletPyramid,
+    _gram,
     dwt,
     filter_bank,
     pyramid_counts,
@@ -315,6 +319,46 @@ def test_spectra_are_symmetric_dot_products_and_one_window_is_the_spectrum(m, na
         _assert_near_fsum(s, d.reshape(*d.shape[:-1], -1, nw).swapaxes(-3, -2))
 
 
+def _all_pairs_gram(d):
+    """The Gram as it was first written: one vecdot over the broadcast of every
+    row pair, the rows summed in _DOT_CHUNK chunks."""
+    a, b = d[..., :, None, :], d[..., None, :, :]
+    return sum(np.vecdot(a[..., c : c + _DOT_CHUNK], b[..., c : c + _DOT_CHUNK])
+               for c in range(0, d.shape[-1], _DOT_CHUNK))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 600),
+    windows=st.sampled_from([None, 1, 3, 8]),
+    hop=st.sampled_from([None, 1, 5, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# pinned whatever the derandomized draw: the chunked path, M = 1, M = 23, and
+# a view stack of the benchmark's shape (64 windows 512 samples apart, octave 1)
+@example(m=4, n=8193, windows=None, hop=None, seed=0)
+@example(m=1, n=300, windows=3, hop=None, seed=1)
+@example(m=23, n=253, windows=3, hop=64, seed=2)
+@example(m=4, n=2046, windows=64, hop=256, seed=3)
+def test_gram_is_the_all_pairs_gram_bit_for_bit(m, n, windows, hop, seed):
+    # windows=None: one (M, n) array; hop=None: a contiguous (2, windows, M, n)
+    # stack; otherwise (windows, M, n) strided views of one series, hop
+    # coefficients apart, as analysis._window_pyramid lays them
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    if windows is None:
+        d = rng.normal(size=(m, n)) * scales
+    elif hop is None:
+        d = rng.normal(size=(2, windows, m, n)) * scales
+    else:
+        row = rng.normal(size=(m, n + hop * (windows - 1))) * scales
+        d = sliding_window_view(row, n, axis=1)[:, ::hop].swapaxes(0, 1)
+    g, ref = _gram(d), _all_pairs_gram(d)
+    assert g.shape == ref.shape == (*d.shape[:-1], m)
+    assert g.tobytes() == ref.tobytes()
+
+
 def test_spectra_of_long_rows_have_the_same_bits_at_any_blas_thread_count():
     # OpenBLAS splits one dot product of more than 10,000 terms across its
     # threads; 50,000 coefficients per row take the chunked path
@@ -338,3 +382,33 @@ def test_spectra_of_long_rows_have_the_same_bits_at_any_blas_thread_count():
     assert hexes == {s.tobytes().hex()}
     assert np.array_equal(s, s.T)
     _assert_near_fsum(s, d)
+
+
+def _openblas_dynamic_arch_x86_64() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch_x86_64(),
+                    reason="OPENBLAS_CORETYPE selects a kernel only in an x86-64 DYNAMIC_ARCH OpenBLAS")
+def test_spectra_are_exactly_symmetric_under_the_prescott_kernel():
+    # under Prescott, vecdot(x, y) and vecdot(y, x) can differ in the last bit
+    # at odd lengths; the db2 counts of 4096 samples are 2046, 1021, 509, 253
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import numpy as np\n"
+        "from ofbmkit.wavelet import dwt, spectrum_set, windowed_spectra\n"
+        "p = dwt(np.random.default_rng(0).normal(size=(4, 4096)), 4)\n"
+        "s = spectrum_set(p, 1, 4)\n"
+        "print(np.array_equal(s, s.swapaxes(-1, -2)))\n"
+        "for j in range(1, 5):\n"
+        "    w = windowed_spectra(p, j, 4)\n"
+        "    print(np.array_equal(w, w.swapaxes(-1, -2)))\n"
+    )
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 5
