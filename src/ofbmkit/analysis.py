@@ -38,12 +38,13 @@ from .errors import (
 )
 from .estimation import (
     DEFAULT_BALANCE,
+    ESTIMATORS,
     EstimateRecord,
     RegressionWeights,
     ScalingRangeConfig,
     _check_octaves,
+    _numerical_rank,
     analyze,
-    estimate_windows,
     regression_weights,
     scaling_range,
     sorted_eigenvalues,
@@ -54,11 +55,6 @@ from .wavelet import (
     DEFAULT_FILTER, WaveletFilter, WaveletPyramid, as_components, check_finite, dwt, filter_bank,
     octave_counts,
 )
-
-# estimator code -> the EstimateRecord field that holds its estimates
-_RECORD_FIELDS = {"U": "h_u", "M": "h_m", "BC": "h_m_bc"}
-ESTIMATORS = tuple(_RECORD_FIELDS)
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -155,13 +151,17 @@ def _in_band(est: np.ndarray) -> np.ndarray:
 
 def mahalanobis_samples(est: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of each row from the sample mean, the same
-    whatever the units of each component."""
+    whatever the units of each component.  Raises SingularCovariance when the
+    covariance's numerical rank, by the spectra's rule, is below M."""
     est = np.asarray(est, dtype=float)
     if est.ndim != 2 or est.shape[0] <= est.shape[1]:
         raise SingularCovariance(f"need more realizations than components, got shape {est.shape}")
     est = _in_band(est)
     centered = est - est.mean(axis=0)
     cov = np.atleast_2d(np.cov(est, rowvar=False, ddof=1))
+    rank = int(_numerical_rank(np.linalg.eigvalsh(cov)))
+    if rank < est.shape[1]:
+        raise SingularCovariance(f"estimate covariance has numerical rank {rank} < M = {est.shape[1]}")
     try:
         sol = np.linalg.solve(cov, centered.T)
     except np.linalg.LinAlgError as exc:
@@ -319,7 +319,7 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
 
     est = {
         code: np.stack([getattr(rec, name) for rec in records])
-        for code, name in _RECORD_FIELDS.items()
+        for code, name in ESTIMATORS.items()
     }
     v_n = v_n_approx(cfg.weights, cfg.counts)
     h_true = cfg.params.hurst
@@ -380,8 +380,9 @@ def sliding_window_estimates(
     Windows whose starts agree mod 2^j2 share one wavelet pyramid: at every
     octave j <= j2 their coefficients are slices of it.  They are estimated
     in blocks, sized from M, the window and the octave range, so working
-    memory grows neither with the number of windows nor with the hop.  Every
-    record equals :func:`analyze` on its window bit for bit.  Raises
+    memory grows neither with the number of windows nor with the hop.  Each
+    block is one :func:`analyze` call, and every record equals it on its
+    window alone, bit for bit.  Raises
     ShapeMismatch for more than two dimensions, the errors of
     :func:`_window_starts` (a hop outside 1..window, a series shorter than
     one window), DegenerateRange unless 1 <= j1 < j2, and the errors of
@@ -396,7 +397,6 @@ def sliding_window_estimates(
     m = x.shape[0]
     counts = octave_counts(window, f, j2, m)
     check_finite(x)
-    w = regression_weights(j1, j2, balance=balance, counts=counts[j1 - 1 :])
     # windows i and i + phases are the nearest pair whose starts agree mod 2^j2
     phases = 2**j2 // math.gcd(hop, 2**j2)
     per_block = _block_windows(m, window, j1, j2)
@@ -405,10 +405,11 @@ def sliding_window_estimates(
         same_phase = range(first, len(starts), phases)
         for b in range(0, len(same_phase), per_block):
             idx = same_phase[b : b + per_block]
-            block = [starts[i] for i in idx]
-            pyr = _window_pyramid(x, block, window, hop * phases, j2, f, counts)
-            for i, rec in zip(idx, estimate_windows(pyr, w, block)):
-                out[i] = rec
+            pyr = _window_pyramid(x, [starts[i] for i in idx], window, hop * phases, j2, f, counts)
+            s = analyze(pyr, j1, j2, balance=balance)
+            # record i holds row i of each stacked estimate and table
+            for i, *row in zip(idx, s.h_u, s.h_m, s.h_m_bc, s.log_eig, s.log_eig_bc, s.diag_logs):
+                out[i] = EstimateRecord(*row[:3], j1, j2, s.weights, *row[3:], starts[i])
     return out
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    ESTIMATORS,
     McConfig,
     _window_starts,
     bh_reject,
@@ -36,6 +35,7 @@ from .analysis import (
 from .errors import DataError, MalformedInput, OfbmkitError
 from .estimation import (
     DEFAULT_BALANCE,
+    ESTIMATORS,
     ScalingRangeConfig,
     analyze,
     record_to_dict,
@@ -255,8 +255,7 @@ def cmd_sliding(args) -> int:
         f=filter_bank(args.filter),
         balance=_weights_mode(args),
     )
-    # (windows, estimators, M), estimators in ESTIMATORS order
-    h = np.stack([(r.h_u, r.h_m, r.h_m_bc) for r in records])
+    h = np.stack([[getattr(r, name) for name in ESTIMATORS.values()] for r in records])
     if labels is not None:
         # the tests and BH run before any file is written, so a bad --alpha writes nothing
         mask = wlabels == groups[0]

@@ -143,14 +143,20 @@ def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(s)
 
 
+def _numerical_rank(lam: np.ndarray) -> np.ndarray:
+    """Numerical rank of symmetric matrices from their ascending eigenvalues
+    ``lam`` (..., M): how many exceed M * eps * the largest, a cutoff that
+    holds whatever the sign of a singular matrix's rounding noise."""
+    return (lam > lam.shape[-1] * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1)
+
+
 def _check_rank(lam: np.ndarray, j1: int, spectrum: str = "the wavelet spectrum") -> None:
     """Raise RankDeficientSpectrum, the one place that does, at the first octave
-    whose spectrum, in any window, has numerical rank below M: fewer than M of
-    its ascending eigenvalues ``lam`` (octaves, ..., M, from octave j1) exceed
-    M * eps * the largest, a cutoff that holds whatever the sign of a singular
-    spectrum's rounding noise.  ``spectrum`` opens the message."""
+    whose spectrum, in any window, has numerical rank below M; ``lam`` holds
+    the ascending eigenvalues (octaves, ..., M) from octave j1 and
+    ``spectrum`` opens the message."""
     m = lam.shape[-1]
-    rank = (lam > m * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1).reshape(len(lam), -1).min(axis=1)
+    rank = _numerical_rank(lam).reshape(len(lam), -1).min(axis=1)
     if (rank < m).any():
         row = int(np.argmax(rank < m))
         raise RankDeficientSpectrum(
@@ -170,9 +176,14 @@ def averaged_log_eigenvalues(windows: np.ndarray, j: int) -> np.ndarray:
     return np.log2(lam, order="C").mean(axis=-2)
 
 
+# estimator code -> the EstimateRecord field that holds its estimates
+ESTIMATORS = {"U": "h_u", "M": "h_m", "BC": "h_m_bc"}
+
+
 @dataclass(frozen=True)
 class EstimateRecord:
-    """All three estimates plus the log-eigenvalue tables behind them."""
+    """All three estimates plus the log-eigenvalue tables behind them.  A
+    pyramid with leading window axes gives arrays with those axes in front."""
 
     h_u: np.ndarray
     h_m: np.ndarray
@@ -196,42 +207,22 @@ def analyze(
 ) -> EstimateRecord:
     """Run the full estimation pipeline on a series (or prebuilt pyramid).
 
-    Raises DegenerateRange unless 1 <= j1 < j2, and ScaleUnavailable when a
-    pyramid stops short of j2.
+    A pyramid of (..., M, n_j) window stacks (views are fine) keeps those
+    leading axes in every estimate and table, and each window's numbers are
+    its own analyze's bit for bit: a spectrum entry is one dot product, an
+    eigendecomposition one LAPACK call.  Raises DegenerateRange unless
+    1 <= j1 < j2, and ScaleUnavailable when a pyramid stops short of j2.
     """
     _check_octaves(j1, j2)
     pyr = x if isinstance(x, WaveletPyramid) else dwt(np.asarray(x, dtype=float), j2, f)
     counts = [pyr.details(j).shape[-1] for j in range(j1, j2 + 1)]
     w = regression_weights(j1, j2, balance=balance, counts=counts)
-    h_u, h_m, h_m_bc, log_eig, log_eig_bc, diag_logs = _estimates(pyr, w)
-    return EstimateRecord(h_u, h_m, h_m_bc, j1, j2, w, log_eig, log_eig_bc, diag_logs, t_start)
-
-
-def estimate_windows(pyr: WaveletPyramid, w: RegressionWeights, t_starts) -> list[EstimateRecord]:
-    """All three estimates for each of T windows in one batched pass.
-
-    ``pyr`` holds the windows' coefficients as (T, M, n_j) stacks (views are
-    fine).  Every window gets the same numbers, bit for bit, as
-    :func:`analyze` on that window alone: each spectrum entry is one dot
-    product of two coefficient rows and each eigendecomposition its own
-    LAPACK call.  Record i holds row i of each stacked table and estimate.
-    """
-    rows = zip(*_estimates(pyr, w), t_starts)
-    return [
-        EstimateRecord(h_u, h_m, h_m_bc, w.j1, w.j2, w, log_eig, log_eig_bc, diag_logs, t_start)
-        for h_u, h_m, h_m_bc, log_eig, log_eig_bc, diag_logs, t_start in rows
-    ]
-
-
-def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> tuple:
-    """(h_u, h_m, h_m_bc, log_eig, log_eig_bc, diag_logs) of a pyramid, keeping
-    its leading window axes."""
     # finite samples can still overflow in the coefficients' products
     with np.errstate(over="ignore", invalid="ignore"):
-        spectra = spectrum_set(pyr, w.j1, w.j2)  # (octaves, ..., M, M)
+        spectra = spectrum_set(pyr, j1, j2)  # (octaves, ..., M, M)
     finite = np.isfinite(spectra).reshape(len(spectra), -1).all(axis=1)
     if not finite.all():
-        j = w.j1 + int(np.argmin(finite))
+        j = j1 + int(np.argmin(finite))
         raise NonFiniteData(f"the wavelet spectrum at octave {j} overflows double precision")
     diags = spectra.diagonal(axis1=-2, axis2=-1)
     if (diags <= 0.0).any():
@@ -239,9 +230,9 @@ def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> tuple:
 
     # windows first: a window n_j2 below M raises WindowTooSmall there, and
     # would make the full-sample spectrum at j2 singular too
-    windows = [windowed_spectra(pyr, j, w.j2) for j in range(w.j1, w.j2)]
+    windows = [windowed_spectra(pyr, j, j2) for j in range(j1, j2)]
     lam = sorted_eigenvalues(spectra)
-    _check_rank(lam, w.j1)
+    _check_rank(lam, j1)
 
     # octaves next to the components, (..., octaves, M), in C order, so that
     # the regression sees the layout of a stack of per-octave rows
@@ -249,16 +240,10 @@ def _estimates(pyr: WaveletPyramid, w: RegressionWeights) -> tuple:
     log_eig = np.log2(np.moveaxis(lam, 0, -2), order="C")
     # the one window at j2 is the whole octave: its spectrum is S(2^j2) bit
     # for bit, and the mean of its log-eigenvalues is log_eig's last row
-    bc = [averaged_log_eigenvalues(s, j) for j, s in enumerate(windows, w.j1)]
+    bc = [averaged_log_eigenvalues(s, j) for j, s in enumerate(windows, j1)]
     log_eig_bc = np.stack(bc + [log_eig[..., -1, :]], axis=-2)
-    return (
-        0.5 * (w.w @ log_diag - 1.0),
-        0.5 * (w.w @ log_eig - 1.0),
-        0.5 * (w.w @ log_eig_bc - 1.0),
-        log_eig,
-        log_eig_bc,
-        log_diag,
-    )
+    h_u, h_m, h_m_bc = (0.5 * (w.w @ y - 1.0) for y in (log_diag, log_eig, log_eig_bc))
+    return EstimateRecord(h_u, h_m, h_m_bc, j1, j2, w, log_eig, log_eig_bc, log_diag, t_start)
 
 
 def record_to_dict(r: EstimateRecord) -> dict:

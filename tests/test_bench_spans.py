@@ -9,6 +9,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ofbmkit.synthesis import CirculantEmbedding
@@ -61,3 +62,22 @@ def test_install_wraps_and_uninstall_restores(spans):
             assert getattr(mod, attr) is fn, (mod.__name__, attr)
     for attr, method in methods.items():
         assert CirculantEmbedding.__dict__[attr] is method, attr
+
+
+def test_traced_sliding_records_its_estimation_spans(spans):
+    # each block of windows is one analyze call, so a traced sliding run
+    # times the estimators and their eigendecompositions
+    from ofbmkit import analysis
+
+    x = np.random.default_rng(0).normal(size=(2, 1200)).cumsum(axis=1)
+    rec = spans.Recorder(op_spans=("estimation.analyze",))
+    rec.install()
+    try:
+        analysis.sliding_window_estimates(x, 514, 128, 1, 4)
+    finally:
+        rec.uninstall()
+    names = {s[2] for s in rec.spans}
+    for name in (
+        "estimation.analyze", "estimation.sorted_eigenvalues", "estimation.averaged_log_eigenvalues"
+    ):
+        assert name in names, name
