@@ -150,16 +150,20 @@ def _in_band(est: np.ndarray) -> np.ndarray:
 
 
 def mahalanobis_samples(est: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance of each row from the sample mean, the same
-    whatever the units of each component.  Raises SingularCovariance when the
-    covariance's numerical rank, by the spectra's rule, is below M."""
+    """Squared Mahalanobis distance of each row from the sample mean, the same whatever
+    the units of each component.  Raises SingularCovariance for a constant component
+    or a correlation matrix whose numerical rank, by the spectra's rule, is below M."""
     est = np.asarray(est, dtype=float)
     if est.ndim != 2 or est.shape[0] <= est.shape[1]:
         raise SingularCovariance(f"need more realizations than components, got shape {est.shape}")
     est = _in_band(est)
     centered = est - est.mean(axis=0)
     cov = np.atleast_2d(np.cov(est, rowvar=False, ddof=1))
-    rank = int(_numerical_rank(np.linalg.eigvalsh(cov)))
+    sd = np.sqrt(cov.diagonal())
+    if (sd == 0.0).any():
+        raise SingularCovariance(f"estimate component {int(np.argmax(sd == 0.0))} is constant")
+    # a correlation matrix, unlike a covariance, keeps its rank whatever the units
+    rank = int(_numerical_rank(np.linalg.eigvalsh(cov / np.outer(sd, sd))))
     if rank < est.shape[1]:
         raise SingularCovariance(f"estimate covariance has numerical rank {rank} < M = {est.shape[1]}")
     try:
@@ -317,10 +321,7 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         records = list(pool.map(one, range(1, cfg.n_mc + 1)))
 
-    est = {
-        code: np.stack([getattr(rec, name) for rec in records])
-        for code, name in ESTIMATORS.items()
-    }
+    est = {code: np.stack([getattr(r, name) for r in records]) for code, name in ESTIMATORS.items()}
     v_n = v_n_approx(cfg.weights, cfg.counts)
     h_true = cfg.params.hurst
     return McReport(
@@ -331,8 +332,7 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
 
 
 def _json(value):
-    """An array as a list, or None (JSON null) where it is undefined (all NaN);
-    any other value as it is."""
+    """An array as a list, or None (JSON null) where it is undefined (all NaN); else the value."""
     if not isinstance(value, np.ndarray):
         return value
     return None if np.isnan(value).all() else value.tolist()
@@ -382,12 +382,11 @@ def sliding_window_estimates(
     in blocks, sized from M, the window and the octave range, so working
     memory grows neither with the number of windows nor with the hop.  Each
     block is one :func:`analyze` call, and every record equals it on its
-    window alone, bit for bit.  Raises
-    ShapeMismatch for more than two dimensions, the errors of
-    :func:`_window_starts` (a hop outside 1..window, a series shorter than
-    one window), DegenerateRange unless 1 <= j1 < j2, and the errors of
-    :func:`~ofbmkit.wavelet.octave_counts` when a window cannot reach j2
-    with n_j2 >= M.
+    window alone, bit for bit.  Raises ShapeMismatch for more than two
+    dimensions, the errors of :func:`_window_starts` (a hop outside
+    1..window, a series shorter than one window), DegenerateRange unless
+    1 <= j1 < j2, and the errors of :func:`~ofbmkit.wavelet.octave_counts`
+    when a window cannot reach j2 with n_j2 >= M.
     """
     x = as_components(x)
     starts = _window_starts(x.shape[1], window, hop)
@@ -407,9 +406,11 @@ def sliding_window_estimates(
             idx = same_phase[b : b + per_block]
             pyr = _window_pyramid(x, [starts[i] for i in idx], window, hop * phases, j2, f, counts)
             s = analyze(pyr, j1, j2, balance=balance)
-            # record i holds row i of each stacked estimate and table
-            for i, *row in zip(idx, s.h_u, s.h_m, s.h_m_bc, s.log_eig, s.log_eig_bc, s.diag_logs):
-                out[i] = EstimateRecord(*row[:3], j1, j2, s.weights, *row[3:], starts[i])
+            block = {k.name: getattr(s, k.name) for k in fields(s)}
+            # every array of the block's record has its windows in front
+            stacked = [name for name, a in block.items() if isinstance(a, np.ndarray)]
+            for i, *row in zip(idx, *(block[name] for name in stacked)):
+                out[i] = EstimateRecord(**(block | dict(zip(stacked, row)) | {"t_start": starts[i]}))
     return out
 
 

@@ -144,9 +144,8 @@ def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
 
 
 def _numerical_rank(lam: np.ndarray) -> np.ndarray:
-    """Numerical rank of symmetric matrices from their ascending eigenvalues
-    ``lam`` (..., M): how many exceed M * eps * the largest, a cutoff that
-    holds whatever the sign of a singular matrix's rounding noise."""
+    """Numerical rank from ascending eigenvalues ``lam`` (..., M): how many exceed
+    M * eps * the largest, a cutoff that holds whatever the sign of rounding noise."""
     return (lam > lam.shape[-1] * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1)
 
 
