@@ -281,8 +281,11 @@ def estimate_correlation(est: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _embedding(params: ModelParams, n: int) -> CirculantEmbedding:
-    """The embedding of the last study, keyed by the params object's identity."""
-    return CirculantEmbedding(params, n)
+    """The embedding of the last study, keyed by the params object's identity;
+    its draws reuse their work buffers, one pair per draw that ran at once."""
+    emb = CirculantEmbedding(params, n)
+    emb._spare = []
+    return emb
 
 
 def _statistics(est: np.ndarray, h_true: np.ndarray, v_n: float) -> dict:
@@ -302,7 +305,8 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
 
     Stacks each estimator's estimates and builds its statistics once.  The next
     study of the same params object at the same n reuses this one's
-    embedding, which holds M^2 * (size/2 + 1) doubles until another replaces it.
+    embedding, which holds M^2 * (size/2 + 1) doubles, and the draws' work
+    buffers of 2 M (size + 2) doubles per thread, until another replaces it.
     Raises ShapeMismatch for ``threads`` below 1, before any embedding is built.
     """
     if threads < 1:

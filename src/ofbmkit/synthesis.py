@@ -12,8 +12,11 @@ semidefinite; negative spectral mass is clipped and reported.
 
 Memory: the factor is M^2 (size/2 + 1) doubles, built in place a block of
 frequencies at a time, so the build peaks below twice the factor once the
-factor spans a few blocks (``_BLOCK_VALUES``); a draw peaks at about four
-times the path it returns.
+factor spans a few blocks (``_BLOCK_VALUES``).  A draw runs through two work
+buffers of M (size + 2) doubles, together about four times the path it
+returns, and a one-shot draw peaks there and keeps nothing.  The embedding
+that ``run_mc`` memoizes keeps one such pair per concurrent draw for as long
+as the memo holds it (2.1 MB per thread at M = 4, n = 2^14).
 
 Reproducibility: all randomness flows through a counter-based Philox generator
 keyed by a 64-bit seed, and normal variates are produced by inverse-CDF from
@@ -78,20 +81,32 @@ def _check_length(n: int) -> None:
         raise SeriesTooShort(f"need at least 2 samples, got {n}")
 
 
-def gaussian_variates(seed: int, shape) -> np.ndarray:
+def gaussian_variates(seed: int, shape, *, out: np.ndarray | None = None) -> np.ndarray:
     """Deterministic standard-normal array for a 64-bit seed.
 
     The top 53 bits k of each Philox 64-bit word give the uniform
     (k + 1/2) * 2^-53, drawn as ``Generator.random``'s k * 2^-53 plus 2^-54
     (scaling by a power of two commutes with rounding, so the bits are the
     same), and are pushed through the inverse normal CDF in place; the layout
-    of ``shape`` is part of the stream contract.  A seed outside
-    0 .. 2^64 - 1 raises SeedOutOfRange.
+    of ``shape`` is part of the stream contract.  With ``out``, a writable
+    C-contiguous float64 array of that shape, the normals are written there
+    and ``out`` is returned; any other ``out`` raises ShapeMismatch.  A seed
+    outside 0 .. 2^64 - 1 raises SeedOutOfRange.
     """
     from scipy.special import ndtri  # imported here: estimate and sliding never load scipy
 
     _check_seeds(seed)
-    u = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(shape)
+    if out is None:
+        out = np.empty(shape)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == tuple(np.atleast_1d(shape).tolist())
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ShapeMismatch(f"out must be a writable C-contiguous float64 array of shape {shape}")
+    u = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(out=out)
     u += 2.0**-54
     return ndtri(u, out=u)
 
@@ -142,7 +157,8 @@ class CirculantEmbedding:
     :meth:`sample` is the fast path for Monte Carlo work.  The instance keeps
     only the factor, M^2 (size/2 + 1) doubles; building it peaks below twice
     that for a factor of more than a few blocks, and :meth:`sample` at about
-    four times the returned path.
+    four times the returned path.  The instance that ``run_mc`` memoizes also
+    keeps one pair of work buffers, about four paths, per concurrent draw.
     """
 
     def __init__(self, params: ModelParams, n: int):
@@ -180,6 +196,7 @@ class CirculantEmbedding:
             )
 
         self._factor = factor
+        self._spare = None  # free list of work-buffer pairs for sample, if any
         self.size = size
         self.report = EmbeddingReport(
             embedding_size=size,
@@ -210,10 +227,12 @@ class CirculantEmbedding:
         def spectrum(c):  # of the lags periodized over size: symmetric, so real
             return np.fft.rfft(np.concatenate((c, c[-2:0:-1]))).real
 
-        # both orders of a pair: sigma need not be symmetric in the last bit
+        # both orders of a pair, as sigma need not be symmetric in the last bit;
+        # bitwise equal lag rows share one transform
         for i, j in combinations_with_replacement(range(m), 2):
             lam = spectrum(buf[i, j])
-            buf[i, j] = buf[j, i] = 0.5 * (lam + (lam if i == j else spectrum(buf[j, i])))
+            same = i == j or np.array_equal(buf[i, j], buf[j, i])
+            buf[i, j] = buf[j, i] = 0.5 * (lam + (lam if same else spectrum(buf[j, i])))
         evals = np.empty((half + 1, m))
         reach = 0.0  # sum of |factor| entries so far
         for blk in blocks:
@@ -237,37 +256,53 @@ class CirculantEmbedding:
         Hermitian half-spectrum.  ``kind="mfGn"`` returns these increments and
         ``kind="mfBm"`` their cumulative sum; any other kind raises ShapeMismatch.
         The path's array is written once, owned by the path and read-only.
+        Its two work buffers come from and go back to the free list ``_spare``
+        if there is one; else the first is dropped before the path is made.
         """
         if kind not in ("mfGn", "mfBm"):
             raise ShapeMismatch(f"kind must be 'mfGn' or 'mfBm', got {kind!r}")
-        # no reference to the normals is kept here, so _paths can free them
-        x = self._paths(gaussian_variates(seed, (self.params.m, self.size)))
+        m, size = self.params.m, self.size
+        try:
+            a, b = (self._spare or []).pop()
+        except IndexError:  # no free list, or no spare pair in it
+            a, b = np.empty(m * (size + 2)), np.empty(m * (size + 2))
+        gaussian_variates(seed, (m, size), out=a[: m * size].reshape(m, size))
+        x = self._paths(a, b)
+        if self._spare is None:
+            del a  # so that a one-shot draw peaks at four paths, not five
         data = np.cumsum(x, axis=1) if kind == "mfBm" else x.copy()
         data.setflags(write=False)
+        if self._spare is not None:
+            self._spare.append((a, b))
         return SamplePath(data=data, params=self.params, seed=int(seed), kind=kind)
 
-    def _paths(self, z: np.ndarray) -> np.ndarray:
+    def _paths(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Linear map from (M, size) standard normals to M x n mixed increments.
 
-        Column f of ``z`` is the noise at frequency f of the full spectrum;
-        its Hermitian part is drawn: real z[0] and z[size/2], and
-        (z[f] + z[size - f]) / 2 + i (z[f] - z[size - f]) / 2 in between.
-        ``z`` is never written; each intermediate is dropped once used.
+        The normals z fill the head of ``a``, a flat buffer of M (size + 2)
+        doubles like ``b``.  Column f of z is the noise at frequency f of the
+        full spectrum; its Hermitian part is drawn: real z[0] and z[size/2],
+        and (z[f] + z[size - f]) / 2 + i (z[f] - z[size - f]) / 2 in between.
+        Its real and imaginary parts go to ``b``, the mapped half-spectrum to
+        ``a`` and the inverse FFT to ``b``, of which the increments are a view.
         """
-        m, half = self.params.m, self.size // 2
+        m, size = self.params.m, self.size
+        half = size // 2
+        z = a[: m * size].reshape(m, size)
         mirror = z[:, :half:-1]  # frequencies size - f for f = 1..size/2 - 1
-        re = z[:, : half + 1].copy()
+        re = b[: m * (half + 1)].reshape(m, half + 1)
+        im = b[m * (half + 1) : m * size].reshape(m, half - 1)
+        re[:, [0, half]] = z[:, [0, half]]
         np.add(z[:, 1:half], mirror, out=re[:, 1:half])
         re[:, 1:half] *= 0.5
-        im = z[:, 1:half] - mirror
+        np.subtract(z[:, 1:half], mirror, out=im)
         im *= 0.5
-        del z, mirror
-        spec = np.empty((m, half + 1, 2))  # real and imaginary parts
+        spec = a.reshape(m, half + 1, 2)  # real and imaginary parts, over z
         np.einsum("ijf,jf->if", self._factor, re, out=spec[..., 0])
         np.einsum("ijf,jf->if", self._factor[:, :, 1:half], im, out=spec[:, 1:half, 1])
-        del re, im
         spec[:, [0, half], 1] = 0.0
-        x = np.fft.irfft(spec.view(complex)[..., 0], n=self.size, axis=1)
+        x = b[: m * size].reshape(m, size)
+        np.fft.irfft(spec.view(complex)[..., 0], n=size, axis=1, out=x)
         return x[:, : self.n]
 
     def realized_covariance(self, max_lag: int) -> np.ndarray:

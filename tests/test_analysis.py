@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from unittest import mock
 
@@ -662,6 +663,42 @@ def test_run_mc_builds_once_for_studies_of_one_params_and_n(builds):
     assert len(builds) == 1
     assert reports == [_fresh_report(cfg) for cfg in cfgs]  # byte for byte
     assert len(builds) == 3
+
+
+def test_run_mc_studies_of_one_embedding_allocate_a_buffer_pair_per_thread():
+    # each draw takes a spare pair of work buffers or makes one, and gives it
+    # back: two threads never need more than two pairs, whatever the studies
+    analysis._embedding.cache_clear()
+    seen = {}  # id -> buffer, held so that no id is reused
+    for seed0, threads in ((11, 2), (900, 2), (5000, 1)):
+        run_mc(_study(SMALL_P, seed0=seed0), threads=threads)
+        spare = analysis._embedding(SMALL_P, 2**12)._spare
+        seen.update((id(a), a) for pair in spare for a in pair)
+        assert 1 <= len(spare) <= len(seen) // 2 <= 2
+    assert len(spare) == len(seen) // 2  # every pair made came back
+    analysis._embedding.cache_clear()
+
+
+def test_concurrent_draws_never_share_a_buffer_pair():
+    # more threads than cores, switching often: a pair taken by two draws at
+    # once would mix their paths, which then differ from the one-shot draws
+    from concurrent.futures import ThreadPoolExecutor
+
+    analysis._embedding.cache_clear()
+    emb = analysis._embedding(SMALL_P, 2**10)
+    one_shot = CirculantEmbedding(SMALL_P, 2**10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(emb.sample, seed, "mfBm") for seed in range(200)]
+            paths = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, path in enumerate(paths):
+        assert np.array_equal(path.data, one_shot.sample(seed, "mfBm").data), seed
+    assert 1 <= len(emb._spare) <= 8
+    analysis._embedding.cache_clear()
 
 
 def test_run_mc_builds_again_for_another_n_or_params_object(builds):

@@ -115,6 +115,32 @@ def test_gaussian_variates_golden_digests(seed, shape, digest):
     assert _sha256(gaussian_variates(seed, shape)) == digest
 
 
+def test_gaussian_variates_fill_out_with_the_fresh_draws_bits():
+    for seed, shape in ((0, (8,)), (42, (3, 100)), (2**64 - 1, (2, 4, 16))):
+        buf = np.full(shape, np.nan)
+        assert gaussian_variates(seed, shape, out=buf) is buf
+        assert np.array_equal(buf, gaussian_variates(seed, shape))
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((3, 2)),
+        np.empty(6),
+        np.empty((2, 3), dtype=np.float32),
+        np.empty((2, 3), dtype=complex),
+        np.empty((3, 2)).T,
+        np.empty((2, 4))[:, :3],
+        np.empty((2, 3)).tolist(),
+        np.frombuffer(bytes(48)).reshape(2, 3),
+    ],
+    ids=["shape", "flat", "float32", "complex", "fortran", "strided", "list", "read-only"],
+)
+def test_gaussian_variates_refuse_an_out_of_another_shape_dtype_or_layout(out):
+    with pytest.raises(ShapeMismatch, match="out must be"):
+        gaussian_variates(0, (2, 3), out=out)
+
+
 QUAD = make_params(
     [0.6] * 4,
     np.ones(4),
@@ -158,7 +184,9 @@ def test_sampling_map_exact_covariance(params, n):
     assert emb.report.clipped_mass == 0.0
     m, size = params.m, emb.size
     units = np.eye(m * size).reshape(m * size, m, size)
-    a = np.stack([emb._paths(e).ravel() for e in units], axis=1)  # (m*n, m*size)
+    # each unit vector at the head of a work buffer of M (size + 2) values
+    work = np.hstack((units.reshape(m * size, -1), np.zeros((m * size, 2 * m))))
+    a = np.stack([emb._paths(e, np.empty_like(e)).ravel() for e in work], axis=1)  # (m*n, m*size)
     realized = (a @ a.T).reshape(m, n, m, n)
     w = params.mixing
     gam = np.einsum("ij,fjk,lk->fil", w, mfgn_covariance_matrices(params, np.arange(n)), w)
@@ -181,9 +209,9 @@ def test_sample_draws_one_normal_per_embedding_slot(monkeypatch):
     shapes = []
     real = synthesis.gaussian_variates
 
-    def spy(seed, shape):
+    def spy(seed, shape, **kwargs):
         shapes.append(shape)
-        return real(seed, shape)
+        return real(seed, shape, **kwargs)
 
     monkeypatch.setattr(synthesis, "gaussian_variates", spy)
     emb = CirculantEmbedding(BIV, 100)
@@ -284,6 +312,25 @@ def test_blocked_build_equals_the_one_shot_build(params, n):
     _assert_equals_one_shot(params, n)
 
 
+@pytest.mark.parametrize(
+    "params, transforms",
+    [(QUAD, 4 + 6), (SKEW3, 3 + 3 + 1)],
+    ids=["m4-symmetric", "m3-skew-sigma"],
+)
+def test_build_transforms_bitwise_equal_lag_rows_once(monkeypatch, params, transforms):
+    # one transform per component and per pair, and a second where the pair's
+    # two lag rows differ in some bit (SKEW3's pair (1, 2)); the factor and the
+    # report equal the build that transforms both orders of every pair
+    factor, report = _one_shot_embedding(params, 2**10)
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, *a, **k: calls.append(x.size) or rfft(x, *a, **k))
+    emb = CirculantEmbedding(params, 2**10)
+    assert calls == [emb.size] * transforms
+    assert np.array_equal(emb._factor, factor)
+    assert emb.report == report
+
+
 def test_skew_sigma_model_is_asymmetric_in_the_last_bit():
     sigma = SKEW3.sigma
     assert not np.array_equal(sigma, sigma.T)
@@ -339,6 +386,19 @@ def test_sample_peaks_within_four_and_a_half_paths(m, n, kind):
     emb.sample(0, kind=kind)
     path, peak = _peak_bytes(lambda: emb.sample(1, kind=kind))
     assert peak <= 4.5 * path.data.nbytes
+
+
+@pytest.mark.parametrize("kind", ["mfGn", "mfBm"])
+def test_one_shot_sample_keeps_nothing_after_it_returns(kind):
+    CirculantEmbedding(QUAD, 2**14).sample(0, kind=kind)  # first-call allocations
+    emb = CirculantEmbedding(QUAD, 2**14)
+    tracemalloc.start()
+    try:
+        path = emb.sample(1, kind=kind)
+        kept = tracemalloc.get_traced_memory()[0] - path.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert abs(kept) < 0.01 * path.data.nbytes  # a pair of work buffers is four paths
 
 
 def test_white_noise_sample_moments():
