@@ -31,7 +31,7 @@ print(f"bias-corrected   H^M,bc = {np.round(rec.h_m_bc, 3)}")
 
 print("\nlog2 eigenvalues of the wavelet spectrum per octave (slope ~ 2H+1):")
 print("  j | sorted log2 eigenvalues | window-averaged")
-for row, j in enumerate(range(rec.j1, rec.j2 + 1)):
+for row, j in enumerate(range(rec.weights.j1, rec.weights.j2 + 1)):
     print(f"  {j} | {np.round(rec.log_eig[row], 2)} | {np.round(rec.log_eig_bc[row], 2)}")
 
 slopes = np.diff(rec.log_eig, axis=0).mean(axis=0)

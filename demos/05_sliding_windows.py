@@ -35,6 +35,7 @@ pvals = [
 ]
 print("\nrank-sum p-values per component:", np.round(pvals, 5))
 rep = bh_reject(pvals, alpha=0.05)
-print("step-up thresholds:", np.round(rep.bh_thresholds, 4))
-print("rejected (sorted order):", rep.rejected.tolist())
-print("components flagged:", (rep.original_indices[rep.rejected] + 1).tolist())
+print("step-up thresholds:", np.round(rep["bh_thresholds"], 4))
+print("rejected (sorted order):", rep["rejected"])
+flagged = [i + 1 for i, rejected in zip(rep["original_indices"], rep["rejected"]) if rejected]
+print("components flagged:", flagged)

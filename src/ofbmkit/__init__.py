@@ -11,7 +11,6 @@ exponent vector with :func:`analyze` or benchmark estimators with
 __version__ = "0.1.0"
 
 from .analysis import (
-    GroupTestReport,
     McConfig,
     McReport,
     bh_reject,

@@ -34,7 +34,6 @@ from .errors import (
     ShapeMismatch,
     SingularCovariance,
     WindowTooSmall,
-    ZeroVariance,
 )
 from .estimation import (
     DEFAULT_BALANCE,
@@ -104,10 +103,17 @@ class McReport:
     stats: dict  # code -> the statistics of _statistics, by name
 
 
+def _check_finite(what: str, *arrays) -> None:
+    """Raise NonFiniteData unless every value of ``arrays`` is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteData(f"{what} must be finite")
+
+
 def performance_matrices(est: np.ndarray, h_true) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Squared-bias, covariance and MSE matrices of an (n_mc, M) estimate array.
 
     Population (1/n_mc) normalization, so mse = bias2 + cov holds exactly.
+    Raises NonFiniteData for a NaN or infinite estimate.
     """
     est = np.asarray(est, dtype=float)
     h = np.asarray(h_true, dtype=float)
@@ -115,6 +121,7 @@ def performance_matrices(est: np.ndarray, h_true) -> tuple[np.ndarray, np.ndarra
         raise ShapeMismatch(f"estimates {est.shape} incompatible with true vector {h.shape}")
     if est.shape[0] < 2:
         raise ShapeMismatch("need at least two realizations")
+    _check_finite("estimates", est)
     mean = est.mean(axis=0)
     db = mean - h
     bias2 = np.outer(db, db)
@@ -140,10 +147,16 @@ def v_n_approx(w: RegressionWeights, counts) -> float:
     return float(0.5 * math.log2(math.e) ** 2 * np.sum(w.w**2 / counts))
 
 
-def _in_band(est: np.ndarray) -> np.ndarray:
-    """est with each component whose largest |value| lies outside [2^-200, 2^200]
-    scaled into it by a power of two, which is exact; inside it nothing moves.
-    Covariances of the scaled values neither overflow nor underflow."""
+def _checked_in_band(est: np.ndarray) -> np.ndarray:
+    """(n_mc, M) estimates with each component whose largest |value| lies outside
+    [2^-200, 2^200] scaled into it by a power of two, which is exact; inside it
+    nothing moves.  Covariances of the scaled values neither overflow nor
+    underflow.  Raises NonFiniteData for a NaN or infinite estimate, and
+    SingularCovariance naming the first component whose values are all equal."""
+    _check_finite("estimates", est)
+    constant = est.max(axis=0) == est.min(axis=0)
+    if constant.any():
+        raise SingularCovariance(f"estimate component {int(np.argmax(constant))} is constant")
     top = np.abs(est).max(axis=0)
     e = np.frexp(top)[1]
     return np.ldexp(est, np.where((top < 2.0**-200) | (top > 2.0**200), -e, 0))
@@ -151,17 +164,15 @@ def _in_band(est: np.ndarray) -> np.ndarray:
 
 def mahalanobis_samples(est: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of each row from the sample mean, the same whatever
-    the units of each component.  Raises SingularCovariance for a constant component
-    or a correlation matrix whose numerical rank, by the spectra's rule, is below M."""
+    the units of each component.  Raises NonFiniteData for a NaN or infinite estimate, and
+    SingularCovariance for a constant component or a correlation of numerical rank below M."""
     est = np.asarray(est, dtype=float)
     if est.ndim != 2 or est.shape[0] <= est.shape[1]:
         raise SingularCovariance(f"need more realizations than components, got shape {est.shape}")
-    est = _in_band(est)
+    est = _checked_in_band(est)
     centered = est - est.mean(axis=0)
     cov = np.atleast_2d(np.cov(est, rowvar=False, ddof=1))
     sd = np.sqrt(cov.diagonal())
-    if (sd == 0.0).any():
-        raise SingularCovariance(f"estimate component {int(np.argmax(sd == 0.0))} is constant")
     # a correlation matrix, unlike a covariance, keeps its rank whatever the units
     rank = int(_numerical_rank(np.linalg.eigvalsh(cov / np.outer(sd, sd))))
     if rank < est.shape[1]:
@@ -207,8 +218,7 @@ def wilcoxon_ranksum(x, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if x.size == 0 or y.size == 0:
         raise EmptySample("both samples must be nonempty")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFiniteData("rank-sum samples must be finite")
+    _check_finite("rank-sum samples", x, y)
     n1, n2 = x.size, y.size
     n = n1 + n2
     ranks = _midranks(np.concatenate([x, y]))
@@ -233,21 +243,10 @@ def wilcoxon_ranksum(x, y) -> float:
     return min(1.0, math.erfc(adj / math.sqrt(2.0 * var)))
 
 
-@dataclass(frozen=True)
-class GroupTestReport:
-    """Step-up multiple-testing outcome over sorted p-values."""
-
-    pvalues: np.ndarray  # ascending
-    original_indices: np.ndarray
-    bh_thresholds: np.ndarray  # k * alpha / K
-    rejected: np.ndarray  # aligned with the sorted order; a prefix
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
-
-
-def bh_reject(pvals, alpha: float) -> GroupTestReport:
-    """Benjamini-Hochberg step-up rule at false-discovery rate alpha."""
+def bh_reject(pvals, alpha: float) -> dict:
+    """Benjamini-Hochberg step-up rule at false-discovery rate alpha, as the record
+    groups.json prints: ascending p-values, their original indices, the thresholds
+    k * alpha / K and the rejected flags, a prefix of the sorted order."""
     p = np.asarray(pvals, dtype=float).ravel()
     if p.size == 0:
         raise EmptySample("no p-values supplied")
@@ -261,21 +260,18 @@ def bh_reject(pvals, alpha: float) -> GroupTestReport:
     thresholds = k * alpha / p.size
     passing = np.nonzero(sp <= thresholds)[0]
     cut = passing[-1] + 1 if passing.size else 0
-    rejected = k <= cut
-    return GroupTestReport(
-        pvalues=sp, original_indices=order, bh_thresholds=thresholds, rejected=rejected
-    )
+    return {"pvalues": sp.tolist(), "original_indices": order.tolist(),
+            "bh_thresholds": thresholds.tolist(), "rejected": (k <= cut).tolist()}
 
 
 def estimate_correlation(est: np.ndarray) -> np.ndarray:
     """Pearson correlation matrix of the estimate components, the same whatever
-    the units of each component."""
+    the units of each component.  Raises NonFiniteData for a NaN or infinite
+    estimate and SingularCovariance for a constant component."""
     est = np.asarray(est, dtype=float)
     if est.ndim != 2 or est.shape[0] < 3:
         raise ShapeMismatch("need an (n_mc >= 3, M) estimate array")
-    est = _in_band(est)
-    if np.any(est.std(axis=0) == 0.0):
-        raise ZeroVariance("an estimate component has zero variance")
+    est = _checked_in_band(est)
     return np.corrcoef(est, rowvar=False).reshape(est.shape[1], est.shape[1])
 
 

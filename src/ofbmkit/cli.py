@@ -262,7 +262,7 @@ def cmd_sliding(args) -> int:
         tests = {}
         for e, code in enumerate(ESTIMATORS):
             pvals = [wilcoxon_ranksum(h[mask, e, m], h[~mask, e, m]) for m in range(h.shape[2])]
-            tests[code] = bh_reject(pvals, args.alpha).to_dict()
+            tests[code] = bh_reject(pvals, args.alpha)
 
     out = args.out_dir
     windows = [

@@ -4,10 +4,10 @@
 its ``exit_code``: 2 for :class:`MalformedInput` (an input file that cannot be
 parsed) and :class:`SeedOutOfRange` (a seed outside 0 .. 2^64 - 1), 3 for
 :class:`ModelValidationError` (a model parameter problem), 4 for
-:class:`DataError` (anything raised while crunching data: a
-:class:`SeriesTooShort` names the octave a series reaches, and a
-:class:`RankDeficientSpectrum` the octave of the singular spectrum) and 4 for
-any other :class:`OfbmkitError`.
+:class:`DataError` (anything raised while crunching data: a :class:`SeriesTooShort`
+names the octave a series reaches, a :class:`NonPositiveDiagonal` the flat channel
+and its octave, a :class:`RankDeficientSpectrum` the octave of the singular
+spectrum) and 4 for any other :class:`OfbmkitError`.
 """
 
 
@@ -121,7 +121,7 @@ class NotSymmetric(DataError):
 
 
 class NonPositiveDiagonal(DataError):
-    pass
+    """A channel's spectrum diagonal is at most M * eps times the octave's largest."""
 
 
 class RankDeficientSpectrum(DataError):
@@ -130,7 +130,7 @@ class RankDeficientSpectrum(DataError):
 
 
 class SingularCovariance(DataError):
-    pass
+    """Monte Carlo estimates have a constant component or a correlation of rank below M."""
 
 
 class BadProbability(DataError):
@@ -138,10 +138,6 @@ class BadProbability(DataError):
 
 
 class EmptySample(DataError):
-    pass
-
-
-class ZeroVariance(DataError):
     pass
 
 

@@ -181,14 +181,12 @@ ESTIMATORS = {"U": "h_u", "M": "h_m", "BC": "h_m_bc"}
 
 @dataclass(frozen=True)
 class EstimateRecord:
-    """All three estimates plus the log-eigenvalue tables behind them.  A
-    pyramid with leading window axes gives arrays with those axes in front."""
+    """All three estimates, the weights of octaves weights.j1..j2 and the tables
+    behind them.  A pyramid with leading window axes puts those axes in front."""
 
     h_u: np.ndarray
     h_m: np.ndarray
     h_m_bc: np.ndarray
-    j1: int
-    j2: int
     weights: RegressionWeights
     log_eig: np.ndarray  # (n_octaves, M) sorted log2 eigenvalues
     log_eig_bc: np.ndarray  # (n_octaves, M) window-averaged log2 eigenvalues
@@ -210,9 +208,12 @@ def analyze(
     leading axes in every estimate and table, and each window's numbers are
     its own analyze's bit for bit: a spectrum entry is one dot product, an
     eigendecomposition one LAPACK call.  Raises DegenerateRange unless
-    1 <= j1 < j2, and ScaleUnavailable when a pyramid stops short of j2.
+    1 <= j1 < j2, ShapeMismatch for a pyramid with an ``f``, ScaleUnavailable
+    when a pyramid stops short of j2, and NonPositiveDiagonal for a flat channel.
     """
     _check_octaves(j1, j2)
+    if isinstance(x, WaveletPyramid) and f is not None:
+        raise ShapeMismatch("a filter goes with a series; a pyramid has its filter already")
     pyr = x if isinstance(x, WaveletPyramid) else dwt(np.asarray(x, dtype=float), j2, f)
     counts = [pyr.details(j).shape[-1] for j in range(j1, j2 + 1)]
     w = regression_weights(j1, j2, balance=balance, counts=counts)
@@ -224,8 +225,10 @@ def analyze(
         j = j1 + int(np.argmin(finite))
         raise NonFiniteData(f"the wavelet spectrum at octave {j} overflows double precision")
     diags = spectra.diagonal(axis1=-2, axis2=-1)
-    if (diags <= 0.0).any():
-        raise NonPositiveDiagonal("spectrum diagonal entries must be positive")
+    flat = diags <= diags.shape[-1] * np.finfo(float).eps * diags.max(axis=-1, keepdims=True)
+    if flat.any():
+        j, *_, c = np.argwhere(flat)[0]
+        raise NonPositiveDiagonal(f"channel {c + 1} has no fluctuation at octave {j1 + j}")
 
     # windows first: a window n_j2 below M raises WindowTooSmall there, and
     # would make the full-sample spectrum at j2 singular too
@@ -242,16 +245,17 @@ def analyze(
     bc = [averaged_log_eigenvalues(s, j) for j, s in enumerate(windows, j1)]
     log_eig_bc = np.stack(bc + [log_eig[..., -1, :]], axis=-2)
     h_u, h_m, h_m_bc = (0.5 * (w.w @ y - 1.0) for y in (log_diag, log_eig, log_eig_bc))
-    return EstimateRecord(h_u, h_m, h_m_bc, j1, j2, w, log_eig, log_eig_bc, log_diag, t_start)
+    return EstimateRecord(h_u, h_m, h_m_bc, w, log_eig, log_eig_bc, log_diag, t_start)
 
 
 def record_to_dict(r: EstimateRecord) -> dict:
+    """estimate.json, whose j1 and j2 are the weights' octave range."""
     return {
         "H_U": r.h_u.tolist(),
         "H_M": r.h_m.tolist(),
         "H_M_bc": r.h_m_bc.tolist(),
-        "j1": r.j1,
-        "j2": r.j2,
+        "j1": r.weights.j1,
+        "j2": r.weights.j2,
         "weights": r.weights.w.tolist(),
         "log_eig": r.log_eig.tolist(),
         "log_eig_bc": r.log_eig_bc.tolist(),

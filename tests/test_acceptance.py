@@ -251,8 +251,8 @@ def test_criterion_11_statistical_utilities():
     median = chi2_quantiles(2, [0.5])[0]
     ok = (
         abs(p_exact - 0.1) < 1e-12
-        and bh.rejected.tolist() == [True, True, False]
-        and np.allclose(bh.bh_thresholds, [0.05 / 3, 0.10 / 3, 0.05])
+        and bh["rejected"] == [True, True, False]
+        and np.allclose(bh["bh_thresholds"], [0.05 / 3, 0.10 / 3, 0.05])
         and abs(median - 2.0 * np.log(2.0)) < 1e-9
     )
     report(11, "rank-sum exact case, step-up rejections, chi-square median",

@@ -37,7 +37,6 @@ from ofbmkit.errors import (
     ShapeMismatch,
     SingularCovariance,
     WindowTooSmall,
-    ZeroVariance,
 )
 from ofbmkit.estimation import analyze, regression_weights, sorted_eigenvalues
 from ofbmkit.model import make_params
@@ -403,9 +402,9 @@ def test_wilcoxon_rejects_a_non_finite_sample(bad):
 
 def test_bh_step_up_example():
     rep = bh_reject([0.01, 0.02, 0.2], 0.05)
-    np.testing.assert_allclose(rep.bh_thresholds, [0.05 / 3, 0.10 / 3, 0.05])
-    assert rep.rejected.tolist() == [True, True, False]
-    assert rep.original_indices.tolist() == [0, 1, 2]
+    np.testing.assert_allclose(rep["bh_thresholds"], [0.05 / 3, 0.10 / 3, 0.05])
+    assert rep["rejected"] == [True, True, False]
+    assert rep["original_indices"] == [0, 1, 2]
 
 
 def test_bh_rejection_set_is_prefix():
@@ -413,15 +412,15 @@ def test_bh_rejection_set_is_prefix():
     for _ in range(50):
         p = rng.uniform(size=rng.integers(1, 30))
         rep = bh_reject(p, 0.1)
-        r = rep.rejected.astype(int)
+        r = np.array(rep["rejected"], dtype=int)
         assert np.all(np.diff(r) <= 0)  # ones then zeros
-        assert np.all(np.diff(rep.bh_thresholds) > 0)
+        assert np.all(np.diff(rep["bh_thresholds"]) > 0)
 
 
 def test_bh_edge_cases():
-    assert not bh_reject([1.0, 1.0, 1.0], 0.05).rejected.any()
+    assert not any(bh_reject([1.0, 1.0, 1.0], 0.05)["rejected"])
     rep = bh_reject([0.0, 0.9], 0.05)
-    assert rep.rejected[0]
+    assert rep["rejected"][0]
     with pytest.raises(BadProbability):
         bh_reject([0.5, 1.2], 0.05)
     with pytest.raises(BadProbability):
@@ -436,7 +435,7 @@ def test_bh_rejects_an_empty_sample():
 def test_bh_step_up_jump():
     # p_(2) fails its threshold but p_(3) passes: step-up rejects the first three
     rep = bh_reject([0.01, 0.06, 0.07, 0.9], 0.1)
-    assert rep.rejected.tolist() == [True, True, True, False]
+    assert rep["rejected"] == [True, True, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +461,31 @@ def test_estimate_correlation_independent_columns():
 def test_estimate_correlation_zero_variance():
     est = np.zeros((10, 2))
     est[:, 1] = np.arange(10)
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(SingularCovariance, match="^estimate component 0 is constant$"):
         estimate_correlation(est)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3])
+def test_a_constant_component_is_refused_whatever_its_mean_rounds_to(value):
+    # ten copies of 0.1 have a mean that is not 0.1, so their rounded deviations
+    # are not zero; the statistics of such a column are noise, not data
+    est = np.random.default_rng(14).normal(size=(10, 2))
+    est[:, 1] = value
+    for fn in (estimate_correlation, mahalanobis_samples):
+        with pytest.raises(SingularCovariance, match="^estimate component 1 is constant$"):
+            fn(est)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "fn", [estimate_correlation, mahalanobis_samples, lambda est: performance_matrices(est, [0.5, 0.5])],
+    ids=["estimate_correlation", "mahalanobis_samples", "performance_matrices"],
+)
+def test_estimate_statistics_refuse_a_non_finite_estimate(fn, bad):
+    est = np.random.default_rng(15).normal(size=(20, 2))
+    est[7, 1] = bad
+    with pytest.raises(NonFiniteData, match="^estimates must be finite$"):
+        fn(est)
 
 
 def test_estimate_correlation_needs_three_realizations():

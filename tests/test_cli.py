@@ -363,6 +363,20 @@ def test_estimate_non_finite_sample_exit_4(tmp_path, capsys, bad):
     assert not (out_dir / "estimate.json").exists()
 
 
+@pytest.mark.parametrize("level", ["5.0", "0.0"], ids=["constant", "zero"])
+def test_estimate_flat_channel_exit_4(tmp_path, capsys, level):
+    rows = _walk_rows(3000)
+    for row in rows:
+        row[1] = level
+    out_dir = tmp_path / "est"
+    rc = main(["estimate", _write_series(tmp_path / "x.csv", rows), "--out-dir", str(out_dir),
+               "--j1", "1", "--j2", "4"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err == "estimation error: NonPositiveDiagonal: channel 1 has no fluctuation at octave 1\n"
+    assert not out_dir.exists()
+
+
 def test_sliding_non_finite_sample_exit_4(tmp_path, capsys):
     rows = _walk_rows(3000, label=True)
     rows[2999][1] = "nan"

@@ -287,6 +287,24 @@ def test_nonpositive_diagonal_error():
         analyze(with_coeffs(pyr, coeffs), 3, 5, balance="uniform")
 
 
+@pytest.mark.parametrize("level", [5.0, 0.0], ids=["constant", "zero"])
+@pytest.mark.parametrize("name", ["haar", "db2", "db4"])
+def test_a_flat_channel_gets_one_error_whatever_the_filter(name, level):
+    # the filters leave a flat channel's diagonal at exactly 0 (haar) or at
+    # rounding noise 1e-32..1e-29 of the largest (db2, db4): one rule refuses both
+    x = np.random.default_rng(3).normal(size=(3, 4096)).cumsum(axis=1)
+    x[2] = level
+    with pytest.raises(NonPositiveDiagonal, match="^channel 3 has no fluctuation at octave 2$"):
+        analyze(x, 2, 6, f=filter_bank(name))
+
+
+def test_a_pyramid_takes_no_filter():
+    x = np.random.default_rng(4).normal(size=(2, 2048)).cumsum(axis=1)
+    pyr = dwt(x, 6, filter_bank("haar"))
+    with pytest.raises(ShapeMismatch, match="pyramid"):
+        analyze(pyr, 2, 6, f=filter_bank("db4"))
+
+
 def test_nonpositive_eigenvalue_error():
     pyr = exact_pyramid(np.array([0.4, 0.6]), 3, 5)
     coeffs = list(pyr.coeffs)
