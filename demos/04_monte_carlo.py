@@ -26,7 +26,7 @@ params = make_params([0.6] * m, np.ones(m), rho, mix)
 cfg = McConfig(params=params, n=2**13, n_mc=200, seed0=1)
 rep = run_mc(cfg, threads=4)
 
-print(f"N = 2^13, {cfg.n_mc} realizations, octaves {rep.j1}..{rep.j2}, equal H = 0.6\n")
+print(f"N = 2^13, {cfg.n_mc} realizations, octaves {cfg.weights.j1}..{cfg.weights.j2}, equal H = 0.6\n")
 print("spectral norms of the performance matrices:")
 print("  estimator |   bias^2   |    cov     |    mse")
 for code, label in (("U", "univariate"), ("M", "multivar"), ("BC", "corrected")):
@@ -38,7 +38,7 @@ for code in ("M", "BC"):
     print(f"  mean H^{code}: {np.round(rep.estimates[code].mean(axis=0), 3)}")
 
 print("\nvariance against the closed-form approximation V_N:")
-print("  V_N =", f"{rep.v_n:.3e}")
+print("  V_N =", f"{cfg.v_n:.3e}")
 for code in ("U", "M", "BC"):
-    ratio = rep.estimates[code].var(axis=0, ddof=1) / rep.v_n
+    ratio = rep.estimates[code].var(axis=0, ddof=1) / cfg.v_n
     print(f"  Var(H^{code})/V_N per component: {np.round(ratio, 2)}")

@@ -29,6 +29,8 @@ from .errors import (
     DataError,
     EmptySample,
     NonFiniteData,
+    NonPositiveDiagonal,
+    RankDeficientSpectrum,
     SampleTooSmall,
     SeriesTooShort,
     ShapeMismatch,
@@ -59,7 +61,7 @@ from .wavelet import (
 class McConfig:
     """One Monte Carlo study: model, sample size, realization count, seeds.  Every
     check runs when the config is made, before any synthesis, which also sets the
-    read-only ``counts`` (n_j1 .. n_j2) and ``weights`` (RegressionWeights of j1..j2)."""
+    read-only ``counts`` (n_j1 .. n_j2), ``weights`` (of j1..j2) and their ``v_n``."""
 
     params: ModelParams
     n: int
@@ -72,6 +74,7 @@ class McConfig:
     j2: int | None = None
     counts: tuple = field(init=False, repr=False, compare=False)
     weights: RegressionWeights = field(init=False, repr=False, compare=False)
+    v_n: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_mc < 2:
@@ -82,23 +85,16 @@ class McConfig:
         f = filter_bank(self.filter_name)
         _check_length(self.n)
         counts = octave_counts(self.n, f, j2, self.params.m)[j1 - 1 :]
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "weights", regression_weights(j1, j2, self.balance, counts))
+        w = regression_weights(j1, j2, self.balance, counts)
+        for name, value in (("counts", counts), ("weights", w), ("v_n", v_n_approx(w, counts))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class McReport:
-    """Aggregated Monte Carlo results, fields in mc_report.json order."""
+    """Aggregated Monte Carlo results of the study ``config``."""
 
-    n: int
-    n_mc: int
-    seed0: int
-    j1: int
-    j2: int
-    h_true: np.ndarray
-    weights: np.ndarray
-    counts: tuple  # n_j1 .. n_j2
-    v_n: float
+    config: McConfig
     estimates: dict  # code (U / M / BC) -> (n_mc, M)
     stats: dict  # code -> the statistics of _statistics, by name
 
@@ -113,7 +109,7 @@ def performance_matrices(est: np.ndarray, h_true) -> tuple[np.ndarray, np.ndarra
     """Squared-bias, covariance and MSE matrices of an (n_mc, M) estimate array.
 
     Population (1/n_mc) normalization, so mse = bias2 + cov holds exactly.
-    Raises NonFiniteData for a NaN or infinite estimate.
+    Raises NonFiniteData for a NaN or infinite estimate or true value.
     """
     est = np.asarray(est, dtype=float)
     h = np.asarray(h_true, dtype=float)
@@ -122,6 +118,7 @@ def performance_matrices(est: np.ndarray, h_true) -> tuple[np.ndarray, np.ndarra
     if est.shape[0] < 2:
         raise ShapeMismatch("need at least two realizations")
     _check_finite("estimates", est)
+    _check_finite("true values", h)
     mean = est.mean(axis=0)
     db = mean - h
     bias2 = np.outer(db, db)
@@ -284,15 +281,15 @@ def _embedding(params: ModelParams, n: int) -> CirculantEmbedding:
     return emb
 
 
-def _statistics(est: np.ndarray, h_true: np.ndarray, v_n: float) -> dict:
-    """One estimator's statistics from its (n_mc, M) estimates, in report order;
-    corr is all NaN below 3 realizations and mahalanobis at n_mc <= M (undefined)."""
+def _statistics(est: np.ndarray, cfg: McConfig) -> dict:
+    """One estimator's statistics from its (n_mc, M) estimates in the study ``cfg``, in
+    report order; corr is all NaN below 3 realizations and mahalanobis at n_mc <= M (undefined)."""
     n_mc, m = est.shape
-    stats = dict(zip(("bias2", "cov", "mse"), performance_matrices(est, h_true)))
+    stats = dict(zip(("bias2", "cov", "mse"), performance_matrices(est, cfg.params.hurst)))
     stats["spectral_norms"] = {name: spectral_norm(mat) for name, mat in stats.items()}
     stats["corr"] = estimate_correlation(est) if n_mc >= 3 else np.full((m, m), np.nan)
     stats["mahalanobis"] = mahalanobis_samples(est) if n_mc > m else np.full(n_mc, np.nan)
-    stats["rel_var_diff"] = (est.var(axis=0, ddof=1) - v_n) / v_n
+    stats["rel_var_diff"] = (est.var(axis=0, ddof=1) - cfg.v_n) / cfg.v_n
     return stats
 
 
@@ -307,14 +304,13 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
     """
     if threads < 1:
         raise ShapeMismatch(f"threads must be at least 1, got {threads}")
-    j1, j2 = cfg.weights.j1, cfg.weights.j2
     f = filter_bank(cfg.filter_name)
     emb = _embedding(cfg.params, cfg.n)
 
     def one(r: int) -> EstimateRecord:
         try:
             path = emb.sample(cfg.seed0 + r, kind="mfBm")
-            return analyze(path.data, j1, j2, f=f, balance=cfg.balance)
+            return analyze(path.data, cfg.weights.j1, cfg.weights.j2, f=f, balance=cfg.balance)
         except DataError as exc:
             raise type(exc)(f"realization {r}: {exc}") from exc
 
@@ -322,13 +318,7 @@ def run_mc(cfg: McConfig, threads: int = 1) -> McReport:
         records = list(pool.map(one, range(1, cfg.n_mc + 1)))
 
     est = {code: np.stack([getattr(r, name) for r in records]) for code, name in ESTIMATORS.items()}
-    v_n = v_n_approx(cfg.weights, cfg.counts)
-    h_true = cfg.params.hurst
-    return McReport(
-        n=cfg.n, n_mc=cfg.n_mc, seed0=cfg.seed0, j1=j1, j2=j2, h_true=h_true,
-        weights=cfg.weights.w, counts=cfg.counts, v_n=v_n, estimates=est,
-        stats={code: _statistics(a, h_true, v_n) for code, a in est.items()},
-    )
+    return McReport(cfg, est, {code: _statistics(a, cfg) for code, a in est.items()})
 
 
 def _json(value):
@@ -339,8 +329,12 @@ def _json(value):
 
 
 def report_to_dict(rep: McReport) -> dict:
-    """mc_report.json: the head fields, then per code its estimates and statistics."""
-    out = {f.name: _json(getattr(rep, f.name)) for f in fields(rep)[:-2]}
+    """mc_report.json: the study's size, seeds, octave range, true H, weights, counts
+    and V_N, then per code its estimates and statistics."""
+    cfg, w = rep.config, rep.config.weights
+    out = {"n": cfg.n, "n_mc": cfg.n_mc, "seed0": cfg.seed0, "j1": w.j1, "j2": w.j2,
+           "h_true": cfg.params.hurst.tolist(), "weights": w.w.tolist(), "counts": cfg.counts,
+           "v_n": cfg.v_n}
     out["estimators"] = {
         code: {k: _json(v) for k, v in [("estimates", rep.estimates[code]), *rep.stats[code].items()]}
         for code in ESTIMATORS
@@ -386,7 +380,8 @@ def sliding_window_estimates(
     dimensions, the errors of :func:`_window_starts` (a hop outside
     1..window, a series shorter than one window), DegenerateRange unless
     1 <= j1 < j2, and the errors of :func:`~ofbmkit.wavelet.octave_counts`
-    when a window cannot reach j2 with n_j2 >= M.
+    when a window cannot reach j2 with n_j2 >= M.  A NonFiniteData, NonPositiveDiagonal
+    or RankDeficientSpectrum of one window is raised again prefixed by ``window at samples a..b: ``.
     """
     x = as_components(x)
     starts = _window_starts(x.shape[1], window, hop)
@@ -405,7 +400,11 @@ def sliding_window_estimates(
         for b in range(0, len(same_phase), per_block):
             idx = same_phase[b : b + per_block]
             pyr = _window_pyramid(x, [starts[i] for i in idx], window, hop * phases, j2, f, counts)
-            s = analyze(pyr, j1, j2, balance=balance)
+            try:
+                s = analyze(pyr, j1, j2, balance=balance)
+            except (NonFiniteData, NonPositiveDiagonal, RankDeficientSpectrum) as exc:
+                t = starts[idx[exc.window[0]]]
+                raise type(exc)(f"window at samples {t}..{t + window - 1}: {exc}") from exc
             block = {k.name: getattr(s, k.name) for k in fields(s)}
             # every array of the block's record has its windows in front
             stacked = [name for name, a in block.items() if isinstance(a, np.ndarray)]

@@ -198,8 +198,8 @@ def cmd_mc(args) -> int:
     ]
     _write_csv(os.path.join(out, "estimates.csv"), ["r", "estimator", "m", "value"], estimates)
     # one plotting position and chi-square quantile per realization, shared by the estimators
-    probs = (np.arange(1, rep.n_mc + 1) - 0.5) / rep.n_mc
-    chi2 = chi2_quantiles(rep.h_true.size, probs).tolist()
+    probs = (np.arange(1, cfg.n_mc + 1) - 0.5) / cfg.n_mc
+    chi2 = chi2_quantiles(cfg.params.m, probs).tolist()
     qq = [
         (code, *values)
         for code, stats in rep.stats.items()
@@ -209,7 +209,7 @@ def cmd_mc(args) -> int:
     header = ["estimator", "p", "chi2_quantile", "mahalanobis_quantile"]
     _write_csv(os.path.join(out, "qq.csv"), header, qq)
     norms = [
-        (rep.n, float(np.log2(rep.n)), code, name, float(value))
+        (cfg.n, float(np.log2(cfg.n)), code, name, float(value))
         for code, stats in rep.stats.items()
         for name, value in stats["spectral_norms"].items()
     ]

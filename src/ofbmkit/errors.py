@@ -73,6 +73,7 @@ class DataError(OfbmkitError):
     """A computation on concrete data failed."""
 
     exit_code = 4
+    window = ()  # the index, on a pyramid's window axes, of the window it failed in
     template = "estimation error: {name}: {message}"
 
 

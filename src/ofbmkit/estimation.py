@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateRange,
     NonFiniteData,
     NonPositiveDiagonal,
@@ -125,21 +126,13 @@ def scaling_range(
 
 
 def sorted_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Ascending real eigenvalues of a symmetric matrix, or of each in a (..., M, M) stack.
-
-    A stack that is not exactly symmetric must be symmetric within 1e-8 of
-    each matrix's largest entry (else NotSymmetric); its symmetric part is
-    decomposed, which for an exactly symmetric one is the stack itself.
-    """
+    """Ascending real eigenvalues of a symmetric matrix, or of each in a (..., M, M)
+    stack; raises NotSymmetric unless the stack is exactly symmetric."""
     s = np.asarray(s, dtype=float)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise ShapeMismatch(f"expected a square matrix, got shape {s.shape}")
-    st = s.swapaxes(-1, -2)
-    if not np.array_equal(s, st):
-        scale = np.abs(s).max(axis=(-2, -1))
-        if (np.abs(s - st).max(axis=(-2, -1)) > 1e-8 * scale).any():
-            raise NotSymmetric("matrix is asymmetric beyond tolerance")
-        s = 0.5 * (s + st)
+    if not np.array_equal(s, s.swapaxes(-1, -2)):
+        raise NotSymmetric("matrix is not exactly symmetric")
     return np.linalg.eigvalsh(s)
 
 
@@ -149,27 +142,33 @@ def _numerical_rank(lam: np.ndarray) -> np.ndarray:
     return (lam > lam.shape[-1] * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1)
 
 
-def _check_rank(lam: np.ndarray, j1: int, spectrum: str = "the wavelet spectrum") -> None:
-    """Raise RankDeficientSpectrum, the one place that does, at the first octave
-    whose spectrum, in any window, has numerical rank below M; ``lam`` holds
-    the ascending eigenvalues (octaves, ..., M) from octave j1 and
-    ``spectrum`` opens the message."""
-    m = lam.shape[-1]
-    rank = _numerical_rank(lam).reshape(len(lam), -1).min(axis=1)
+def _raise(error: type[DataError], at, message: str) -> None:
+    """Raise ``error(message)`` whose ``window`` is ``at``, an index on a pyramid's window axes."""
+    exc = error(message)
+    exc.window = tuple(int(i) for i in at)
+    raise exc
+
+
+def _check_rank(rank: np.ndarray, m: int, j1: int, spectrum: str = "the wavelet spectrum") -> None:
+    """Raise RankDeficientSpectrum, the one place that does, at the first octave and
+    there the first window whose rank, in ``rank`` (octaves, ...) from octave j1
+    over a pyramid's window axes, is below M; ``spectrum`` opens the message."""
     if (rank < m).any():
-        row = int(np.argmax(rank < m))
-        raise RankDeficientSpectrum(
-            f"{spectrum} at octave {j1 + row} has numerical rank {rank[row]} < M = {m}: "
-            "the channels are linearly dependent; drop a channel or undo the common reference"
+        j, *at = np.argwhere(rank < m)[0]
+        _raise(
+            RankDeficientSpectrum, at,
+            f"{spectrum} at octave {j1 + j} has numerical rank {rank[(j, *at)]} < M = {m}: "
+            "the channels are linearly dependent; drop a channel or undo the common reference",
         )
 
 
 def averaged_log_eigenvalues(windows: np.ndarray, j: int) -> np.ndarray:
     """Mean over windows of sorted log2 eigenvalues; windows is (..., T, M, M),
     the windowed spectra at octave j.  Raises RankDeficientSpectrum naming
-    octave j when a window's numerical rank is below M."""
+    octave j, and the leading index ``...``, when a window's numerical rank is below M."""
     lam = np.linalg.eigvalsh(windows)
-    _check_rank(lam[None], j, "a windowed wavelet spectrum")
+    rank = _numerical_rank(lam).min(axis=-1)  # the lowest of the T windows, per leading index
+    _check_rank(rank[None], lam.shape[-1], j, "a windowed wavelet spectrum")
     # C order, so that the mean adds the windows in the same order whatever
     # the layout of a stack of windows
     return np.log2(lam, order="C").mean(axis=-2)
@@ -209,7 +208,8 @@ def analyze(
     its own analyze's bit for bit: a spectrum entry is one dot product, an
     eigendecomposition one LAPACK call.  Raises DegenerateRange unless
     1 <= j1 < j2, ShapeMismatch for a pyramid with an ``f``, ScaleUnavailable
-    when a pyramid stops short of j2, and NonPositiveDiagonal for a flat channel.
+    when a pyramid stops short of j2, and NonPositiveDiagonal for a flat channel;
+    an error found in one window holds that window's index as its ``window``.
     """
     _check_octaves(j1, j2)
     if isinstance(x, WaveletPyramid) and f is not None:
@@ -220,21 +220,20 @@ def analyze(
     # finite samples can still overflow in the coefficients' products
     with np.errstate(over="ignore", invalid="ignore"):
         spectra = spectrum_set(pyr, j1, j2)  # (octaves, ..., M, M)
-    finite = np.isfinite(spectra).reshape(len(spectra), -1).all(axis=1)
-    if not finite.all():
-        j = j1 + int(np.argmin(finite))
-        raise NonFiniteData(f"the wavelet spectrum at octave {j} overflows double precision")
+    if not np.isfinite(spectra).all():
+        j, *at, _, _ = np.argwhere(~np.isfinite(spectra))[0]
+        _raise(NonFiniteData, at, f"the wavelet spectrum at octave {j1 + j} overflows double precision")
     diags = spectra.diagonal(axis1=-2, axis2=-1)
     flat = diags <= diags.shape[-1] * np.finfo(float).eps * diags.max(axis=-1, keepdims=True)
     if flat.any():
-        j, *_, c = np.argwhere(flat)[0]
-        raise NonPositiveDiagonal(f"channel {c + 1} has no fluctuation at octave {j1 + j}")
+        j, *at, c = np.argwhere(flat)[0]
+        _raise(NonPositiveDiagonal, at, f"channel {c + 1} has no fluctuation at octave {j1 + j}")
 
     # windows first: a window n_j2 below M raises WindowTooSmall there, and
     # would make the full-sample spectrum at j2 singular too
     windows = [windowed_spectra(pyr, j, j2) for j in range(j1, j2)]
     lam = sorted_eigenvalues(spectra)
-    _check_rank(lam, j1)
+    _check_rank(_numerical_rank(lam), lam.shape[-1], j1)
 
     # octaves next to the components, (..., octaves, M), in C order, so that
     # the regression sees the layout of a stack of per-octave rows

@@ -166,7 +166,7 @@ def test_criterion_07_variance_approximation():
         cfg = McConfig(params=p, n=n, n_mc=1200, seed0=seed, balance="uniform", j1=j1, j2=j2)
         rep = run_mc(cfg, threads=8)
         for code in ("U", "M", "BC"):
-            ratios[(code, n)] = rep.estimates[code].var(axis=0, ddof=1) / rep.v_n
+            ratios[(code, n)] = rep.estimates[code].var(axis=0, ddof=1) / cfg.v_n
     ok = all(
         np.all((r >= 0.7) & (r <= 1.3)) for (code, _), r in ratios.items() if code != "U"
     ) and all(

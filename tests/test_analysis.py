@@ -30,7 +30,9 @@ from ofbmkit.errors import (
     EmbeddingFailed,
     EmptySample,
     NonFiniteData,
+    NonPositiveDiagonal,
     NotSymmetric,
+    RankDeficientSpectrum,
     SampleTooSmall,
     SeedOutOfRange,
     SeriesTooShort,
@@ -95,9 +97,9 @@ def test_spectral_norm_examples():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_spectral_norm_is_the_largest_eigenvalue_of_the_symmetric_part(m, shift, skew, seed):
-    # exactly symmetric matrices, indefinite ones too, and matrices asymmetric
-    # within 1e-8 of their largest entry give the bits of eigvalsh(0.5 (t + t^T));
-    # NotSymmetric is raised exactly when sorted_eigenvalues raises it
+    # exactly symmetric matrices, indefinite ones too, give the bits of
+    # eigvalsh(0.5 (t + t^T)), which is t itself; NotSymmetric, for any
+    # asymmetry, is raised exactly when sorted_eigenvalues raises it
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(m, m + 2)) * 10.0 ** rng.uniform(-3, 3)
     s = a @ a.T - shift * np.trace(a @ a.T) / m * np.eye(m)
@@ -149,7 +151,7 @@ def test_v_n_tracks_univariate_variance_nonmixing():
     p = make_params([0.6], [1.0])
     cfg = McConfig(params=p, n=2**13, n_mc=400, seed0=910, balance="uniform", j1=5, j2=8)
     rep = run_mc(cfg, threads=4)
-    ratio = rep.estimates["U"].var(axis=0, ddof=1)[0] / rep.v_n
+    ratio = rep.estimates["U"].var(axis=0, ddof=1)[0] / cfg.v_n
     assert abs(ratio - 1.0) < 0.30
 
 
@@ -488,6 +490,24 @@ def test_estimate_statistics_refuse_a_non_finite_estimate(fn, bad):
         fn(est)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_performance_matrices_refuse_a_non_finite_true_value(bad):
+    est = np.random.default_rng(15).normal(size=(20, 2))
+    with pytest.raises(NonFiniteData, match="^true values must be finite$"):
+        performance_matrices(est, [bad, 0.5])
+
+
+def test_performance_matrices_are_exactly_symmetric():
+    # spectral_norm decomposes only exactly symmetric matrices
+    rng = np.random.default_rng(16)
+    for m in range(1, 7):
+        h = rng.uniform(0.1, 0.9, size=m)
+        for n_mc in range(2, 301):
+            est = h + 0.05 * rng.normal(size=(n_mc, m))
+            for mat in performance_matrices(est, h):
+                assert np.array_equal(mat, mat.T), (m, n_mc)
+
+
 def test_estimate_correlation_needs_three_realizations():
     with pytest.raises(ShapeMismatch, match="n_mc >= 3"):
         estimate_correlation(np.arange(4.0).reshape(2, 2))
@@ -510,7 +530,7 @@ def test_run_mc_small_smoke():
         stats = rep.stats[code]
         np.testing.assert_allclose(stats["mse"], stats["bias2"] + stats["cov"], atol=1e-10)
         assert stats["spectral_norms"]["mse"] >= 0.0
-    assert rep.v_n > 0.0
+    assert rep.config.v_n > 0.0
 
 
 def test_run_mc_deterministic_across_threads():
@@ -586,7 +606,7 @@ def test_run_mc_rejects_fewer_than_one_thread_before_any_embedding(threads):
 def test_mc_config_weights_are_every_realizations_weights():
     cfg = McConfig(params=SMALL_P, n=256, n_mc=2, seed0=3, j1=3, j2=5)
     rep = run_mc(cfg)
-    assert cfg.counts == rep.counts == (29, 13, 5)
+    assert rep.config is cfg and cfg.counts == (29, 13, 5)
     path = analysis._embedding(SMALL_P, 256).sample(4, kind="mfBm")
     assert np.array_equal(cfg.weights.w, analysis.analyze(path.data, 3, 5).weights.w)
 
@@ -797,6 +817,52 @@ def test_sliding_window_refuses_a_series_shorter_than_one_window():
     x = np.zeros((1, 300))
     with pytest.raises(SeriesTooShort, match="series of 300 samples is shorter than one window of 514"):
         sliding_window_estimates(x, window=514, hop=100, j1=1, j2=4)
+
+
+def _walk(m, n, seed):
+    return np.random.default_rng(seed).normal(size=(m, n)).cumsum(axis=1)
+
+
+def _flat_from_4096():
+    x = _walk(2, 8192, 3)
+    x[1, 4096:] = x[1, 4096]
+    return x
+
+
+def _overflowing_from_4096():
+    x = _walk(2, 8192, 3)
+    x[:, 4096:] *= 1e160
+    return x
+
+
+def _mixture_from_4096(stop=None):
+    x = _walk(3, 8192, 12)
+    x[2, 4096:stop] = 0.7 * x[0, 4096:stop] - 0.37 * x[1, 4096:stop]
+    return x
+
+
+@pytest.mark.parametrize(
+    "x, window, hop, error, start, message",
+    [
+        (_flat_from_4096(), 2048, 1024, NonPositiveDiagonal, 4096,
+         "channel 2 has no fluctuation at octave 1"),
+        (_overflowing_from_4096(), 2048, 1024, NonFiniteData, 3072,
+         "the wavelet spectrum at octave 1 overflows double precision"),
+        (_mixture_from_4096(), 2048, 1024, RankDeficientSpectrum, 4096,
+         "the wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "),
+        # only the bias-corrected estimator's windows of the quarter 4096..5119 are dependent
+        (_mixture_from_4096(5120), 4096, 4096, RankDeficientSpectrum, 4096,
+         "a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "),
+    ],
+    ids=["flat", "overflow", "dependent", "dependent-in-a-bc-window"],
+)
+def test_sliding_window_refusal_names_the_window(x, window, hop, error, start, message):
+    with pytest.raises(error) as info:
+        sliding_window_estimates(x, window, hop, 1, 4)
+    # the prefix, then the message of the window alone
+    with pytest.raises(error, match=f"^{message}") as alone:
+        analyze(x[:, start : start + window], 1, 4)
+    assert str(info.value) == f"window at samples {start}..{start + window - 1}: {alone.value}"
 
 
 def test_sliding_window_validates_hop():

@@ -377,6 +377,22 @@ def test_estimate_flat_channel_exit_4(tmp_path, capsys, level):
     assert not out_dir.exists()
 
 
+def test_sliding_flat_stretch_exit_4_naming_its_window(tmp_path, capsys):
+    # channel 2 is constant from sample 4096 on
+    x = np.random.default_rng(3).normal(size=(2, 8192)).cumsum(axis=1)
+    x[1, 4096:] = x[1, 4096]
+    rows = [[t, repr(float(a)), repr(float(b))] for t, (a, b) in enumerate(zip(*x))]
+    series = _write_series(tmp_path / "x.csv", rows)
+    rc = main(["sliding", series, "--window", "2048", "--hop", "1024", "--j1", "1", "--j2", "4",
+               "--out-dir", str(tmp_path / "sl")])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "estimation error: NonPositiveDiagonal: window at samples 4096..6143: "
+        "channel 2 has no fluctuation at octave 1\n"
+    )
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
 def test_sliding_non_finite_sample_exit_4(tmp_path, capsys):
     rows = _walk_rows(3000, label=True)
     rows[2999][1] = "nan"
@@ -1161,16 +1177,17 @@ def test_linearly_dependent_channels_exit_4_naming_the_rank(tmp_path, capsys, co
     series = _write_series(tmp_path / "x.csv", rows, ("t", "c1", "c2", "c3"))
     out = str(tmp_path / "o")
     if command == "estimate":
-        extra, octave = ["--j1", "2", "--j2", "6"], 2
+        extra, octave, window = ["--j1", "2", "--j2", "6"], 2, ""
     else:
         extra, octave = ["--window", "2048", "--hop", "1024", "--j1", "1", "--j2", "4"], 1
+        window = "window at samples 0..2047: "
     rc = main([command, series, "--out-dir", out] + extra)
     if kind == "near-mixture":
         assert rc == 0
         return
     assert rc == 4
     assert capsys.readouterr().err == (
-        f"estimation error: RankDeficientSpectrum: the wavelet spectrum at octave {octave} "
+        f"estimation error: RankDeficientSpectrum: {window}the wavelet spectrum at octave {octave} "
         "has numerical rank 2 < M = 3: the channels are linearly dependent; "
         "drop a channel or undo the common reference\n"
     )

@@ -118,7 +118,7 @@ def test_variance_ratio_band_mixing_and_nonmixing():
         cfg = McConfig(params=p, n=2**14, n_mc=400, seed0=seed, balance="uniform", j1=5, j2=8)
         rep = run_mc(cfg, threads=8)
         for code in ("M", "BC"):
-            ratio = rep.estimates[code].var(axis=0, ddof=1) / rep.v_n
+            ratio = rep.estimates[code].var(axis=0, ddof=1) / cfg.v_n
             assert np.all((ratio >= 0.6) & (ratio <= 1.4)), (mix is None, code, ratio)
 
 
