@@ -17,12 +17,11 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadProbability,
@@ -380,8 +379,10 @@ def sliding_window_estimates(
     dimensions, the errors of :func:`_window_starts` (a hop outside
     1..window, a series shorter than one window), DegenerateRange unless
     1 <= j1 < j2, and the errors of :func:`~ofbmkit.wavelet.octave_counts`
-    when a window cannot reach j2 with n_j2 >= M.  A NonFiniteData, NonPositiveDiagonal
-    or RankDeficientSpectrum of one window is raised again prefixed by ``window at samples a..b: ``.
+    when a window cannot reach j2 with n_j2 >= M.  A NonFiniteData, NonPositiveDiagonal or
+    RankDeficientSpectrum of a block names one window (analyze's first at the
+    lowest octave where a check fails), and of those named the earliest one's
+    is raised again prefixed by ``window at samples a..b: ``.
     """
     x = as_components(x)
     starts = _window_starts(x.shape[1], window, hop)
@@ -395,21 +396,32 @@ def sliding_window_estimates(
     phases = 2**j2 // math.gcd(hop, 2**j2)
     per_block = _block_windows(m, window, j1, j2)
     out = [None] * len(starts)
+    # a refusal ends its phase, and windows of the other phases are estimated
+    # up to its start: the refusal raised is the one of the lowest start
+    refused = None  # (window, error)
     for first in range(min(phases, len(starts))):
         same_phase = range(first, len(starts), phases)
         for b in range(0, len(same_phase), per_block):
             idx = same_phase[b : b + per_block]
+            if refused is not None and idx[0] > refused[0]:
+                break  # every later window of this phase starts after the refused one
             pyr = _window_pyramid(x, [starts[i] for i in idx], window, hop * phases, j2, f, counts)
             try:
                 s = analyze(pyr, j1, j2, balance=balance)
             except (NonFiniteData, NonPositiveDiagonal, RankDeficientSpectrum) as exc:
-                t = starts[idx[exc.window[0]]]
-                raise type(exc)(f"window at samples {t}..{t + window - 1}: {exc}") from exc
-            block = {k.name: getattr(s, k.name) for k in fields(s)}
+                i = idx[exc.window[0]]
+                if refused is None or i < refused[0]:
+                    refused = i, exc
+                break
             # every array of the block's record has its windows in front
-            stacked = [name for name, a in block.items() if isinstance(a, np.ndarray)]
-            for i, *row in zip(idx, *(block[name] for name in stacked)):
-                out[i] = EstimateRecord(**(block | dict(zip(stacked, row)) | {"t_start": starts[i]}))
+            w = s.weights
+            for i, hu, hm, hbc, le, lbc, dl in zip(
+                idx, s.h_u, s.h_m, s.h_m_bc, s.log_eig, s.log_eig_bc, s.diag_logs
+            ):
+                out[i] = EstimateRecord(hu, hm, hbc, w, le, lbc, dl, starts[i])
+    if refused is not None:
+        i, exc = refused
+        raise type(exc)(f"window at samples {starts[i]}..{starts[i] + window - 1}: {exc}") from exc
     return out
 
 
@@ -445,9 +457,14 @@ def _window_pyramid(x, starts, window: int, spacing: int, j2: int, f, counts) ->
         )
     pyr = dwt(span, j2, f)
     t = len(starts)
-    coeffs = tuple(
-        sliding_window_view(pyr.details(j), counts[j - 1], axis=1)[:, :: step >> j][:, :t]
-        .swapaxes(0, 1)
-        for j in range(1, j2 + 1)
-    )
-    return WaveletPyramid(coeffs=coeffs)
+    return WaveletPyramid(coeffs=tuple(
+        _window_stack(d, t, n, step >> j) for j, (d, n) in enumerate(zip(pyr.coeffs, counts), 1)
+    ))
+
+
+def _window_stack(d: np.ndarray, t: int, n: int, hop: int) -> np.ndarray:
+    """Read-only (t, M, n) view of the C-ordered M x N array d whose window i is
+    columns i * hop .. i * hop + n - 1; np.ndarray refuses a view that would end past d."""
+    v = np.ndarray((t, d.shape[0], n), d.dtype, d, 0, (hop * d.strides[1], *d.strides))
+    v.flags.writeable = False
+    return v

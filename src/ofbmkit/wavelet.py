@@ -164,7 +164,9 @@ def _check_window(nw: int, m: int) -> None:
 
 def dwt(x: np.ndarray, j_max: int, f: WaveletFilter | None = None) -> WaveletPyramid:
     """Pyramid transform of an M x N array (a 1-d array is treated as M=1) to
-    octave ``j_max``.
+    octave ``j_max``: the details of octaves 1..j_max, from the approximations
+    of octaves 0..j_max-1 (the samples being octave 0's).  The approximation at
+    j_max, which no detail reads, is not computed.
 
     Raises SeriesTooShort when the series does not reach ``j_max``
     (:func:`octave_counts`), and NonFiniteData when a sample is NaN or infinite.
@@ -173,14 +175,16 @@ def dwt(x: np.ndarray, j_max: int, f: WaveletFilter | None = None) -> WaveletPyr
         f = filter_bank(DEFAULT_FILTER)
     x = as_components(x)
     check_finite(x)
+    counts = octave_counts(x.shape[1], f, j_max)
     coeffs = []
     approx = x
-    for nj in octave_counts(x.shape[1], f, j_max):
+    for j, nj in enumerate(counts, 1):
         det = np.empty((x.shape[0], nj))
-        app = np.empty((x.shape[0], nj))
+        app = np.empty((x.shape[0], nj)) if j < len(counts) else None
         for row in range(x.shape[0]):
             det[row] = np.convolve(approx[row], f.highpass, mode="valid")[1::2]
-            app[row] = np.convolve(approx[row], f.lowpass, mode="valid")[1::2]
+            if app is not None:
+                app[row] = np.convolve(approx[row], f.lowpass, mode="valid")[1::2]
         coeffs.append(det)
         approx = app
     return WaveletPyramid(coeffs=tuple(coeffs))
@@ -210,14 +214,17 @@ def _gram(d: np.ndarray) -> np.ndarray:
     """Dot products of every pair of rows, (..., M, n) -> (..., M, M), exactly
     symmetric on every BLAS kernel: superdiagonal k is one vecdot of two views
     of d, rows i and i + k, copying no row, and is mirrored below the diagonal
-    (all M^2 dot products were not symmetric under OpenBLAS's Prescott kernel)."""
+    (all M^2 dot products were not symmetric under OpenBLAS's Prescott kernel).
+    Rows longer than _DOT_CHUNK are dotted chunk by chunk, each chunk's vecdot
+    added in place to the sum of those before it, in order."""
     m, n = d.shape[-2:]
     out = np.empty(d.shape[:-1] + (m,))
     flat = out.reshape(d.shape[:-2] + (m * m,))
     for k in range(m):
         a, b = d[..., : m - k, :], d[..., k:, :]
-        v = sum(np.vecdot(a[..., c : c + _DOT_CHUNK], b[..., c : c + _DOT_CHUNK])
-                for c in range(0, n, _DOT_CHUNK))
+        v = np.vecdot(a[..., :_DOT_CHUNK], b[..., :_DOT_CHUNK])
+        for c in range(_DOT_CHUNK, n, _DOT_CHUNK):
+            v += np.vecdot(a[..., c : c + _DOT_CHUNK], b[..., c : c + _DOT_CHUNK])
         flat[..., k :: m + 1][..., : m - k] = v
         flat[..., k * m :: m + 1][..., : m - k] = v
     return out

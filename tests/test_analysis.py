@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -93,24 +94,28 @@ def test_spectral_norm_examples():
 @given(
     m=st.integers(1, 6),
     shift=st.floats(0.0, 2.0),
-    skew=st.sampled_from([0.0, 1e-12, 1e-10, 5e-9, 1e-7]),
+    toward=st.sampled_from([-np.inf, np.inf]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_spectral_norm_is_the_largest_eigenvalue_of_the_symmetric_part(m, shift, skew, seed):
+def test_spectral_norm_is_the_largest_eigenvalue_of_the_symmetric_part(m, shift, toward, seed):
     # exactly symmetric matrices, indefinite ones too, give the bits of
-    # eigvalsh(0.5 (t + t^T)), which is t itself; NotSymmetric, for any
-    # asymmetry, is raised exactly when sorted_eigenvalues raises it
+    # eigvalsh(0.5 (s + s^T)), which is s itself
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(m, m + 2)) * 10.0 ** rng.uniform(-3, 3)
     s = a @ a.T - shift * np.trace(a @ a.T) / m * np.eye(m)
-    t = s + skew * np.triu(rng.uniform(-1.0, 1.0, size=s.shape), 1) * np.abs(s).max()
-    try:
-        sorted_eigenvalues(t)
-    except NotSymmetric:
-        with pytest.raises(NotSymmetric):
-            spectral_norm(t)
+    s = np.triu(s) + np.triu(s, 1).T
+    assert np.array_equal(sorted_eigenvalues(s), np.linalg.eigvalsh(s))
+    assert spectral_norm(s) == float(np.abs(np.linalg.eigvalsh(0.5 * (s + s.T))).max())
+    if m == 1:
         return
-    assert spectral_norm(t) == float(np.abs(np.linalg.eigvalsh(0.5 * (t + t.T))).max())
+    # one off-diagonal entry one ulp off its mirror: NotSymmetric from both
+    i, k = rng.permutation(m)[:2]
+    t = s.copy()
+    t[i, k] = np.nextafter(t[i, k], toward)
+    with pytest.raises(NotSymmetric):
+        sorted_eigenvalues(t)
+    with pytest.raises(NotSymmetric):
+        spectral_norm(t)
 
 
 def test_spectral_norm_rejects_a_non_square_matrix():
@@ -863,6 +868,62 @@ def test_sliding_window_refusal_names_the_window(x, window, hop, error, start, m
     with pytest.raises(error, match=f"^{message}") as alone:
         analyze(x[:, start : start + window], 1, 4)
     assert str(info.value) == f"window at samples {start}..{start + window - 1}: {alone.value}"
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 2])
+def test_sliding_refusal_names_the_earliest_refused_window(per_block):
+    # channel 3 mixes the others over samples 4096..5119; with hop 300 and
+    # 2^j2 = 16 the windows fall in 4 phases, and phase 0, estimated first,
+    # meets 1200..5295 before phase 2 meets 600..4695
+    x = _walk(3, 8192, 3)
+    x[2, 4096:5120] = 0.5 * x[0, 4096:5120] + 0.25 * x[1, 4096:5120]
+    refused = {}
+    for t in range(0, 8192 - 4096 + 1, 300):
+        try:
+            analyze(x[:, t : t + 4096], 1, 4)
+        except RankDeficientSpectrum as exc:
+            refused[t] = str(exc)
+    assert list(refused) == list(range(600, 3901, 300))
+    assert refused[600].startswith("a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: ")
+    blocks = analysis._block_windows if per_block is None else lambda *args: per_block
+    with mock.patch.object(analysis, "_block_windows", blocks):
+        with pytest.raises(RankDeficientSpectrum) as info:
+            sliding_window_estimates(x, 4096, 300, 1, 4)
+    assert str(info.value) == f"window at samples 600..4695: {refused[600]}"
+
+
+@pytest.mark.parametrize(
+    "m, window, hop, n_windows",
+    [
+        (4, 4096, 512, 64),  # the benchmark's chunk: one phase, windows 512 apart
+        (3, 2048, 300, 30),  # 4 phases: windows 1200 apart overlap, a hop not a multiple of 16
+        (2, 1030, 1029, 50),  # 16 phases: windows 16464 apart, the gaps cut out
+    ],
+    ids=["bench-chunk", "overlap", "gap-cutting"],
+)
+def test_window_pyramid_stacks_are_read_only_views_of_one_dwt(monkeypatch, m, window, hop, n_windows):
+    j2 = 4
+    f = filter_bank()
+    x = _walk(m, window + (n_windows - 1) * hop, 19)
+    phases = 16 // np.gcd(hop, 16)
+    starts = list(range(0, x.shape[1] - window + 1, hop))[phases - 1 :: phases]  # the last phase
+    counts = pyramid_counts(window, f.length)[:j2]
+    made = []
+
+    def spy(y, j_max, f):
+        made.append(dwt(y, j_max, f))
+        return made[-1]
+
+    monkeypatch.setattr(analysis, "dwt", spy)
+    pyr = analysis._window_pyramid(x, starts, window, hop * phases, j2, f, counts)
+    (whole,) = made
+    for j, (stack, d) in enumerate(zip(pyr.coeffs, whole.coeffs), 1):
+        assert stack.shape == (len(starts), m, counts[j - 1])
+        assert np.shares_memory(stack, d) and not stack.flags.writeable
+        (lo, hi), (d_lo, d_hi) = byte_bounds(stack), byte_bounds(d)
+        assert d_lo <= lo and hi <= d_hi
+        for t, coeffs in zip(starts, stack):
+            assert np.array_equal(coeffs, dwt(x[:, t : t + window], j2, f).details(j))
 
 
 def test_sliding_window_validates_hop():

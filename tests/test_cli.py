@@ -393,6 +393,25 @@ def test_sliding_flat_stretch_exit_4_naming_its_window(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["x.csv"]
 
 
+def test_sliding_dependent_stretch_exit_4_naming_the_earliest_refused_window(tmp_path, capsys):
+    # channel 3 mixes the others over samples 4096..5119; windows of starts
+    # 600 apart share a pyramid (hop 300, 2^j2 = 16), and 600..4695 is the
+    # earliest that analyze refuses, though 1200..5295 is met first
+    x = np.random.default_rng(3).normal(size=(3, 8192)).cumsum(axis=1)
+    x[2, 4096:5120] = 0.5 * x[0, 4096:5120] + 0.25 * x[1, 4096:5120]
+    rows = [[t, *map(repr, map(float, col))] for t, col in enumerate(x.T)]
+    series = _write_series(tmp_path / "x.csv", rows, ("t", "c1", "c2", "c3"))
+    rc = main(["sliding", series, "--window", "4096", "--hop", "300", "--j1", "1", "--j2", "4",
+               "--out-dir", str(tmp_path / "sl")])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "estimation error: RankDeficientSpectrum: window at samples 600..4695: "
+        "a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "
+        "the channels are linearly dependent; drop a channel or undo the common reference\n"
+    )
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
 def test_sliding_non_finite_sample_exit_4(tmp_path, capsys):
     rows = _walk_rows(3000, label=True)
     rows[2999][1] = "nan"
