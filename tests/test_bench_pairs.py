@@ -1,7 +1,11 @@
-"""The comparison rules of tools/bench_pairs.py, on fixed paired readings."""
+"""The comparison rules of tools/bench_pairs.py, on fixed paired readings,
+and the digest that ties a report to the code it timed."""
 
+import hashlib
 import importlib.util
 import os
+
+import pytest
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -46,3 +50,25 @@ def test_a_lower_is_better_metric_worse_than_its_bound_is_flagged():
     assert not m["within_bound"] and abs(m["change_worse_by"] - 0.2) < 1e-12
     m = bench_pairs.compare(LOWER, PARENT, [p * 0.8 for p in PARENT])
     assert m["within_bound"] and m["gain_claimable"]
+
+
+def test_the_code_digest_covers_src_and_bench_only(tmp_path):
+    files = {"src/pkg/a.py": b"x = 1\n", "bench/run.py": b"run\n", "README.md": b"docs\n"}
+    for path, data in files.items():
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_bytes(data)
+    listing = "".join(f"{hashlib.sha256(files[p]).hexdigest()}  {p}\n"
+                      for p in ("bench/run.py", "src/pkg/a.py"))
+    digest = bench_pairs.code_digest(str(tmp_path))
+    assert digest == hashlib.sha256(listing.encode()).hexdigest()
+    (tmp_path / "README.md").write_bytes(b"other docs\n")
+    assert bench_pairs.code_digest(str(tmp_path)) == digest
+    (tmp_path / "src/pkg/a.py").write_bytes(b"x = 2\n")
+    assert bench_pairs.code_digest(str(tmp_path)) != digest
+
+
+def test_the_seeds_cannot_be_chosen(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["HEAD", "HEAD", "--workload", "sliding", "--pairs", "1",
+                          "--seconds", "1", "--seed-base", "3"])
+    assert exc.value.code == 2 and "--seed-base" in capsys.readouterr().err

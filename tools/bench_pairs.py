@@ -1,7 +1,7 @@
 """Run the benchmark on two source trees in alternating pairs, and compare them.
 
     python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S
-        [--aa K] [--seed-base B] [--out FILE]
+        [--aa K] [--out FILE]
 
 PARENT and CHANGE are git revisions, or ``WORKTREE`` for the working tree:
 the files ``git ls-files`` lists, tracked or untracked but not ignored.  Each
@@ -9,10 +9,14 @@ side is copied once into a temporary directory (a revision by ``git
 archive``) and runs ``bench/run.py --workload W --seed s --seconds S --trace
 0`` from its copy.  Both sides of a pair run the same seed, and pairs
 alternate which side runs first: the parent in even pairs, the change in odd
-ones.  The seeds are drawn from ``random.Random(B)`` and recorded.  ``--aa
-K`` adds K pairs of two copies of PARENT, whose spread is the shift that no
+ones.  The seeds are drawn from ``random.Random(SEED_BASE)``, a constant, so
+no run can pick its seeds, and they are recorded.  ``--aa K`` adds K pairs of two copies of PARENT, whose spread is the shift that no
 change of code caused.  ``--workload`` may be given more than once; each
-workload's pairs run in turn.
+workload's pairs run in turn.  The report ties each side to the code it
+timed by ``code_sha256``: the digest ``code_digest`` takes over the copy's
+``src/`` and ``bench/`` before any run.  In a clean checkout of a revision
+the same digest is ``git ls-files -z src bench | xargs -0 sha256sum |
+sha256sum``.
 
 For every end-to-end metric of ``BENCHMARK.json`` the report gives each
 side's median and quartiles, each pair's change/parent ratio, the pairs the
@@ -29,6 +33,7 @@ arguments.  Uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -43,6 +48,8 @@ from statistics import quantiles
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKTREE = "WORKTREE"
 CLAIM_SHARE, CLAIM_PAIRS = 0.9, 10
+SEED_BASE = 1
+CODE_DIRS = ("src", "bench")
 
 
 def _git(*args: str) -> str:
@@ -76,6 +83,21 @@ def copy_tree(rev: str, dest: str) -> None:
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     if proc.wait() != 0:
         raise RuntimeError(f"git archive {rev} failed")
+
+
+def code_digest(tree: str) -> str:
+    """SHA-256 of the ``sha256sum`` listing of every file under ``tree``'s
+    CODE_DIRS, in byte order of path."""
+    paths = []
+    for top in CODE_DIRS:
+        for base, _, names in os.walk(os.path.join(tree, top)):
+            paths += [os.path.relpath(os.path.join(base, n), tree) for n in names]
+    listing = hashlib.sha256()
+    for path in sorted(paths, key=lambda p: p.replace(os.sep, "/").encode()):
+        with open(os.path.join(tree, path), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        listing.update(f"{digest}  {path.replace(os.sep, '/')}\n".encode())
+    return listing.hexdigest()
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -178,7 +200,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--aa", type=int, default=0, metavar="K")
-    parser.add_argument("--seed-base", type=int, default=1, metavar="B")
     parser.add_argument("--out", metavar="FILE")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.aa < 0 or args.seconds <= 0:
@@ -193,7 +214,7 @@ def main(argv=None) -> int:
     commits = {side: describe(rev) for side, rev in (("parent", args.parent),
                                                      ("change", args.change))}
 
-    rng = random.Random(args.seed_base)
+    rng = random.Random(SEED_BASE)
     seeds = {w: [rng.randrange(10**6) for _ in range(args.pairs + args.aa)] for w in args.workload}
     report = {
         "what": "",
@@ -205,7 +226,8 @@ def main(argv=None) -> int:
         "order": "workloads in turn; within a workload, pairs alternate which side runs first "
                  "(the parent in even pairs, the change in odd ones); both sides of a pair use "
                  "the same seed; end_to_end.<workload>.first names the side that ran first",
-        "seeds": {"base": args.seed_base, **seeds},
+        "code_sha256": {},
+        "seeds": {"base": SEED_BASE, **seeds},
         "claim": {"workload": "", "metric": "",
                   "rule": f"better in >= {CLAIM_SHARE:g} of >= {CLAIM_PAIRS} pairs, and the "
                           "change's median better than the parent's by more than the parent's IQR",
@@ -218,6 +240,7 @@ def main(argv=None) -> int:
         trees = {side: os.path.join(tmp, side) for side in ("parent", "change", "parent-copy")}
         copy_tree(args.parent, trees["parent"])
         copy_tree(args.change, trees["change"])
+        report["code_sha256"] = {side: code_digest(trees[side]) for side in ("parent", "change")}
         if args.aa:
             shutil.copytree(trees["parent"], trees["parent-copy"])
         for w in args.workload:
