@@ -379,10 +379,12 @@ def sliding_window_estimates(
     dimensions, the errors of :func:`_window_starts` (a hop outside
     1..window, a series shorter than one window), DegenerateRange unless
     1 <= j1 < j2, and the errors of :func:`~ofbmkit.wavelet.octave_counts`
-    when a window cannot reach j2 with n_j2 >= M.  A NonFiniteData, NonPositiveDiagonal or
-    RankDeficientSpectrum of a block names one window (analyze's first at the
-    lowest octave where a check fails), and of those named the earliest one's
-    is raised again prefixed by ``window at samples a..b: ``.
+    when a window cannot reach j2 with n_j2 >= M.  A NonFiniteData,
+    NonPositiveDiagonal or RankDeficientSpectrum names the earliest window
+    that :func:`analyze` refuses on its own: blocks run in order of their
+    first window, and when one refuses, the windows from its first on are
+    analyzed one by one until one is refused, whose error is raised again
+    prefixed by ``window at samples a..b: ``.
     """
     x = as_components(x)
     starts = _window_starts(x.shape[1], window, hop)
@@ -394,34 +396,29 @@ def sliding_window_estimates(
     check_finite(x)
     # windows i and i + phases are the nearest pair whose starts agree mod 2^j2
     phases = 2**j2 // math.gcd(hop, 2**j2)
-    per_block = _block_windows(m, window, j1, j2)
+    span = phases * _block_windows(m, window, j1, j2)
     out = [None] * len(starts)
-    # a refusal ends its phase, and windows of the other phases are estimated
-    # up to its start: the refusal raised is the one of the lowest start
-    refused = None  # (window, error)
-    for first in range(min(phases, len(starts))):
-        same_phase = range(first, len(starts), phases)
-        for b in range(0, len(same_phase), per_block):
-            idx = same_phase[b : b + per_block]
-            if refused is not None and idx[0] > refused[0]:
-                break  # every later window of this phase starts after the refused one
+    for first in range(0, len(starts), span):
+        end = min(first + span, len(starts))
+        for p in range(first, min(first + phases, end)):
+            idx = range(p, end, phases)  # the block: phase p's windows in this span
             pyr = _window_pyramid(x, [starts[i] for i in idx], window, hop * phases, j2, f, counts)
             try:
                 s = analyze(pyr, j1, j2, balance=balance)
-            except (NonFiniteData, NonPositiveDiagonal, RankDeficientSpectrum) as exc:
-                i = idx[exc.window[0]]
-                if refused is None or i < refused[0]:
-                    refused = i, exc
-                break
+            except (NonFiniteData, NonPositiveDiagonal, RankDeficientSpectrum):
+                # every window before idx[0] has passed, and one of the block's is refused
+                for t in starts[idx[0] :]:
+                    try:
+                        analyze(x[:, t : t + window], j1, j2, f, balance)
+                    except (NonFiniteData, NonPositiveDiagonal, RankDeficientSpectrum) as exc:
+                        raise type(exc)(f"window at samples {t}..{t + window - 1}: {exc}") from exc
+                raise
             # every array of the block's record has its windows in front
             w = s.weights
             for i, hu, hm, hbc, le, lbc, dl in zip(
                 idx, s.h_u, s.h_m, s.h_m_bc, s.log_eig, s.log_eig_bc, s.diag_logs
             ):
                 out[i] = EstimateRecord(hu, hm, hbc, w, le, lbc, dl, starts[i])
-    if refused is not None:
-        i, exc = refused
-        raise type(exc)(f"window at samples {starts[i]}..{starts[i] + window - 1}: {exc}") from exc
     return out
 
 

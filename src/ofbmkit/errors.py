@@ -5,9 +5,9 @@ its ``exit_code``: 2 for :class:`MalformedInput` (an input file that cannot be
 parsed) and :class:`SeedOutOfRange` (a seed outside 0 .. 2^64 - 1), 3 for
 :class:`ModelValidationError` (a model parameter problem), 4 for
 :class:`DataError` (anything raised while crunching data: a :class:`SeriesTooShort`
-names the octave a series reaches, a :class:`NonPositiveDiagonal` the flat channel
-and its octave, a :class:`RankDeficientSpectrum` the octave of the singular
-spectrum) and 4 for any other :class:`OfbmkitError`.
+names the octave a series reaches, a :class:`NonPositiveDiagonal` the flat channel,
+or that none fluctuates, and its octave, a :class:`RankDeficientSpectrum` the octave
+of the singular spectrum, all in the message alone) and 4 for any other :class:`OfbmkitError`.
 """
 
 
@@ -73,7 +73,6 @@ class DataError(OfbmkitError):
     """A computation on concrete data failed."""
 
     exit_code = 4
-    window = ()  # the index, on a pyramid's window axes, of the window it failed in
     template = "estimation error: {name}: {message}"
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DataError,
     DegenerateRange,
     NonFiniteData,
     NonPositiveDiagonal,
@@ -142,30 +141,22 @@ def _numerical_rank(lam: np.ndarray) -> np.ndarray:
     return (lam > lam.shape[-1] * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1)
 
 
-def _raise(error: type[DataError], at, message: str) -> None:
-    """Raise ``error(message)`` whose ``window`` is ``at``, an index on a pyramid's window axes."""
-    exc = error(message)
-    exc.window = tuple(int(i) for i in at)
-    raise exc
-
-
 def _check_rank(rank: np.ndarray, m: int, j1: int, spectrum: str = "the wavelet spectrum") -> None:
-    """Raise RankDeficientSpectrum, the one place that does, at the first octave and
-    there the first window whose rank, in ``rank`` (octaves, ...) from octave j1
-    over a pyramid's window axes, is below M; ``spectrum`` opens the message."""
+    """Raise RankDeficientSpectrum, the one place that does, when a rank in ``rank``
+    (octaves, ...), from octave j1, is below M; the message names the lowest such
+    octave and there the first such rank, and ``spectrum`` opens it."""
     if (rank < m).any():
-        j, *at = np.argwhere(rank < m)[0]
-        _raise(
-            RankDeficientSpectrum, at,
-            f"{spectrum} at octave {j1 + j} has numerical rank {rank[(j, *at)]} < M = {m}: "
-            "the channels are linearly dependent; drop a channel or undo the common reference",
+        at = tuple(np.argwhere(rank < m)[0])
+        raise RankDeficientSpectrum(
+            f"{spectrum} at octave {j1 + at[0]} has numerical rank {rank[at]} < M = {m}: "
+            "the channels are linearly dependent; drop a channel or undo the common reference"
         )
 
 
 def averaged_log_eigenvalues(windows: np.ndarray, j: int) -> np.ndarray:
     """Mean over windows of sorted log2 eigenvalues; windows is (..., T, M, M),
     the windowed spectra at octave j.  Raises RankDeficientSpectrum naming
-    octave j, and the leading index ``...``, when a window's numerical rank is below M."""
+    octave j when a window's numerical rank is below M."""
     lam = np.linalg.eigvalsh(windows)
     rank = _numerical_rank(lam).min(axis=-1)  # the lowest of the T windows, per leading index
     _check_rank(rank[None], lam.shape[-1], j, "a windowed wavelet spectrum")
@@ -208,8 +199,9 @@ def analyze(
     its own analyze's bit for bit: a spectrum entry is one dot product, an
     eigendecomposition one LAPACK call.  Raises DegenerateRange unless
     1 <= j1 < j2, ShapeMismatch for a pyramid with an ``f``, ScaleUnavailable
-    when a pyramid stops short of j2, and NonPositiveDiagonal for a flat channel;
-    an error found in one window holds that window's index as its ``window``.
+    when a pyramid stops short of j2, and NonFiniteData, NonPositiveDiagonal and
+    RankDeficientSpectrum for data it refuses, each naming the lowest octave where
+    its check fails (with window axes, in the words of one window that fails there).
     """
     _check_octaves(j1, j2)
     if isinstance(x, WaveletPyramid) and f is not None:
@@ -221,13 +213,16 @@ def analyze(
     with np.errstate(over="ignore", invalid="ignore"):
         spectra = spectrum_set(pyr, j1, j2)  # (octaves, ..., M, M)
     if not np.isfinite(spectra).all():
-        j, *at, _, _ = np.argwhere(~np.isfinite(spectra))[0]
-        _raise(NonFiniteData, at, f"the wavelet spectrum at octave {j1 + j} overflows double precision")
+        j = np.argwhere(~np.isfinite(spectra))[0, 0]
+        raise NonFiniteData(f"the wavelet spectrum at octave {j1 + j} overflows double precision")
     diags = spectra.diagonal(axis1=-2, axis2=-1)
     flat = diags <= diags.shape[-1] * np.finfo(float).eps * diags.max(axis=-1, keepdims=True)
     if flat.any():
         j, *at, c = np.argwhere(flat)[0]
-        _raise(NonPositiveDiagonal, at, f"channel {c + 1} has no fluctuation at octave {j1 + j}")
+        if not diags[(j, *at)].any():
+            raise NonPositiveDiagonal(f"no channel has fluctuation at octave {j1 + j}: "
+                                      "the series is constant there or too small for double precision")
+        raise NonPositiveDiagonal(f"channel {c + 1} has no fluctuation at octave {j1 + j}")
 
     # windows first: a window n_j2 below M raises WindowTooSmall there, and
     # would make the full-sample spectrum at j2 singular too

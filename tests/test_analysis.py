@@ -846,50 +846,66 @@ def _mixture_from_4096(stop=None):
     return x
 
 
-@pytest.mark.parametrize(
-    "x, window, hop, error, start, message",
-    [
-        (_flat_from_4096(), 2048, 1024, NonPositiveDiagonal, 4096,
-         "channel 2 has no fluctuation at octave 1"),
-        (_overflowing_from_4096(), 2048, 1024, NonFiniteData, 3072,
-         "the wavelet spectrum at octave 1 overflows double precision"),
-        (_mixture_from_4096(), 2048, 1024, RankDeficientSpectrum, 4096,
-         "the wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "),
-        # only the bias-corrected estimator's windows of the quarter 4096..5119 are dependent
-        (_mixture_from_4096(5120), 4096, 4096, RankDeficientSpectrum, 4096,
-         "a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "),
-    ],
-    ids=["flat", "overflow", "dependent", "dependent-in-a-bc-window"],
-)
-def test_sliding_window_refusal_names_the_window(x, window, hop, error, start, message):
-    with pytest.raises(error) as info:
-        sliding_window_estimates(x, window, hop, 1, 4)
-    # the prefix, then the message of the window alone
-    with pytest.raises(error, match=f"^{message}") as alone:
-        analyze(x[:, start : start + window], 1, 4)
-    assert str(info.value) == f"window at samples {start}..{start + window - 1}: {alone.value}"
-
-
-@pytest.mark.parametrize("per_block", [None, 1, 2])
-def test_sliding_refusal_names_the_earliest_refused_window(per_block):
-    # channel 3 mixes the others over samples 4096..5119; with hop 300 and
-    # 2^j2 = 16 the windows fall in 4 phases, and phase 0, estimated first,
-    # meets 1200..5295 before phase 2 meets 600..4695
+def _mixture_over_4096_to_5119():
     x = _walk(3, 8192, 3)
     x[2, 4096:5120] = 0.5 * x[0, 4096:5120] + 0.25 * x[1, 4096:5120]
-    refused = {}
-    for t in range(0, 8192 - 4096 + 1, 300):
+    return x
+
+
+@pytest.mark.parametrize(
+    "x, window, hop, error, refused, message",
+    [
+        # channel 2 is flat from 4096, and the window 3072..5119 is refused
+        # first, by the bias-corrected estimator's windows of its second half
+        (_flat_from_4096(), 2048, 1024, RankDeficientSpectrum, range(3072, 6145, 1024),
+         "a windowed wavelet spectrum at octave 1 has numerical rank 1 < M = 2: "),
+        (_overflowing_from_4096(), 2048, 1024, NonFiniteData, range(3072, 6145, 1024),
+         "the wavelet spectrum at octave 1 overflows double precision"),
+        (_mixture_from_4096(), 2048, 1024, RankDeficientSpectrum, range(3072, 6145, 1024),
+         "a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "),
+        # only the bias-corrected estimator's windows of the quarter 4096..5119 are dependent
+        (_mixture_from_4096(5120), 4096, 4096, RankDeficientSpectrum, [4096],
+         "a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "),
+        # with hop 300 and 2^j2 = 16 the windows fall in 4 phases; past one
+        # window a block, the first block to refuse holds 1200..5295, not 600..4695
+        (_mixture_over_4096_to_5119(), 4096, 300, RankDeficientSpectrum, range(600, 3901, 300),
+         "a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "),
+    ],
+    ids=["flat", "overflow", "dependent", "dependent-in-a-bc-window", "hop-300"],
+)
+def test_sliding_window_refusal_names_the_window(x, window, hop, error, refused, message):
+    # the windows that analyze refuses on their own, by definition
+    starts = range(0, x.shape[1] - window + 1, hop)
+    alone = {}
+    for t in starts:
         try:
-            analyze(x[:, t : t + 4096], 1, 4)
-        except RankDeficientSpectrum as exc:
-            refused[t] = str(exc)
-    assert list(refused) == list(range(600, 3901, 300))
-    assert refused[600].startswith("a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: ")
-    blocks = analysis._block_windows if per_block is None else lambda *args: per_block
-    with mock.patch.object(analysis, "_block_windows", blocks):
-        with pytest.raises(RankDeficientSpectrum) as info:
-            sliding_window_estimates(x, 4096, 300, 1, 4)
-    assert str(info.value) == f"window at samples 600..4695: {refused[600]}"
+            analyze(x[:, t : t + window], 1, 4)
+        except (NonFiniteData, NonPositiveDiagonal, RankDeficientSpectrum) as exc:
+            alone[t] = exc
+    assert list(alone) == list(refused)
+    start = next(iter(alone))
+    assert type(alone[start]) is error and str(alone[start]).startswith(message)
+    phases = 16 // np.gcd(hop, 16)
+    earliest = starts.index(start)
+    for per_block in (None, 1, 2):
+        blocks = analysis._block_windows if per_block is None else lambda *args: per_block
+        span = phases * blocks(x.shape[0], window, 1, 4)
+        # blocks run in order of their first window: the first to refuse holds a refused window
+        first = min(i - i % span + i % span % phases for i in map(starts.index, refused))
+        rescanned = []
+
+        def counting(a, *args, **kwargs):
+            if isinstance(a, np.ndarray) and a.ndim == 2:
+                rescanned.append(next(t for t in starts if np.array_equal(a, x[:, t : t + window])))
+            return analyze(a, *args, **kwargs)
+
+        with mock.patch.object(analysis, "_block_windows", blocks), \
+                mock.patch.object(analysis, "analyze", counting):
+            with pytest.raises(error) as info:
+                sliding_window_estimates(x, window, hop, 1, 4)
+        # the prefix, then the message of the window alone
+        assert str(info.value) == f"window at samples {start}..{start + window - 1}: {alone[start]}"
+        assert rescanned == list(starts[first : earliest + 1]), per_block
 
 
 @pytest.mark.parametrize(

@@ -377,8 +377,25 @@ def test_estimate_flat_channel_exit_4(tmp_path, capsys, level):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("levels, extra", [(("0.0", "0.0"), []), (("5.0", "-2.5"), ["--filter", "haar"])],
+                         ids=["zero", "haar"])
+def test_estimate_every_channel_flat_exit_4_blaming_no_channel(tmp_path, capsys, levels, extra):
+    # both channels are constant, so every spectrum diagonal is exactly 0
+    rows = [[t, *levels] for t in range(3000)]
+    out_dir = tmp_path / "est"
+    rc = main(["estimate", _write_series(tmp_path / "x.csv", rows), "--out-dir", str(out_dir),
+               "--j1", "1", "--j2", "4", *extra])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "estimation error: NonPositiveDiagonal: no channel has fluctuation at octave 1: "
+        "the series is constant there or too small for double precision\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_sliding_flat_stretch_exit_4_naming_its_window(tmp_path, capsys):
-    # channel 2 is constant from sample 4096 on
+    # channel 2 is constant from sample 4096 on; the earliest window that
+    # analyze refuses is 3072..5119, whose second half is flat
     x = np.random.default_rng(3).normal(size=(2, 8192)).cumsum(axis=1)
     x[1, 4096:] = x[1, 4096]
     rows = [[t, repr(float(a)), repr(float(b))] for t, (a, b) in enumerate(zip(*x))]
@@ -387,16 +404,17 @@ def test_sliding_flat_stretch_exit_4_naming_its_window(tmp_path, capsys):
                "--out-dir", str(tmp_path / "sl")])
     assert rc == 4
     assert capsys.readouterr().err == (
-        "estimation error: NonPositiveDiagonal: window at samples 4096..6143: "
-        "channel 2 has no fluctuation at octave 1\n"
+        "estimation error: RankDeficientSpectrum: window at samples 3072..5119: "
+        "a windowed wavelet spectrum at octave 1 has numerical rank 1 < M = 2: "
+        "the channels are linearly dependent; drop a channel or undo the common reference\n"
     )
     assert os.listdir(tmp_path) == ["x.csv"]
 
 
 def test_sliding_dependent_stretch_exit_4_naming_the_earliest_refused_window(tmp_path, capsys):
     # channel 3 mixes the others over samples 4096..5119; windows of starts
-    # 600 apart share a pyramid (hop 300, 2^j2 = 16), and 600..4695 is the
-    # earliest that analyze refuses, though 1200..5295 is met first
+    # 1200 apart share a pyramid (hop 300, 2^j2 = 16), and 600..4695 is the
+    # earliest that analyze refuses
     x = np.random.default_rng(3).normal(size=(3, 8192)).cumsum(axis=1)
     x[2, 4096:5120] = 0.5 * x[0, 4096:5120] + 0.25 * x[1, 4096:5120]
     rows = [[t, *map(repr, map(float, col))] for t, col in enumerate(x.T)]

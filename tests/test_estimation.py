@@ -297,6 +297,17 @@ def test_a_flat_channel_gets_one_error_whatever_the_filter(name, level):
         analyze(x, 2, 6, f=filter_bank(name))
 
 
+def test_an_octave_where_every_channel_is_flat_blames_no_channel():
+    # every spectrum diagonal of this path underflows to exactly 0 at octaves 2..6
+    params = make_params([0.4, 0.8], 1.0, [[1.0, 0.3], [0.3, 1.0]], [[1.0, 0.6], [-0.5, 1.0]])
+    x = 1e-165 * CirculantEmbedding(params, 2**12).sample(7, kind="mfBm").data
+    with pytest.raises(NonPositiveDiagonal) as info:
+        analyze(x, 2, 6)
+    assert str(info.value) == (
+        "no channel has fluctuation at octave 2: the series is constant there or too small for double precision"
+    )
+
+
 def test_a_pyramid_takes_no_filter():
     x = np.random.default_rng(4).normal(size=(2, 2048)).cumsum(axis=1)
     pyr = dwt(x, 6, filter_bank("haar"))

@@ -4,10 +4,11 @@
 
 Each command runs in ``OUT/<name>/``, with the inputs in ``OUT/inputs/``,
 and writes its output files there, next to ``exit_code``, ``stdout`` and
-``stderr``.  The package is the one ``python -m ofbmkit.cli`` imports, so
-running the sweep with two source trees on ``PYTHONPATH`` and comparing the
-two directories with ``diff -r`` shows every byte a change moves.  Exits 1
-when a command's exit code is not the one listed, 2 when OUT is not empty.
+``stderr``.  The package is the one ``python -m ofbmkit.cli`` imports, with
+each ``PYTHONPATH`` entry made absolute, so running the sweep with two source
+trees on ``PYTHONPATH`` and comparing the two directories with ``diff -r``
+shows every byte a change moves.  Exits 1 when a command's exit code is not
+the one listed, 2 when OUT is not empty.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ COMMANDS = [
                                "--hop", "1024", "--j1", "1", "--j2", "4", "--out-dir", "."]),
     ("refuse-dependent-channels", 4, ["sliding", "../inputs/dependent.csv", "--window", "2048",
                                       "--hop", "1024", "--j1", "1", "--j2", "4", "--out-dir", "."]),
+    # hop 300 splits the windows into 4 phases; the window named is 600..4695
+    ("refuse-dependent-stretch", 4, ["sliding", "../inputs/dependent-4096-5119.csv", "--window",
+                                     "4096", "--hop", "300", "--j1", "1", "--j2", "4", "--out-dir", "."]),
 ]
 
 
@@ -84,6 +88,17 @@ def _write_inputs(inputs) -> None:
     dependent = walk[:, :4096].copy()
     dependent[2] = 0.3 * dependent[0] + 0.7 * dependent[1]
     _write_series(os.path.join(inputs, "dependent.csv"), dependent)
+    stretch = walk.copy()
+    stretch[2, 4096:5120] = 0.5 * stretch[0, 4096:5120] + 0.25 * stretch[1, 4096:5120]
+    _write_series(os.path.join(inputs, "dependent-4096-5119.csv"), stretch)
+
+
+def child_env(environ) -> dict:
+    """``environ`` with each ``PYTHONPATH`` entry absolute, as the commands run in OUT/<name>/."""
+    env = dict(environ)
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, env["PYTHONPATH"].split(os.pathsep)))
+    return env
 
 
 def _label_series(inputs, synth_dir) -> None:
@@ -108,11 +123,12 @@ def main(argv=None) -> int:
         return 2
     inputs = os.path.join(out, "inputs")
     _write_inputs(inputs)
+    env = child_env(os.environ)
     failed = []
     for name, expected, args in COMMANDS:
         cwd = os.path.join(out, name)
         os.makedirs(cwd)
-        proc = subprocess.run([sys.executable, "-m", "ofbmkit.cli", *args], cwd=cwd,
+        proc = subprocess.run([sys.executable, "-m", "ofbmkit.cli", *args], cwd=cwd, env=env,
                               capture_output=True, text=True)
         for stream, text in (("exit_code", f"{proc.returncode}\n"), ("stdout", proc.stdout),
                              ("stderr", proc.stderr)):
