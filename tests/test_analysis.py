@@ -866,14 +866,25 @@ def _mixture_over_4096_to_5119():
         # only the bias-corrected estimator's windows of the quarter 4096..5119 are dependent
         (_mixture_from_4096(5120), 4096, 4096, RankDeficientSpectrum, [4096],
          "a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "),
-        # with hop 300 and 2^j2 = 16 the windows fall in 4 phases; past one
-        # window a block, the first block to refuse holds 1200..5295, not 600..4695
-        (_mixture_over_4096_to_5119(), 4096, 300, RankDeficientSpectrum, range(600, 3901, 300),
-         "a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: "),
     ],
-    ids=["flat", "overflow", "dependent", "dependent-in-a-bc-window", "hop-300"],
+    ids=["flat", "overflow", "dependent", "dependent-in-a-bc-window"],
 )
 def test_sliding_window_refusal_names_the_window(x, window, hop, error, refused, message):
+    _assert_sliding_refusal(x, window, hop, error, refused, message, (None, 1, 2))
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 2])
+def test_sliding_refusal_names_the_earliest_refused_window(per_block):
+    # channel 3 mixes the others over samples 4096..5119; with hop 300 and
+    # 2^j2 = 16 the windows fall in 4 phases, and past one window a block the
+    # first block to refuse holds 1200..5295, not the earliest refused 600..4695
+    _assert_sliding_refusal(
+        _mixture_over_4096_to_5119(), 4096, 300, RankDeficientSpectrum, range(600, 3901, 300),
+        "a windowed wavelet spectrum at octave 1 has numerical rank 2 < M = 3: ", (per_block,),
+    )
+
+
+def _assert_sliding_refusal(x, window, hop, error, refused, message, per_blocks):
     # the windows that analyze refuses on their own, by definition
     starts = range(0, x.shape[1] - window + 1, hop)
     alone = {}
@@ -887,7 +898,7 @@ def test_sliding_window_refusal_names_the_window(x, window, hop, error, refused,
     assert type(alone[start]) is error and str(alone[start]).startswith(message)
     phases = 16 // np.gcd(hop, 16)
     earliest = starts.index(start)
-    for per_block in (None, 1, 2):
+    for per_block in per_blocks:
         blocks = analysis._block_windows if per_block is None else lambda *args: per_block
         span = phases * blocks(x.shape[0], window, 1, 4)
         # blocks run in order of their first window: the first to refuse holds a refused window
