@@ -28,8 +28,6 @@ from .errors import (
     DataError,
     EmptySample,
     NonFiniteData,
-    NonPositiveDiagonal,
-    RankDeficientSpectrum,
     SampleTooSmall,
     SeriesTooShort,
     ShapeMismatch,
@@ -39,6 +37,7 @@ from .errors import (
 from .estimation import (
     DEFAULT_BALANCE,
     ESTIMATORS,
+    REFUSALS,
     EstimateRecord,
     RegressionWeights,
     ScalingRangeConfig,
@@ -379,12 +378,11 @@ def sliding_window_estimates(
     dimensions, the errors of :func:`_window_starts` (a hop outside
     1..window, a series shorter than one window), DegenerateRange unless
     1 <= j1 < j2, and the errors of :func:`~ofbmkit.wavelet.octave_counts`
-    when a window cannot reach j2 with n_j2 >= M.  A NonFiniteData,
-    NonPositiveDiagonal or RankDeficientSpectrum names the earliest window
-    that :func:`analyze` refuses on its own: blocks run in order of their
-    first window, and when one refuses, the windows from its first on are
-    analyzed one by one until one is refused, whose error is raised again
-    prefixed by ``window at samples a..b: ``.
+    when a window cannot reach j2 with n_j2 >= M.  An error of ``REFUSALS``
+    names the earliest window that :func:`analyze` refuses on its own: blocks
+    run in order of their first window, and when one refuses, the windows
+    from its first on are analyzed one by one until one is refused, whose
+    error is raised again prefixed by ``window at samples a..b: ``.
     """
     x = as_components(x)
     starts = _window_starts(x.shape[1], window, hop)
@@ -405,12 +403,12 @@ def sliding_window_estimates(
             pyr = _window_pyramid(x, [starts[i] for i in idx], window, hop * phases, j2, f, counts)
             try:
                 s = analyze(pyr, j1, j2, balance=balance)
-            except (NonFiniteData, NonPositiveDiagonal, RankDeficientSpectrum):
+            except REFUSALS:
                 # every window before idx[0] has passed, and one of the block's is refused
                 for t in starts[idx[0] :]:
                     try:
                         analyze(x[:, t : t + window], j1, j2, f, balance)
-                    except (NonFiniteData, NonPositiveDiagonal, RankDeficientSpectrum) as exc:
+                    except REFUSALS as exc:
                         raise type(exc)(f"window at samples {t}..{t + window - 1}: {exc}") from exc
                 raise
             # every array of the block's record has its windows in front

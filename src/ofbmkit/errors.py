@@ -5,9 +5,9 @@ its ``exit_code``: 2 for :class:`MalformedInput` (an input file that cannot be
 parsed) and :class:`SeedOutOfRange` (a seed outside 0 .. 2^64 - 1), 3 for
 :class:`ModelValidationError` (a model parameter problem), 4 for
 :class:`DataError` (anything raised while crunching data: a :class:`SeriesTooShort`
-names the octave a series reaches, a :class:`NonPositiveDiagonal` the flat channel,
-or that none fluctuates, and its octave, a :class:`RankDeficientSpectrum` the octave
-of the singular spectrum, all in the message alone) and 4 for any other :class:`OfbmkitError`.
+names the octave a series reaches, a :class:`NonPositiveDiagonal` the flat channel, or
+that none fluctuates, and a :class:`RankDeficientSpectrum` the rank, each at an octave of
+a full-sample or windowed spectrum, all in the message alone) and 4 for any other :class:`OfbmkitError`.
 """
 
 
@@ -121,7 +121,7 @@ class NotSymmetric(DataError):
 
 
 class NonPositiveDiagonal(DataError):
-    """A channel's spectrum diagonal is at most M * eps times the octave's largest."""
+    """A channel's diagonal is at most M * eps times the largest among its octave's windows."""
 
 
 class RankDeficientSpectrum(DataError):

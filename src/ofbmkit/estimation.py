@@ -34,6 +34,7 @@ from .wavelet import WaveletPyramid, dwt, spectrum_set, windowed_spectra
 
 WEIGHT_MODES = ("uniform", "by_count")
 DEFAULT_BALANCE = "by_count"
+REFUSALS = (NonFiniteData, NonPositiveDiagonal, RankDeficientSpectrum)  # analyze's refusals of data
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,21 @@ def _numerical_rank(lam: np.ndarray) -> np.ndarray:
     return (lam > lam.shape[-1] * np.finfo(float).eps * lam[..., -1:]).sum(axis=-1)
 
 
-def _check_rank(rank: np.ndarray, m: int, j1: int, spectrum: str = "the wavelet spectrum") -> None:
-    """Raise RankDeficientSpectrum, the one place that does, when a rank in ``rank``
-    (octaves, ...), from octave j1, is below M; the message names the lowest such
-    octave and there the first such rank, and ``spectrum`` opens it."""
+def _check_spectra(spectra: np.ndarray, lam: np.ndarray, j1: int, spectrum: str) -> None:
+    """The one refusal of spectra (octaves, ..., windows, M, M) from octave j1 with
+    ascending eigenvalues ``lam``: NonPositiveDiagonal for a diagonal at most M * eps
+    times the largest among its octave's windows, then RankDeficientSpectrum, opened
+    by ``spectrum``, for a numerical rank below M, each at the lowest such octave."""
+    diags = spectra.diagonal(axis1=-2, axis2=-1)
+    m = diags.shape[-1]
+    flat = diags <= m * np.finfo(float).eps * diags.max(axis=(-2, -1), keepdims=True)
+    if flat.any():
+        j, *at, c = np.argwhere(flat)[0]
+        if not diags[(j, *at)].any():
+            raise NonPositiveDiagonal(f"no channel has fluctuation at octave {j1 + j}: "
+                                      "the series is constant there or too small for double precision")
+        raise NonPositiveDiagonal(f"channel {c + 1} has no fluctuation at octave {j1 + j}")
+    rank = _numerical_rank(lam).min(axis=-1)
     if (rank < m).any():
         at = tuple(np.argwhere(rank < m)[0])
         raise RankDeficientSpectrum(
@@ -155,11 +167,9 @@ def _check_rank(rank: np.ndarray, m: int, j1: int, spectrum: str = "the wavelet 
 
 def averaged_log_eigenvalues(windows: np.ndarray, j: int) -> np.ndarray:
     """Mean over windows of sorted log2 eigenvalues; windows is (..., T, M, M),
-    the windowed spectra at octave j.  Raises RankDeficientSpectrum naming
-    octave j when a window's numerical rank is below M."""
+    the windowed spectra at octave j, refused by :func:`_check_spectra`."""
     lam = np.linalg.eigvalsh(windows)
-    rank = _numerical_rank(lam).min(axis=-1)  # the lowest of the T windows, per leading index
-    _check_rank(rank[None], lam.shape[-1], j, "a windowed wavelet spectrum")
+    _check_spectra(windows[None], lam[None], j, "a windowed wavelet spectrum")
     # C order, so that the mean adds the windows in the same order whatever
     # the layout of a stack of windows
     return np.log2(lam, order="C").mean(axis=-2)
@@ -199,9 +209,9 @@ def analyze(
     its own analyze's bit for bit: a spectrum entry is one dot product, an
     eigendecomposition one LAPACK call.  Raises DegenerateRange unless
     1 <= j1 < j2, ShapeMismatch for a pyramid with an ``f``, ScaleUnavailable
-    when a pyramid stops short of j2, and NonFiniteData, NonPositiveDiagonal and
-    RankDeficientSpectrum for data it refuses, each naming the lowest octave where
-    its check fails (with window axes, in the words of one window that fails there).
+    when a pyramid stops short of j2, NonFiniteData at the lowest octave that
+    overflows, and the refusals of :func:`_check_spectra`, full-sample spectra
+    first (with window axes, in the words of one window that fails there).
     """
     _check_octaves(j1, j2)
     if isinstance(x, WaveletPyramid) and f is not None:
@@ -215,24 +225,16 @@ def analyze(
     if not np.isfinite(spectra).all():
         j = np.argwhere(~np.isfinite(spectra))[0, 0]
         raise NonFiniteData(f"the wavelet spectrum at octave {j1 + j} overflows double precision")
-    diags = spectra.diagonal(axis1=-2, axis2=-1)
-    flat = diags <= diags.shape[-1] * np.finfo(float).eps * diags.max(axis=-1, keepdims=True)
-    if flat.any():
-        j, *at, c = np.argwhere(flat)[0]
-        if not diags[(j, *at)].any():
-            raise NonPositiveDiagonal(f"no channel has fluctuation at octave {j1 + j}: "
-                                      "the series is constant there or too small for double precision")
-        raise NonPositiveDiagonal(f"channel {c + 1} has no fluctuation at octave {j1 + j}")
 
     # windows first: a window n_j2 below M raises WindowTooSmall there, and
     # would make the full-sample spectrum at j2 singular too
     windows = [windowed_spectra(pyr, j, j2) for j in range(j1, j2)]
     lam = sorted_eigenvalues(spectra)
-    _check_rank(_numerical_rank(lam), lam.shape[-1], j1)
+    _check_spectra(spectra[..., None, :, :], lam[..., None, :], j1, "the wavelet spectrum")
 
     # octaves next to the components, (..., octaves, M), in C order, so that
     # the regression sees the layout of a stack of per-octave rows
-    log_diag = np.log2(np.moveaxis(diags, 0, -2), order="C")
+    log_diag = np.log2(np.moveaxis(spectra.diagonal(axis1=-2, axis2=-1), 0, -2), order="C")
     log_eig = np.log2(np.moveaxis(lam, 0, -2), order="C")
     # the one window at j2 is the whole octave: its spectrum is S(2^j2) bit
     # for bit, and the mean of its log-eigenvalues is log_eig's last row

@@ -393,6 +393,20 @@ def test_estimate_every_channel_flat_exit_4_blaming_no_channel(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+def test_estimate_one_channel_flat_over_its_second_half_exit_4(tmp_path, capsys):
+    # the bias-corrected estimator's windows over the flat half are refused,
+    # not estimated from the rounding noise of the constant
+    x = np.random.default_rng(1).normal(size=4096).cumsum()
+    x[2048:] = x[2047]
+    series = _write_series(tmp_path / "x.csv", [[t, repr(float(v))] for t, v in enumerate(x)], ("t", "c1"))
+    rc = main(["estimate", series, "--out-dir", str(tmp_path / "est"), "--j1", "1", "--j2", "4"])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "estimation error: NonPositiveDiagonal: channel 1 has no fluctuation at octave 1\n"
+    )
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
 def test_sliding_flat_stretch_exit_4_naming_its_window(tmp_path, capsys):
     # channel 2 is constant from sample 4096 on; the earliest window that
     # analyze refuses is 3072..5119, whose second half is flat
@@ -404,9 +418,8 @@ def test_sliding_flat_stretch_exit_4_naming_its_window(tmp_path, capsys):
                "--out-dir", str(tmp_path / "sl")])
     assert rc == 4
     assert capsys.readouterr().err == (
-        "estimation error: RankDeficientSpectrum: window at samples 3072..5119: "
-        "a windowed wavelet spectrum at octave 1 has numerical rank 1 < M = 2: "
-        "the channels are linearly dependent; drop a channel or undo the common reference\n"
+        "estimation error: NonPositiveDiagonal: window at samples 3072..5119: "
+        "channel 2 has no fluctuation at octave 1\n"
     )
     assert os.listdir(tmp_path) == ["x.csv"]
 

@@ -15,6 +15,7 @@ from ofbmkit.errors import (
     WindowTooSmall,
 )
 from ofbmkit.estimation import (
+    REFUSALS,
     ScalingRangeConfig,
     analyze,
     regression_weights,
@@ -308,6 +309,28 @@ def test_an_octave_where_every_channel_is_flat_blames_no_channel():
     )
 
 
+def _flat_from_midpoint(m, seed):
+    """An M x 4096 walk whose every channel is constant from sample 2048 on."""
+    x = np.random.default_rng(seed).normal(size=(m, 4096)).cumsum(axis=1)
+    x[:, 2048:] = x[:, 2047:2048]
+    return x
+
+
+@pytest.mark.parametrize("m, seed, name, message", [
+    # db2 leaves the flat half's details at rounding noise, haar at exactly 0
+    (1, 1, "db2", "^channel 1 has no fluctuation at octave 1$"),
+    (1, 1, "haar", "^no channel has fluctuation at octave 1: the series is constant there "
+                   "or too small for double precision$"),
+    # flat channels, not dependent ones, though the windows over the flat half have rank 1
+    (2, 0, "db2", "^channel 1 has no fluctuation at octave 1$"),
+], ids=["one-channel-db2", "one-channel-haar", "two-channels-db2"])
+def test_channels_flat_over_half_their_span_are_refused_by_their_windows(m, seed, name, message):
+    # the full spectra are not flat, but the bias-corrected estimator's
+    # windows over the second half are
+    with pytest.raises(NonPositiveDiagonal, match=message):
+        analyze(_flat_from_midpoint(m, seed), 1, 4, f=filter_bank(name))
+
+
 def test_a_pyramid_takes_no_filter():
     x = np.random.default_rng(4).normal(size=(2, 2048)).cumsum(axis=1)
     pyr = dwt(x, 6, filter_bank("haar"))
@@ -399,16 +422,16 @@ def _scaled_walk_pyramid(m, name, n, seed):
 
 def _assert_routes_agree(pyr, j1, j2):
     """analyze's window-averaged table is the windowed-spectra route at every
-    octave, or both routes refuse a numerically singular spectrum."""
+    octave, or both routes refuse a flat or numerically singular spectrum."""
     refs = []
     for j in range(j1, j2 + 1):
         try:
             refs.append(averaged_log_eigenvalues(windowed_spectra(pyr, j, j2), j))
-        except RankDeficientSpectrum:
+        except REFUSALS:
             refs.append(None)
     try:
         rec = analyze(pyr, j1, j2)
-    except RankDeficientSpectrum:
+    except REFUSALS:
         assert any(ref is None for ref in refs)
         return
     for row, (j, ref) in enumerate(zip(range(j1, j2 + 1), refs)):

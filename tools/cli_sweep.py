@@ -53,6 +53,9 @@ COMMANDS = [
                              "--label-column", "label", "--alpha", "0.2", "--out-dir", "."]),
     ("refuse-flat-channel", 4, ["estimate", "../inputs/flat.csv", "--j1", "2", "--j2", "6",
                                 "--out-dir", "."]),
+    # one channel, flat over its second half: the bias-corrected windows there are flat
+    ("refuse-flat-half", 4, ["estimate", "../inputs/flat-half.csv", "--j1", "1", "--j2", "4",
+                             "--out-dir", "."]),
     ("refuse-flat-window", 4, ["sliding", "../inputs/flat-from-4096.csv", "--window", "2048",
                                "--hop", "1024", "--j1", "1", "--j2", "4", "--out-dir", "."]),
     ("refuse-dependent-channels", 4, ["sliding", "../inputs/dependent.csv", "--window", "2048",
@@ -82,6 +85,9 @@ def _write_inputs(inputs) -> None:
     flat = walk[:, :4096].copy()
     flat[1] = 5.0
     _write_series(os.path.join(inputs, "flat.csv"), flat)
+    half = walk[:1, :4096].copy()
+    half[0, 2048:] = half[0, 2047]
+    _write_series(os.path.join(inputs, "flat-half.csv"), half)
     stretch = walk[:2].copy()
     stretch[1, 4096:] = stretch[1, 4096]
     _write_series(os.path.join(inputs, "flat-from-4096.csv"), stretch)
